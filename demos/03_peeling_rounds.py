@@ -5,7 +5,8 @@ sparse_multiply never knows the product sparsity up front. It guesses a
 bucket budget, runs the peeling recovery at that budget, fingerprints
 the accumulated vector, and doubles the budget on rejection. The peel
 itself runs locate rounds with halving budgets, subtracting everything
-recovered so far, until a round sees no heavy bucket at all.
+recovered so far, until a round sees no heavy bucket at all or aborts
+on more heavy buckets than its budget.
 
 This script replays that logic by hand on one instance, using the
 internal trace hook of hash_and_iterate to show what each budget and
@@ -65,8 +66,8 @@ for r, (w_after, report) in enumerate(trace):
 assert w == exact
 
 # The abort gate is what keeps wrong budgets cheap: a repetition stops
-# as soon as it counts more heavy buckets than the budget allows, so
-# undersized rounds cost little and the doubling loop pays mostly for
-# the one budget that works.
+# as soon as it counts more heavy buckets than the budget allows, and the
+# peel stops with it, so undersized budgets cost little and the doubling
+# loop pays mostly for the one budget that works.
 print("\nundersized budgets abort instead of decoding garbage; the "
       "fingerprint gate is what lets the driver trust a success")

@@ -16,6 +16,7 @@ from . import driver
 from .fingerprint import equality_test
 from .instances import InstanceSpec, gen_instance
 from .polyfile import PolyFileError, parse_poly_file, write_poly_file
+from .primes import PrimeSamplingError
 from .seeding import MULTIPLY_STREAM, VERIFY_STREAM, resolve_seed, substream
 from .vectors import (EnvelopeError, SparseVector, embed_for_product,
                       poly_multiply_dense, poly_multiply_naive)
@@ -25,6 +26,9 @@ EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 ALGOS = ("naive", "dense", "sparse")
+
+# Explicit Las Vegas failures: a randomized routine gave up, never erred.
+GAVE_UP = (driver.MultiplicationFailed, PrimeSamplingError)
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ def _run_algo(algo: str, u: SparseVector, v: SparseVector, seed: int,
         rng = substream(seed, MULTIPLY_STREAM)
         try:
             return driver.sparse_multiply(u, v, rng)
-        except driver.MultiplicationFailed:
+        except GAVE_UP:
             if fallback_dense:
                 return poly_multiply_dense(u, v)
             raise
@@ -64,12 +68,8 @@ def _cmd_multiply(args) -> int:
     seed = resolve_seed(args.seed)
     u = parse_poly_file(args.a)
     v = parse_poly_file(args.b)
-    try:
-        product = _run_algo(args.algo, u, v, seed,
-                            fallback_dense=args.fallback_dense)
-    except driver.MultiplicationFailed as exc:
-        print(f"multiplication failed: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+    product = _run_algo(args.algo, u, v, seed,
+                        fallback_dense=args.fallback_dense)
     if args.output:
         write_poly_file(product, args.output)
     print(product.l0)
@@ -122,7 +122,7 @@ def _cmd_bench(args) -> int:
                 product = _run_algo(algo, u, v, seed)
                 k_out = product.l0
                 success = True
-            except driver.MultiplicationFailed:
+            except GAVE_UP:
                 k_out = None
                 success = False
             wall = (time.perf_counter() - start) * 1000.0
@@ -194,6 +194,9 @@ def main(argv=None) -> int:
     except (PolyFileError, EnvelopeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except GAVE_UP as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -63,7 +63,8 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
 
     Runs ceil(log2 B) locate rounds with halving budgets B, B/2, ...,
     accumulating recovered terms into w so later rounds only see the
-    shrinking residual. With B >= 16 * l0(x * y) the result equals x * y
+    shrinking residual; stops at a round with no heavy bucket or an abort.
+    With B >= 16 * l0(x * y) no round aborts and the result equals x * y
     with probability at least 1 - delta; smaller budgets typically return
     a partial (often empty) w that the caller's verification rejects.
     """
@@ -84,9 +85,10 @@ def _hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
         z, report = locate_with_report(x, y, w, budget, round_delta, rng)
         w = add(w, z)
         trace.append((w, report))
-        if not report.saw_heavy and report.aborted_rep is None:
-            # No repetition saw any heavy bucket: the residual is already
-            # below the detection threshold, so further rounds are no-ops.
+        if report.aborted_rep is not None or not report.saw_heavy:
+            # No heavy bucket: later rounds are no-ops. An abort leaves a
+            # residual with more heavy buckets than this budget, too many
+            # for the halved ones: leave w to the caller's fingerprint.
             break
     return w, trace
 

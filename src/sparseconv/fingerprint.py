@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primes import modpow, random_prime_in_range
+from .primes import random_prime_in_range
 from .vectors import SparseVector
 
 RANGE_MULTIPLIER = 64        # prime field size: [64N, 128N]
@@ -28,7 +28,8 @@ class FingerprintParams:
     range_multiplier: int = RANGE_MULTIPLIER
 
     def eval_rounds(self, delta: float) -> int:
-        """Number of evaluation points for total failure at most delta/3 + delta/3."""
+        """Number of evaluation points; all of them hit roots of a nonzero
+        difference with probability at most delta / (3 * range_multiplier)."""
         if not (0 < delta < 1):
             raise ValueError("delta must be in (0, 1)")
         per_point = math.log2(self.range_multiplier)
@@ -38,38 +39,53 @@ class FingerprintParams:
 DEFAULT_PARAMS = FingerprintParams()
 
 
+# The uint64 arithmetic below is exact up to this modulus; the sampler
+# draws p <= 2 * RANGE_MULTIPLIER * MAX_DIMENSION = 2^33.
+_MODULUS_LIMIT = 1 << 36
+
+
+def _mulmod(a: np.ndarray, b, p: np.uint64) -> np.ndarray:
+    """Exact a * b mod p for uint64 a, b < p <= 2^36: with b = bh * 2^16 + bl,
+    a * bh < 2^56 and ((a * bh mod p) << 16) + a * bl < 2^53 (2^50 at the
+    sampler's p <= 2^33), so nothing wraps."""
+    high = a * (b >> np.uint64(16)) % p
+    return ((high << np.uint64(16)) + a * (b & np.uint64(0xFFFF))) % p
+
+
+def _power_table(base: int, size: int, p: np.uint64) -> np.ndarray:
+    """base**a mod p for a in [0, size), size a power of two, by doubling."""
+    table = np.ones(size, dtype=np.uint64)
+    filled, step = 1, base              # step = base**filled mod p
+    while filled < size:
+        table[filled:2 * filled] = _mulmod(table[:filled], np.uint64(step), p)
+        filled, step = 2 * filled, step * step % int(p)
+    return table
+
+
 def eval_sparse_poly_mod(f: SparseVector, point: int, modulus: int) -> int:
     """Evaluate sum of coeff_j * point**j over the stored terms, mod modulus.
 
-    Term-by-term square-and-multiply costs l0 * log2(max index) modular
-    products; when the support is dense enough that a full power table up
-    to the top index is cheaper, the table is used instead.
+    Baby-step/giant-step in uint64 numpy, all terms at once: with
+    k = ceil(bits / 2) of the top index, point**j = giant[j >> k] *
+    baby[j mod 2^k] for tables of point**a and point**(a * 2^k), a < 2^k.
+    A call costs l0 + 2^(k+1) <= l0 + 2^14 modular products. Each term is
+    below p <= 2^36 and a vector has at most MAX_DIMENSION = 2^26 terms, so
+    their uint64 sum stays below 2^62.
     """
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
+    if not 2 <= modulus <= _MODULUS_LIMIT:
+        raise ValueError(f"modulus must be in [2, 2^36], got {modulus}")
     if f.is_zero:
         return 0
+    p = np.uint64(modulus)
     point = point % modulus
-    top = int(f.indices[-1])
-    bits = max(1, top.bit_length())
-    total = 0
-    if f.l0 * bits > top:
-        powers = 1
-        table = np.empty(f.l0, dtype=object)
-        want = f.indices
-        pos = 0
-        value = 1
-        for exponent in range(top + 1):
-            if pos < want.size and exponent == want[pos]:
-                table[pos] = value
-                pos += 1
-            value = value * point % modulus
-        for c, pw in zip(f.coeffs, table):
-            total += int(c) % modulus * pw
-        return total % modulus
-    for j, c in zip(f.indices, f.coeffs):
-        total += int(c) % modulus * modpow(point, int(j), modulus)
-    return total % modulus
+    k = (int(f.indices[-1]).bit_length() + 1) // 2
+    j = f.indices.astype(np.uint64)
+    high, low = j >> np.uint64(k), j & np.uint64((1 << k) - 1)
+    baby = _power_table(point, 1 << k, p)
+    giant = _power_table(pow(point, 1 << k, modulus), 1 << k, p)
+    powers = _mulmod(giant[high], baby[low], p)
+    coeffs = np.mod(f.coeffs, np.int64(modulus)).astype(np.uint64)
+    return int(np.sum(_mulmod(coeffs, powers, p), dtype=np.uint64)) % modulus
 
 
 def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,
@@ -78,8 +94,11 @@ def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,
     """True iff the evaluations are consistent with x * y = w.
 
     A true equality always returns True. An inequality survives with
-    probability at most delta (prime sampling failure and per-point root
-    collisions both counted).
+    probability at most delta: x * y - w is then a nonzero polynomial of
+    degree < N, so all eval_rounds points are its roots with probability
+    at most delta / (3 * range_multiplier), plus 4^-50 for a composite p.
+    Running out of prime draws (probability below 1e-9) raises
+    PrimeSamplingError: an explicit failure, never an answer.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
@@ -87,7 +106,7 @@ def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,
         raise ValueError("delta must be in (0, 1)")
     n = x.length
     c = params.range_multiplier
-    p = random_prime_in_range(c * n, 2 * c * n, delta / 3.0, rng)
+    p = random_prime_in_range(c * n, 2 * c * n, rng)
     for _ in range(params.eval_rounds(delta)):
         r = int(rng.integers(0, p))
         fx = eval_sparse_poly_mod(x, r, p)

@@ -1,4 +1,4 @@
-"""Prime sieving, sampling, and modular arithmetic primitives."""
+"""Prime sieving, sampling, and primality testing."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ SIEVE_LIMIT_CAP = 1 << 32
 # same distribution (uniform over the primes <= limit) in O(1) memory.
 SAMPLING_SIEVE_MAX = 1 << 28
 
-# Per-draw failure chance of the rejection sampler; vanishing against any
-# delta the callers track.
+# Chance that one call of the rejection sampler runs out of draws and
+# raises; vanishing against any delta the callers track.
 _REJECTION_FAILURE = 1e-9
 
 
@@ -98,29 +98,7 @@ def uniform_prime_below(limit: int, rng: np.random.Generator) -> int:
         raise ValueError("no primes below 2")
     if limit <= SAMPLING_SIEVE_MAX:
         return sample_prime_uniform(shared_pool(limit), rng)
-    attempts = math.ceil(math.log(limit) * math.log(2.0 / _REJECTION_FAILURE))
-    for _ in range(attempts):
-        candidate = int(rng.integers(2, limit + 1))
-        if miller_rabin(candidate, rng):
-            return candidate
-    raise PrimeSamplingError(
-        f"no prime found below {limit} after {attempts} draws")
-
-
-def modpow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus by repeated squaring."""
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    if exponent < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = 1 % modulus
-    acc = base % modulus
-    while exponent:
-        if exponent & 1:
-            result = result * acc % modulus
-        acc = acc * acc % modulus
-        exponent >>= 1
-    return result
+    return random_prime_in_range(2, limit, rng)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -158,19 +136,16 @@ def miller_rabin(n: int, rng: np.random.Generator,
     return True
 
 
-def random_prime_in_range(lo: int, hi: int, failure_budget: float,
-                          rng: np.random.Generator) -> int:
+def random_prime_in_range(lo: int, hi: int, rng: np.random.Generator) -> int:
     """Uniform prime from [lo, hi] by rejection sampling.
 
-    The retry budget is sized so the probability of exhausting it without
-    seeing a prime stays below failure_budget; exhaustion raises.
+    Draws are capped so that running out of them without seeing a prime
+    has probability below _REJECTION_FAILURE; running out raises.
     """
-    if not (0 < failure_budget < 1):
-        raise ValueError("failure_budget must be in (0, 1)")
     if lo < 2 or hi < 2 * lo:
         raise ValueError("need hi >= 2 * lo >= 4")
-    attempts = math.ceil(math.log(hi) * math.log(2.0 / failure_budget))
-    for _ in range(max(1, attempts)):
+    attempts = math.ceil(math.log(hi) * math.log(2.0 / _REJECTION_FAILURE))
+    for _ in range(attempts):
         candidate = int(rng.integers(lo, hi + 1))
         if miller_rabin(candidate, rng):
             return candidate

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from sparseconv import driver
 from sparseconv.cli import main
+from sparseconv.driver import MultiplicationFailed
 from sparseconv.polyfile import parse_poly_file, write_poly_file
+from sparseconv.primes import PrimeSamplingError
 from sparseconv.vectors import make_sparse_vector, poly_multiply_naive
 
 
@@ -48,6 +51,23 @@ def test_multiply_same_seed_byte_identical(telescoping, tmp_path, capsys):
         assert main(["multiply", a, b, "--seed", "9", "-o", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("failure", [MultiplicationFailed("gave up"),
+                                     PrimeSamplingError("no prime found")])
+def test_multiply_gives_up_in_one_line(telescoping, tmp_path, capsys,
+                                       monkeypatch, failure):
+    def give_up(u, v, rng):
+        raise failure
+    monkeypatch.setattr(driver, "sparse_multiply", give_up)
+    a, b = telescoping
+    assert main(["multiply", a, b, "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("multiply failed:") and err.count("\n") == 1
+    out = tmp_path / "p.poly"
+    assert main(["multiply", a, b, "--seed", "1", "--fallback-dense",
+                 "-o", str(out)]) == 0
+    assert parse_poly_file(out) == make_sparse_vector(8, [(0, -1), (4, 1)])
 
 
 def test_gen_then_multiply_then_verify(tmp_path, capsys):

@@ -158,5 +158,18 @@ def test_hash_and_iterate_budget_too_small_yields_rejectable_w():
     assert w.l0 < exact.l0
 
 
+def test_hash_and_iterate_stops_at_first_aborted_call():
+    # an aborted locate call returns zero and leaves more heavy buckets
+    # than the budget; the halved budgets after it are not tried
+    n = 512
+    x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 29)])
+    y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 31)])
+    exact = cyclic_convolve_naive(x, y)
+    w, trace = _hash_and_iterate(x, y, 64, 0.1, np.random.default_rng(10))
+    assert len(trace) == 1
+    assert trace[0][1].aborted_rep is not None
+    assert w != exact
+
+
 def test_multiplication_failed_is_runtime_error():
     assert issubclass(MultiplicationFailed, RuntimeError)

@@ -1,10 +1,12 @@
-"""Number-theory helpers: sieve, Miller-Rabin, modular power, sampling."""
+"""Number-theory helpers: sieve, Miller-Rabin, sampling."""
+
+import math
 
 import numpy as np
 import pytest
 
-from sparseconv.primes import (SAMPLING_SIEVE_MAX, PrimeSamplingError,
-                               PrimePool, miller_rabin, modpow,
+from sparseconv.primes import (_REJECTION_FAILURE, SAMPLING_SIEVE_MAX,
+                               PrimeSamplingError, PrimePool, miller_rabin,
                                random_prime_in_range, sample_prime_uniform,
                                shared_pool, sieve_primes, uniform_prime_below)
 
@@ -60,24 +62,6 @@ def test_pool_up_to_is_prefix():
         pool.up_to(501)
 
 
-def test_modpow_matches_builtin():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        base = int(rng.integers(0, 1 << 40))
-        exp = int(rng.integers(0, 1 << 40))
-        mod = int(rng.integers(2, 1 << 40))
-        assert modpow(base, exp, mod) == pow(base, exp, mod)
-
-
-def test_modpow_iterated_squaring_oracle():
-    # recompute 3^(2^40) mod 1e9+7 by squaring forty times
-    mod = 10**9 + 7
-    acc = 3
-    for _ in range(40):
-        acc = acc * acc % mod
-    assert modpow(3, 1 << 40, mod) == acc
-
-
 def test_miller_rabin_known_values():
     rng = np.random.default_rng(0)
     assert miller_rabin(2, rng)
@@ -112,7 +96,7 @@ def test_sample_prime_uniform_is_roughly_uniform():
 def test_random_prime_in_range_bounds_and_primality():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        p = random_prime_in_range(1 << 16, 1 << 17, 0.01, rng)
+        p = random_prime_in_range(1 << 16, 1 << 17, rng)
         assert (1 << 16) <= p < (1 << 17)
         assert miller_rabin(p, np.random.default_rng(1))
 
@@ -120,20 +104,46 @@ def test_random_prime_in_range_bounds_and_primality():
 def test_random_prime_requires_doubling_range():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
-        random_prime_in_range(100, 150, 0.01, rng)
+        random_prime_in_range(100, 150, rng)
+
+
+class EvenFirst:
+    """Generator stand-in: its first `evens` draws are even, the rest come
+    from a seeded numpy generator. Even candidates never reach
+    Miller-Rabin's base draws, so these are all candidate draws."""
+
+    def __init__(self, evens, seed=0):
+        self.evens = evens
+        self.calls = 0
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, low, high):
+        self.calls += 1
+        if self.calls <= self.evens:
+            return low + low % 2
+        return self.rng.integers(low, high)
 
 
 def test_random_prime_failure_budget_is_finite():
-    # the attempt count follows from the failure budget; pin the formula
-    import math
+    # a stream with no prime in it exhausts the capped draws and raises
     hi = 1 << 20
-    budget = 0.01
-    want = math.ceil(math.log(hi) * math.log(2 / budget))
-    rng = np.random.default_rng(4)
-    p = random_prime_in_range(hi // 2, hi, budget, rng)
-    assert p < hi
-    assert want > 0  # formula sanity; exhaustion path raises PrimeSamplingError
+    want = math.ceil(math.log(hi) * math.log(2 / _REJECTION_FAILURE))
+    stub = EvenFirst(evens=10 * want)
+    with pytest.raises(PrimeSamplingError, match=f"after {want} draws"):
+        random_prime_in_range(hi // 2, hi, stub)
+    assert stub.calls == want
     assert issubclass(PrimeSamplingError, RuntimeError)
+
+
+def test_random_prime_outlasts_200_even_candidates():
+    # the fingerprint's range at the envelope; a cap sized from delta / 3
+    # at delta = 0.01 gave up here after 147 draws
+    lo, hi = 1 << 32, 1 << 33
+    stub = EvenFirst(evens=200)
+    p = random_prime_in_range(lo, hi, stub)
+    assert lo <= p <= hi
+    assert stub.calls > 200
+    assert miller_rabin(p, np.random.default_rng(0), rounds=80)
 
 
 def test_sampling_is_deterministic_per_seed():
