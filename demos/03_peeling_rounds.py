@@ -9,15 +9,15 @@ recovered so far, until a round sees no heavy bucket at all or aborts
 on more heavy buckets than its budget.
 
 This script replays that logic by hand on one instance, using the
-internal trace hook of hash_and_iterate to show what each budget and
-each round actually did.
+per-round trace that hash_and_iterate returns to show what each budget
+and each round actually did.
 """
 
 import numpy as np
 
 from sparseconv import (InstanceSpec, embed_for_product, equality_test,
                         gen_instance, poly_multiply_naive, substream)
-from sparseconv.driver import _hash_and_iterate
+from sparseconv.driver import hash_and_iterate
 from sparseconv.vectors import subtract
 
 spec = InstanceSpec(n=1 << 14, terms=192, coeff_bound=100,
@@ -41,7 +41,7 @@ verify_rng = substream(31, "verify")
 print(f"\n{'budget':>7}  {'recovered':>9}  {'residual':>8}  fingerprint")
 for log_b in range(11, 17):
     budget = 1 << log_b
-    w, trace = _hash_and_iterate(x, y, budget, 0.01, rng)
+    w, trace = hash_and_iterate(x, y, budget, 0.01, rng)
     ok = equality_test(x, y, w, 0.01, verify_rng)
     residual = subtract(exact, w).l0
     print(f"{budget:>7}  {w.l0:>9}  {residual:>8}  "
@@ -55,7 +55,7 @@ for log_b in range(11, 17):
 # fall below the heavy threshold everywhere and the loop exits early.
 # Budgets halve per round because the residual shrinks at least that
 # fast; quiet rounds certify convergence.
-w, trace = _hash_and_iterate(x, y, budget, 0.01, substream(32, "multiply"))
+w, trace = hash_and_iterate(x, y, budget, 0.01, substream(32, "multiply"))
 print(f"\nper-round trace at budget {budget}:")
 print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
       f"{'recovered':>9}  {'residual':>8}")

@@ -5,15 +5,14 @@ the inputs and the output rather than with the full degree, while a
 randomized fingerprint keeps the result Las Vegas correct.
 """
 
-from .driver import AlgoParams, MultiplicationFailed, sparse_multiply
+from .driver import MultiplicationFailed, sparse_multiply
 from .fingerprint import equality_test
-from .folding import fold, folded_residual, root_of_unity_power
 from .instances import InstanceSpec, blocked_telescoping_instance, gen_instance
 from .locate import locate, locate_with_report
 from .polyfile import PolyFileError, parse_poly_file, write_poly_file
 from .primes import PrimeSamplingError, miller_rabin, random_prime_in_range
 from .seeding import resolve_seed, substream
-from .vectors import (Envelope, EnvelopeError, SparseVector,
+from .vectors import (EnvelopeError, SparseVector,
                       cyclic_convolve_naive, dense_fft_multiply,
                       embed_for_product, make_sparse_vector,
                       poly_multiply_dense, poly_multiply_naive, zero_vector)
@@ -21,8 +20,6 @@ from .vectors import (Envelope, EnvelopeError, SparseVector,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgoParams",
-    "Envelope",
     "EnvelopeError",
     "InstanceSpec",
     "MultiplicationFailed",
@@ -34,8 +31,6 @@ __all__ = [
     "dense_fft_multiply",
     "embed_for_product",
     "equality_test",
-    "fold",
-    "folded_residual",
     "gen_instance",
     "locate",
     "locate_with_report",
@@ -46,7 +41,6 @@ __all__ = [
     "poly_multiply_naive",
     "random_prime_in_range",
     "resolve_seed",
-    "root_of_unity_power",
     "sparse_multiply",
     "substream",
     "write_poly_file",

@@ -11,16 +11,17 @@ verified accumulation is returned; nothing unverified ever escapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fingerprint import equality_test
 from .locate import ISOLATION_CONSTANT, LocateReport, locate_with_report
-from .vectors import (DEFAULT_ENVELOPE, Envelope, SparseVector,
-                      EnvelopeError, add, embed_for_product, zero_vector)
+from .vectors import (SparseVector, EnvelopeError, add, check_operand,
+                      embed_for_product, zero_vector)
 
-OUTER_FAILURE_CONSTANT = 1.0 / 400.0    # round r gets failure budget c / r^2
+# Round r gives its peel and its fingerprint failure budget c / r^2 each:
+# 2c * sum r^-2 = c * pi^2 / 3 < 1/100 over all rounds.
+OUTER_FAILURE_CONSTANT = 1.0 / 400.0
 
 # Phase-folded bucket values must stay resolvable in float64: their total
 # coefficient mass times accumulated rounding must sit far below the 0.5
@@ -32,48 +33,18 @@ class MultiplicationFailed(RuntimeError):
     """Every outer round was exhausted without a verified product."""
 
 
-@dataclass(frozen=True)
-class AlgoParams:
-    """Pipeline constants; the defaults satisfy the analysis relations."""
-
-    isolation_constant: int = ISOLATION_CONSTANT
-    outer_failure_constant: float = OUTER_FAILURE_CONSTANT
-    trial_failure: float = 1.0 / 8.0
-    collision_fraction: float = 1.0 / 16.0
-    envelope: Envelope = DEFAULT_ENVELOPE
-
-    def __post_init__(self):
-        c2 = self.isolation_constant ** 2
-        expected = 2.0 / (c2 * self.trial_failure)
-        if not math.isclose(self.collision_fraction, expected):
-            raise ValueError("collision_fraction must equal 2 / (C^2 q)")
-        if 5 * self.collision_fraction >= 1:
-            raise ValueError("per-round contraction 5 * gamma must be < 1")
-        # Total failure across outer rounds: 2c * sum r^-2 = c * pi^2 / 3.
-        if self.outer_failure_constant * math.pi ** 2 / 3.0 > 0.01:
-            raise ValueError("outer failure budget exceeds 1/100")
-
-
-DEFAULT_PARAMS = AlgoParams()
-
-
 def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
-                     delta: float, rng: np.random.Generator) -> SparseVector:
+                     delta: float, rng: np.random.Generator):
     """Peeling recovery of x * y at a fixed sparsity budget.
 
     Runs ceil(log2 B) locate rounds with halving budgets B, B/2, ...,
     accumulating recovered terms into w so later rounds only see the
     shrinking residual; stops at a round with no heavy bucket or an abort.
-    With B >= 16 * l0(x * y) no round aborts and the result equals x * y
-    with probability at least 1 - delta; smaller budgets typically return
-    a partial (often empty) w that the caller's verification rejects.
+    With B >= 16 * l0(x * y) no round aborts and w equals x * y with
+    probability at least 1 - delta; smaller budgets typically return a
+    partial (often empty) w that the caller's verification rejects.
+    Returns (w, trace), trace holding (w so far, LocateReport) per round.
     """
-    w, _ = _hash_and_iterate(x, y, bucket_budget, delta, rng)
-    return w
-
-
-def _hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
-                      delta: float, rng: np.random.Generator):
     if bucket_budget < 1:
         raise ValueError("bucket budget must be positive")
     rounds = max(1, math.ceil(math.log2(bucket_budget))) if bucket_budget > 1 else 1
@@ -101,8 +72,8 @@ def _check_float_budget(u: SparseVector, v: SparseVector) -> None:
             "coefficient mass too large for the folded-bucket rounding budget")
 
 
-def sparse_multiply(u: SparseVector, v: SparseVector, rng: np.random.Generator,
-                    params: AlgoParams = DEFAULT_PARAMS) -> SparseVector:
+def sparse_multiply(u: SparseVector, v: SparseVector,
+                    rng: np.random.Generator) -> SparseVector:
     """Verified polynomial product of u and v over [0, 2n).
 
     Output-sensitive: runtime is governed by the input and product term
@@ -110,19 +81,18 @@ def sparse_multiply(u: SparseVector, v: SparseVector, rng: np.random.Generator,
     of ever returning an unverified vector; the failure probability is at
     most 1/100 per call.
     """
-    params.envelope.check_operand(u, "u")
-    params.envelope.check_operand(v, "v")
+    check_operand(u, "u")
+    check_operand(v, "v")
     _check_float_budget(u, v)
     x, y = embed_for_product(u, v)
     if x.is_zero or y.is_zero:
         return zero_vector(x.length)
     locate_rng, fingerprint_rng = rng.spawn(2)
-    c = params.isolation_constant
     max_rounds = max(1, int(x.length - 1).bit_length()) + 2
     for r in range(1, max_rounds + 1):
-        budget = c << r                                  # C * 2^r
-        round_delta = params.outer_failure_constant / (r * r)
-        w = hash_and_iterate(x, y, budget, round_delta, locate_rng)
+        budget = ISOLATION_CONSTANT << r                 # C * 2^r
+        round_delta = OUTER_FAILURE_CONSTANT / (r * r)
+        w, _ = hash_and_iterate(x, y, budget, round_delta, locate_rng)
         if equality_test(x, y, w, round_delta, fingerprint_rng):
             return w
     raise MultiplicationFailed(

@@ -13,7 +13,6 @@ guarantees this by embedding degree-(n-1) inputs at dimension N = 2n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +22,13 @@ from .vectors import SparseVector
 RANGE_MULTIPLIER = 64        # prime field size: [64N, 128N]
 
 
-@dataclass(frozen=True)
-class FingerprintParams:
-    range_multiplier: int = RANGE_MULTIPLIER
-
-    def eval_rounds(self, delta: float) -> int:
-        """Number of evaluation points; all of them hit roots of a nonzero
-        difference with probability at most delta / (3 * range_multiplier)."""
-        if not (0 < delta < 1):
-            raise ValueError("delta must be in (0, 1)")
-        per_point = math.log2(self.range_multiplier)
-        return math.ceil(math.log2(3.0 / delta) / per_point) + 1
-
-
-DEFAULT_PARAMS = FingerprintParams()
+def eval_rounds(delta: float) -> int:
+    """Number of evaluation points; all of them hit roots of a nonzero
+    difference with probability at most delta / (3 * RANGE_MULTIPLIER)."""
+    if not (0 < delta < 1):
+        raise ValueError("delta must be in (0, 1)")
+    per_point = math.log2(RANGE_MULTIPLIER)
+    return math.ceil(math.log2(3.0 / delta) / per_point) + 1
 
 
 # The uint64 arithmetic below is exact up to this modulus; the sampler
@@ -89,25 +81,22 @@ def eval_sparse_poly_mod(f: SparseVector, point: int, modulus: int) -> int:
 
 
 def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,
-                  delta: float, rng: np.random.Generator,
-                  params: FingerprintParams = DEFAULT_PARAMS) -> bool:
+                  delta: float, rng: np.random.Generator) -> bool:
     """True iff the evaluations are consistent with x * y = w.
 
     A true equality always returns True. An inequality survives with
     probability at most delta: x * y - w is then a nonzero polynomial of
     degree < N, so all eval_rounds points are its roots with probability
-    at most delta / (3 * range_multiplier), plus 4^-50 for a composite p.
+    at most delta / (3 * RANGE_MULTIPLIER), plus 4^-50 for a composite p.
     Running out of prime draws (probability below 1e-9) raises
     PrimeSamplingError: an explicit failure, never an answer.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
-    if not (0 < delta < 1):
-        raise ValueError("delta must be in (0, 1)")
-    n = x.length
-    c = params.range_multiplier
-    p = random_prime_in_range(c * n, 2 * c * n, rng)
-    for _ in range(params.eval_rounds(delta)):
+    rounds = eval_rounds(delta)
+    lo = RANGE_MULTIPLIER * x.length
+    p = random_prime_in_range(lo, 2 * lo, rng)
+    for _ in range(rounds):
         r = int(rng.integers(0, p))
         fx = eval_sparse_poly_mod(x, r, p)
         fy = eval_sparse_poly_mod(y, r, p)

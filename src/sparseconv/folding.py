@@ -7,62 +7,29 @@ originating index. Folding is linear, and when the supports of x and y sum
 below N (the polynomial embedding at N = 2n guarantees this) folds of the
 cyclic convolution factor through cyclic convolution of the folds, which
 is what lets short FFTs observe a length-N product. With wrap-around the
-factored form picks up a sign flip per wrapped pair, so none of the
-residual machinery here may be fed unembedded full-support operands.
+factored form picks up a sign flip per wrapped pair, so
+heavy_residual_buckets must not be fed unembedded full-support operands.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .vectors import SparseVector
 
-# pi to quad precision; float128 keeps the phase argument error below the
-# final float64 rounding step.
-_PI_LONG = np.float128("3.14159265358979323846264338327950288")
-
 # Route bound: FFT-based bucket accumulation only below this length.
 _FFT_ROUTE_MAX_LEN = 1 << 22
-# Pair block size for the direct (sparse) accumulation route.
+# Pair block size for building the pair terms; bounds the temporaries.
 _PAIR_BLOCK = 1 << 23
 
 
-@dataclass(frozen=True)
-class FoldedVector:
-    """Dense complex bucket array produced by fold()."""
-
-    modulus: int
-    buckets: np.ndarray
-
-    @property
-    def l0(self) -> int:
-        return int(np.count_nonzero(self.buckets))
-
-
-def root_of_unity_power(j, half_order: int):
-    """w^j for w = e^{i*pi/half_order}, evaluated to float64 accuracy.
-
-    Accepts a scalar or an integer array; j must lie in [0, 2*half_order).
-    The argument is formed in extended precision so the result is within a
-    few ulp of the exact root.
-    """
-    n = half_order
-    if n < 1:
-        raise ValueError("half_order must be positive")
-    arr = np.asarray(j, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= 2 * n):
-        raise ValueError(f"exponent out of range [0, {2 * n})")
-    theta = _PI_LONG * (arr.astype(np.float128) / np.float128(n))
-    value = np.cos(theta).astype(np.float64) + 1j * np.sin(theta).astype(np.float64)
-    if np.isscalar(j):
-        return complex(value)
-    return value
-
-
 def _unit_root_powers(indices: np.ndarray, half_order: int) -> np.ndarray:
-    """Fast float64 w^j for bulk folding; error well inside the 0.1 budget."""
+    """w^j for w = e^{i*pi/half_order} and integers j in [0, 2*half_order).
+
+    float64 throughout: the argument pi * j / N is one rounding of a value
+    below 2*pi, so every root is within about 1e-15 of the exact one, far
+    inside the 0.1 re-encode tolerance and the pi / N root spacing.
+    """
     return np.exp((1j * np.pi / half_order) * indices)
 
 
@@ -73,28 +40,34 @@ def phased_coeffs(v: SparseVector) -> np.ndarray:
     return v.coeffs * _unit_root_powers(v.indices, v.length)
 
 
-def _bucketize_dense(bucket_idx: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
-    out = np.bincount(bucket_idx, weights=values.real, minlength=m)
-    out = out + 1j * np.bincount(bucket_idx, weights=values.imag, minlength=m)
-    return out
+def fold(indices: np.ndarray, phased: np.ndarray, m: int) -> np.ndarray:
+    """Fold phase-weighted terms into m buckets: bucket b sums phased[t]
+    over the terms with indices[t] = b (mod m). See phased_coeffs."""
+    bucket = indices % m
+    out = np.bincount(bucket, weights=phased.real, minlength=m)
+    return out + 1j * np.bincount(bucket, weights=phased.imag, minlength=m)
 
 
-def fold(x: SparseVector, m: int) -> FoldedVector:
-    """Fold x into m buckets: bucket b sums coeff_j * w^j over j = b mod m."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    if x.is_zero:
-        return FoldedVector(m, np.zeros(m, dtype=np.complex128))
-    vals = phased_coeffs(x)
-    return FoldedVector(m, _bucketize_dense(x.indices % m, vals, m))
+def _fast_fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def cyclic_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cyclic convolution of two equal-length complex arrays.
 
     Works at any length (prime lengths included) by zero-padding to a
-    power of two >= 2m - 1, convolving linearly with FFTs, and folding the
-    tail back mod m.
+    5-smooth length >= 2m - 1, convolving linearly with FFTs, and folding
+    the tail back mod m. A smooth length is within a few percent of
+    2m - 1, where the next power of two can be nearly twice it.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -105,34 +78,11 @@ def cyclic_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("empty input")
     if m == 1:
         return a * b
-    padded = 1 << int(2 * m - 2).bit_length()
+    padded = _fast_fft_length(2 * m - 1)
     linear = np.fft.ifft(np.fft.fft(a, padded) * np.fft.fft(b, padded))[:2 * m - 1]
     out = linear[:m].copy()
     out[:m - 1] += linear[m:]
     return out
-
-
-def folded_residual(x: SparseVector, y: SparseVector, w: SparseVector,
-                    m: int) -> FoldedVector:
-    """Buckets of the residual (x * y) - w, computed without forming x * y.
-
-    Requires supp(x) + supp(y) < length so the product never wraps; then
-    folding commutes with convolution and this equals
-    fold(x, m) (*) fold(y, m) - fold(w, m) up to float rounding.
-    Memory is O(m); callers with very large m should use the sparse
-    bucket path inside locate instead.
-    """
-    fx = fold(x, m).buckets
-    fy = fold(y, m).buckets
-    out = cyclic_fft_convolve(fx, fy)
-    if not w.is_zero:
-        out = out - fold(w, m).buckets
-    return FoldedVector(m, out)
-
-
-def _heavy_from_dense(buckets: np.ndarray, threshold: float):
-    idx = np.flatnonzero(np.abs(buckets) >= threshold)
-    return idx.astype(np.int64), buckets[idx]
 
 
 def _heavy_from_terms(idx: np.ndarray, val: np.ndarray, threshold: float):
@@ -158,7 +108,7 @@ def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
     Both arrays are modulus-independent, so a locate call can build them
     once and reduce them mod a fresh prime on every repetition instead of
     re-enumerating the pairs. Built in blocks to bound peak memory; the
-    result itself is l0(x) * l0(y) entries, so callers gate on that.
+    result itself is l0(x) * l0(y) entries.
     """
     pairs = jx.size * jy.size
     jsum = np.empty(pairs, dtype=np.int64)
@@ -178,8 +128,7 @@ def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
 def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
                            jy: np.ndarray, py: np.ndarray,
                            jw: np.ndarray, pw: np.ndarray,
-                           m: int, threshold: float,
-                           pair_terms=None):
+                           m: int, threshold: float, pair_terms=None):
     """Occupied residual buckets with |value| >= threshold, for one modulus.
 
     Inputs are index arrays and matching phase-weighted coefficient arrays
@@ -189,48 +138,28 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
     * fold route: fold x and y separately and convolve the length-m folds
       with FFTs; O(terms + m log m) independent of the pair count, chosen
       when the pairs outnumber the buckets and length-m arrays fit;
-    * direct route: enumerates the l0(x) * l0(y) bucket pairs, never
-      materializes length-m arrays, chosen when m is huge or pairs are few.
-      Accepts precomputed pair_terms from combined_pair_terms(), turning a
-      repetition into one modulo reduction plus a grouped sum.
+    * direct route: reduces the l0(x) * l0(y) pair terms mod m and groups
+      them by bucket, never materializing length-m arrays; chosen when m is
+      huge or pairs are few. pair_terms, if given, is a zero-argument
+      callable returning combined_pair_terms(jx, px, jy, py), so a caller
+      can build them once across moduli, and only if some modulus takes
+      this route.
 
     Returns (bucket_indices, bucket_values) of the heavy buckets only; all
     other buckets are zero up to fold rounding error, far below threshold.
     """
-    pairs = jx.size * jy.size
-    if m <= _FFT_ROUTE_MAX_LEN and pairs > m:
-        da = _bucketize_dense(jx % m, px, m)
-        db = _bucketize_dense(jy % m, py, m)
-        conv = cyclic_fft_convolve(da, db)
+    if m <= _FFT_ROUTE_MAX_LEN and jx.size * jy.size > m:
+        conv = cyclic_fft_convolve(fold(jx, px, m), fold(jy, py, m))
         if jw.size:
-            conv -= _bucketize_dense(jw % m, pw, m)
-        return _heavy_from_dense(conv, threshold)
+            conv -= fold(jw, pw, m)
+        heavy = np.flatnonzero(np.abs(conv) >= threshold)
+        return heavy.astype(np.int64), conv[heavy]
 
-    if pair_terms is not None:
-        jsum, pvals = pair_terms
-        if jw.size:
-            idx = np.concatenate([jsum % m, jw % m])
-            val = np.concatenate([pvals, -pw])
-        else:
-            idx = jsum % m
-            val = pvals
-        return _heavy_from_terms(idx, val, threshold)
-
-    bx = jx % m
-    by = jy % m
-    parts_idx = []
-    parts_val = []
-    step = max(1, _PAIR_BLOCK // max(1, by.size))
-    for a in range(0, bx.size, step):
-        b = min(a + step, bx.size)
-        blk = bx[a:b, None] + by[None, :]
-        blk[blk >= m] -= m
-        parts_idx.append(blk.ravel())
-        parts_val.append((px[a:b, None] * py[None, :]).ravel())
+    if pair_terms is None:
+        jsum, pvals = combined_pair_terms(jx, px, jy, py)
+    else:
+        jsum, pvals = pair_terms()
     if jw.size:
-        parts_idx.append(jw % m)
-        parts_val.append(-pw)
-    if not parts_idx:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)
-    return _heavy_from_terms(np.concatenate(parts_idx),
-                             np.concatenate(parts_val), threshold)
+        return _heavy_from_terms(np.concatenate([jsum % m, jw % m]),
+                                 np.concatenate([pvals, -pw]), threshold)
+    return _heavy_from_terms(jsum % m, pvals, threshold)

@@ -12,6 +12,7 @@ filter.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -28,10 +29,6 @@ ISOLATION_CONSTANT = 16          # prime range and bucket budget multiplier
 HEAVY_THRESHOLD = 0.5
 REENCODE_TOLERANCE = 0.1
 
-# Cache the pair terms of x * y across repetitions up to this many pairs
-# (int64 + complex128 per pair, about 100 MB at the cap).
-_PAIR_TERMS_MAX = 1 << 22
-
 
 @dataclass(frozen=True)
 class LocateParams:
@@ -41,8 +38,6 @@ class LocateParams:
     delta: float
     reps: int
     prune_threshold: int
-    heavy_threshold: float = HEAVY_THRESHOLD
-    reencode_tolerance: float = REENCODE_TOLERANCE
 
     @classmethod
     def for_budget(cls, bucket_budget: int, delta: float) -> "LocateParams":
@@ -55,15 +50,6 @@ class LocateParams:
                    prune_threshold=math.ceil(0.75 * reps))
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """Decoded bucket reading: nonzero value at index, seen `hits` times."""
-
-    index: int
-    value: int
-    hits: int
-
-
 @dataclass
 class LocateReport:
     """Diagnostics for one locate call (primarily for tests and tuning)."""
@@ -74,60 +60,14 @@ class LocateReport:
     saw_heavy: bool = False
     heavy_counts: list[int] = field(default_factory=list)
     primes: list[int] = field(default_factory=list)
-    index_conflicts: int = 0
-    survivors: list[Candidate] = field(default_factory=list)
-
-
-def decode_index(u: complex, half_order: int) -> int:
-    """Exponent j in [0, 2N) whose root w^j is nearest to the reading u.
-
-    Sign tests on the real and imaginary parts confine j to one quarter of
-    the circle; an integer ternary search over that arc (padded so a noisy
-    reading near a boundary cannot hide the optimum in the neighbour
-    quarter) then minimizes |u - w^j|, never scanning all 2N roots.
-    """
-    n = half_order
-    two_n = 2 * n
-    re = u.real
-    im = u.imag
-    if re >= 0 and im >= 0:
-        lo, hi = 0, (n + 1) // 2
-    elif re < 0 <= im:
-        lo, hi = n // 2, n
-    elif re <= 0 and im < 0:
-        lo, hi = n, n + (n + 1) // 2
-    else:
-        lo, hi = n + n // 2, two_n
-    margin = int(0.07 * n) + 2           # covers phase error of readings within 0.2
-    lo -= margin
-    hi += margin
-
-    # Squared chord distance; same argmin, no sqrt. float64 angles suffice:
-    # adjacent roots are pi/n apart in phase, orders of magnitude above the
-    # few-ulp evaluation error for any representable n.
-    def dist(j: int) -> float:
-        theta = math.pi * ((j % two_n) / n)
-        dre = re - math.cos(theta)
-        dim = im - math.sin(theta)
-        return dre * dre + dim * dim
-
-    while hi - lo > 2:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if dist(m1) < dist(m2):
-            hi = m2 - 1
-        else:
-            lo = m1 + 1
-    best = min(range(lo, hi + 1), key=dist)
-    return best % two_n
 
 
 def decode_indices(values: np.ndarray, half_order: int) -> np.ndarray:
-    """Vectorized decode_index: nearest-root exponent per reading.
+    """Exponent j in [0, 2N) whose root w^j is nearest to each reading.
 
     The nearest root in chord distance is the nearest in phase, so this is
-    a rounded phase measurement; agrees with decode_index everywhere except
-    exact two-root ties.
+    a rounded phase measurement: exact for any reading within half the
+    root spacing pi / N of a root, whatever its magnitude.
     """
     n = half_order
     theta = np.arctan2(values.imag, values.real)
@@ -143,8 +83,7 @@ def sieve_limit_for(bucket_budget: int, dimension: int) -> int:
     return max(2, ISOLATION_CONSTANT * bucket_budget * lg * lg)
 
 
-def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int,
-                  params: LocateParams):
+def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int):
     """Turn heavy buckets into validated (index, value) candidates."""
     mag = np.abs(vals)
     rounded = np.rint(mag)
@@ -156,7 +95,7 @@ def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int,
     exponents = decode_indices(vals, n)
     # Re-encode check: an isolated bucket must reproduce value * w^exponent.
     expected = rounded * folding._unit_root_powers(exponents, n)
-    ok = np.abs(vals - expected) <= params.reencode_tolerance
+    ok = np.abs(vals - expected) <= REENCODE_TOLERANCE
     if not ok.any():
         return _empty_terms()
     exponents = exponents[ok]
@@ -171,8 +110,8 @@ def _group_candidates(idx_all: np.ndarray, val_all: np.ndarray):
     """Unique (index, value) pairs with occurrence counts.
 
     Fast path packs both into one int64 key so a plain value sort does the
-    grouping; applicable whenever index < 2^27 (any embedded product inside
-    the Envelope) and |value| < 2^35. Oversized values fall back to lexsort.
+    grouping; applicable whenever index < 2^27 (any embedded product within
+    MAX_DIMENSION) and |value| < 2^35. Oversized values fall back to lexsort.
     """
     if (int(idx_all.max()) < (1 << 27)
             and int(np.abs(val_all).max()) < (1 << 35)):
@@ -196,7 +135,7 @@ def _group_candidates(idx_all: np.ndarray, val_all: np.ndarray):
 
 
 def _prune(idx_all: np.ndarray, val_all: np.ndarray, n: int,
-           params: LocateParams, report: LocateReport) -> SparseVector:
+           params: LocateParams) -> SparseVector:
     """Majority filter plus per-index conflict resolution."""
     si, sv, counts = _group_candidates(idx_all, val_all)
     keep = counts >= params.prune_threshold
@@ -210,20 +149,13 @@ def _prune(idx_all: np.ndarray, val_all: np.ndarray, n: int,
     pick = np.lexsort((np.abs(cand_v), -cand_h, cand_i))
     cand_i = cand_i[pick]
     cand_v = cand_v[pick]
-    cand_h = cand_h[pick]
     first = np.empty(cand_i.size, dtype=bool)
     first[0] = True
     np.not_equal(cand_i[1:], cand_i[:-1], out=first[1:])
     dropped = int(cand_i.size - np.count_nonzero(first))
     if dropped:
-        report.index_conflicts = dropped
         logger.warning("locate: %d conflicting index candidates dropped", dropped)
-    cand_i = cand_i[first]
-    cand_v = cand_v[first]
-    cand_h = cand_h[first]
-    report.survivors = [Candidate(int(i), int(v), int(h))
-                        for i, v, h in zip(cand_i, cand_v, cand_h)]
-    return _canonical(n, cand_i, cand_v)
+    return _canonical(n, cand_i[first], cand_v[first])
 
 
 def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
@@ -240,10 +172,9 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     jx, px = x.indices, folding.phased_coeffs(x)
     jy, py = y.indices, folding.phased_coeffs(y)
     jw, pw = w.indices, folding.phased_coeffs(w)
-    pair_count = jx.size * jy.size
-    pair_terms = None
-    if 0 < pair_count <= _PAIR_TERMS_MAX:
-        pair_terms = folding.combined_pair_terms(jx, px, jy, py)
+    # Built on the first repetition that takes the direct route, if any.
+    pair_terms = functools.cache(
+        lambda: folding.combined_pair_terms(jx, px, jy, py))
 
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
@@ -252,8 +183,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         report.primes.append(p)
         report.reps_run = rep + 1
         ids, vals = folding.heavy_residual_buckets(
-            jx, px, jy, py, jw, pw, p, params.heavy_threshold,
-            pair_terms=pair_terms)
+            jx, px, jy, py, jw, pw, p, HEAVY_THRESHOLD, pair_terms)
         report.heavy_counts.append(int(ids.size))
         if ids.size > bucket_budget:
             # Residual support overflows the budget; this call cannot
@@ -263,14 +193,14 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         if ids.size == 0:
             continue
         report.saw_heavy = True
-        index, value = _decode_heavy(ids, vals, n, params)
+        index, value = _decode_heavy(ids, vals, n)
         if index.size:
             got_i.append(index)
             got_v.append(value)
 
     if not got_i:
         return zero_vector(n), report
-    z = _prune(np.concatenate(got_i), np.concatenate(got_v), n, params, report)
+    z = _prune(np.concatenate(got_i), np.concatenate(got_v), n, params)
     return z, report
 
 

@@ -53,6 +53,9 @@ def parse_poly_file(path) -> SparseVector:
             if not 0 <= index < length:
                 raise PolyFileError(path, line_no,
                                     f"index {index} out of range [0, {length})")
+            if not -(1 << 63) <= coeff < (1 << 63):
+                raise PolyFileError(path, line_no,
+                                    f"coefficient {coeff} outside int64")
             if coeff == 0:
                 raise PolyFileError(path, line_no,
                                     f"zero coefficient at index {index}")

@@ -25,33 +25,6 @@ class EnvelopeError(ValueError):
     """Operand falls outside the supported size/magnitude envelope."""
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Operand bounds under which every backend is exact.
-
-    max_terms * max_coeff_abs**2 <= 2**60, so convolution coefficients of
-    two conforming operands always fit in int64 with headroom.
-    """
-
-    max_dimension: int = MAX_DIMENSION
-    max_coeff_abs: int = MAX_COEFF_ABS
-    max_terms: int = MAX_TERMS
-
-    def check_operand(self, v: "SparseVector", what: str = "operand") -> None:
-        if v.length > self.max_dimension:
-            raise EnvelopeError(
-                f"{what}: length {v.length} exceeds {self.max_dimension}")
-        if v.l0 > self.max_terms:
-            raise EnvelopeError(
-                f"{what}: {v.l0} terms exceed {self.max_terms}")
-        if v.l0 and int(np.abs(v.coeffs).max()) > self.max_coeff_abs:
-            raise EnvelopeError(
-                f"{what}: coefficient magnitude exceeds {self.max_coeff_abs}")
-
-
-DEFAULT_ENVELOPE = Envelope()
-
-
 @dataclass(eq=False)
 class SparseVector:
     """Vector in Z^length with explicitly stored nonzero terms.
@@ -118,30 +91,39 @@ def make_sparse_vector(length: int, pairs) -> SparseVector:
     """Build a canonical SparseVector from (index, coefficient) pairs.
 
     Duplicate indices are summed; zero coefficients are dropped. Raises
-    for indices outside [0, length) and for envelope violations on the
-    dimension or the post-reduction term count.
+    as from_arrays does.
+    """
+    pairs = list(pairs)
+    return from_arrays(length, [p[0] for p in pairs], [p[1] for p in pairs])
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """values as an int64 array; ValueError unless each is an int64 integer."""
+    arr = np.asarray(values)
+    try:
+        with np.errstate(invalid="ignore"):
+            out = arr.astype(np.int64)
+    except (OverflowError, TypeError, ValueError):
+        out = None
+    if out is None or not np.array_equal(out, arr):
+        raise ValueError(f"{what} must be integers in the int64 range")
+    return out
+
+
+def from_arrays(length: int, indices, coeffs) -> SparseVector:
+    """Canonical SparseVector from parallel index and coefficient arrays.
+
+    Duplicate indices are summed; zero coefficients are dropped. Raises
+    ValueError for non-integral values and for indices outside
+    [0, length), and EnvelopeError for a length above MAX_DIMENSION or
+    more than MAX_TERMS terms after reduction.
     """
     if length < 1:
         raise ValueError("length must be positive")
     if length > MAX_DIMENSION:
         raise EnvelopeError(f"length {length} exceeds {MAX_DIMENSION}")
-    pairs = list(pairs)
-    if pairs:
-        idx = np.asarray([p[0] for p in pairs], dtype=np.int64)
-        val = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    else:
-        idx, val = _empty_terms()
-    return from_arrays(length, idx, val)
-
-
-def from_arrays(length: int, indices, coeffs) -> SparseVector:
-    """Like make_sparse_vector but takes parallel arrays."""
-    if length < 1:
-        raise ValueError("length must be positive")
-    if length > MAX_DIMENSION:
-        raise EnvelopeError(f"length {length} exceeds {MAX_DIMENSION}")
-    idx = np.asarray(indices, dtype=np.int64)
-    val = np.asarray(coeffs, dtype=np.int64)
+    idx = _int64_array(indices, "indices")
+    val = _int64_array(coeffs, "coefficients")
     if idx.shape != val.shape or idx.ndim != 1:
         raise ValueError("indices and coeffs must be 1-d arrays of equal size")
     if idx.size and (idx.min() < 0 or idx.max() >= length):
@@ -174,17 +156,22 @@ def subtract(x: SparseVector, y: SparseVector) -> SparseVector:
     return _canonical(x.length, *_reduce_terms(idx, val))
 
 
-def _accumulate_pair_blocks(blocks, length: int) -> SparseVector:
-    """Reduce a list of (idx, val) blocks into one canonical vector."""
-    if not blocks:
-        return zero_vector(length)
-    idx = np.concatenate([b[0] for b in blocks])
-    val = np.concatenate([b[1] for b in blocks])
-    return _canonical(length, *_reduce_terms(idx, val))
+def check_operand(v: SparseVector, what: str) -> None:
+    """Raise EnvelopeError unless v lies inside the operand envelope.
+
+    MAX_TERMS * MAX_COEFF_ABS**2 <= 2**60, so convolution coefficients of
+    two conforming operands always fit in int64 with headroom.
+    """
+    if v.length > MAX_DIMENSION:
+        raise EnvelopeError(f"{what}: length {v.length} exceeds {MAX_DIMENSION}")
+    if v.l0 > MAX_TERMS:
+        raise EnvelopeError(f"{what}: {v.l0} terms exceed {MAX_TERMS}")
+    if v.l0 and int(np.abs(v.coeffs).max()) > MAX_COEFF_ABS:
+        raise EnvelopeError(
+            f"{what}: coefficient magnitude exceeds {MAX_COEFF_ABS}")
 
 
-def cyclic_convolve_naive(x: SparseVector, y: SparseVector,
-                          envelope: Envelope = DEFAULT_ENVELOPE) -> SparseVector:
+def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
     """Exact cyclic convolution by enumerating all term pairs.
 
     Cost is l0(x) * l0(y) pair operations; used as the ground-truth oracle
@@ -192,8 +179,8 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector,
     """
     if x.length != y.length:
         raise ValueError("length mismatch")
-    envelope.check_operand(x, "x")
-    envelope.check_operand(y, "y")
+    check_operand(x, "x")
+    check_operand(y, "y")
     n = x.length
     if x.is_zero or y.is_zero:
         return zero_vector(n)
@@ -219,7 +206,8 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector,
         idx[idx >= n] -= n
         val = (xv[a:b, None] * yv[None, :]).ravel()
         blocks.append(_reduce_terms(idx, val))
-    return _accumulate_pair_blocks(blocks, n)
+    idx, val = (np.concatenate(part) for part in zip(*blocks))
+    return _canonical(n, *_reduce_terms(idx, val))
 
 
 def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:
@@ -230,29 +218,33 @@ def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:
     return 8.0 * np.finfo(np.float64).eps * lg * nx * ny
 
 
-def dense_fft_multiply(x: SparseVector, y: SparseVector,
-                       envelope: Envelope = DEFAULT_ENVELOPE) -> SparseVector:
-    """Cyclic convolution through a dense length-N real FFT.
+def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
+    """Cyclic convolution through a dense real FFT.
 
-    Exact for envelope-conforming operands: results are rounded to the
-    nearest integer and the rounding residue is checked against the
-    floating-point error budget.
+    The transform length is N, or the power of two L < N above the top
+    product index when there is one: then nothing wraps, so the length-L
+    cyclic convolution is the product, and L is smooth where N = 2n may
+    have large prime factors. Exact for envelope-conforming operands:
+    results are rounded to the nearest integer and the rounding residue is
+    checked against the floating-point error budget.
     """
     if x.length != y.length:
         raise ValueError("length mismatch")
-    envelope.check_operand(x, "x")
-    envelope.check_operand(y, "y")
+    check_operand(x, "x")
+    check_operand(y, "y")
     n = x.length
     if x.is_zero or y.is_zero:
         return zero_vector(n)
     if _fft_error_bound(x, y) >= 0.25:
         raise EnvelopeError(
             "coefficient mass too large for float64 FFT rounding budget")
-    a = np.zeros(n, dtype=np.float64)
-    b = np.zeros(n, dtype=np.float64)
+    top = int(x.indices[-1]) + int(y.indices[-1])
+    size = min(n, 1 << top.bit_length())
+    a = np.zeros(size, dtype=np.float64)
+    b = np.zeros(size, dtype=np.float64)
     a[x.indices] = x.coeffs
     b[y.indices] = y.coeffs
-    conv = np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), n)
+    conv = np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), size)
     rounded = np.rint(conv)
     if float(np.max(np.abs(conv - rounded))) >= 0.25:
         raise EnvelopeError("FFT rounding residue exceeded the error budget")

@@ -19,10 +19,11 @@ import pytest
 from sparseconv import cli
 from sparseconv.driver import MultiplicationFailed, sparse_multiply
 from sparseconv.fingerprint import equality_test
-from sparseconv.folding import cyclic_fft_convolve, fold, root_of_unity_power
+from sparseconv.folding import (_unit_root_powers, cyclic_fft_convolve, fold,
+                                phased_coeffs)
 from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
                                   gen_instance)
-from sparseconv.locate import decode_index, locate, sieve_limit_for
+from sparseconv.locate import decode_indices, locate, sieve_limit_for
 from sparseconv.primes import PrimeSamplingError, uniform_prime_below
 from sparseconv.seeding import substream
 from sparseconv.vectors import (embed_for_product, make_sparse_vector,
@@ -108,17 +109,21 @@ def test_cancellation_telescoping_runtime(capsys):
 # --- 3. index decoding is exact on the whole root circle -------------------
 
 def test_decode_exhaustive_and_random(capsys):
+    # the production decoder on the production phases, up to the
+    # envelope's embedded dimension 2^26
+    def misses(js, half):
+        return int(np.count_nonzero(
+            decode_indices(_unit_root_powers(js, half), half) != js))
+
     t0 = time.perf_counter()
-    half = 1 << 16
-    bad = sum(decode_index(root_of_unity_power(j, half), half) != j
-              for j in range(2 * half))
-    half = 1 << 24
+    bad = misses(np.arange(1 << 17), 1 << 16)
     rng = np.random.default_rng(33)
-    for j in rng.integers(0, 2 * half, size=100_000):
-        bad += decode_index(root_of_unity_power(int(j), half), half) != j
+    for half in (1 << 24, 1 << 26):
+        bad += misses(rng.integers(0, 2 * half, size=1_000_000), half)
     elapsed = time.perf_counter() - t0
     _verdict(capsys, "decode exactness",
-             bad == 0, f"2^17 exhaustive + 1e5 random roots, {bad} misses, "
+             bad == 0, f"2^17 exhaustive + 1e6 random roots at each of "
+                       f"N = 2^24, 2^26, {bad} misses, "
                        f"{elapsed:.1f}s of 30s budget")
     assert bad == 0
 
@@ -136,8 +141,9 @@ def test_folded_convolution_identity(capsys):
         x, y = embed_for_product(u, v)
         exact = poly_multiply_naive(u, v)
         p = uniform_prime_below(10_000, rng)
-        got = cyclic_fft_convolve(fold(x, p).buckets, fold(y, p).buckets)
-        err = float(np.max(np.abs(got - fold(exact, p).buckets)))
+        fx, fy, fz = (fold(v.indices, phased_coeffs(v), p)
+                      for v in (x, y, exact))
+        err = float(np.max(np.abs(cyclic_fft_convolve(fx, fy) - fz)))
         worst = max(worst, err)
     good = worst <= 1e-4
     _verdict(capsys, "folded convolution identity",

@@ -110,6 +110,19 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_oversized_coefficient_is_input_error(tmp_path, capsys):
+    a = write_poly(tmp_path, "a.poly", 4, [(0, 1)])
+    big = tmp_path / "big.poly"
+    big.write_text("N 4\n1 9223372036854775808\n")
+    for argv in (["multiply", a, str(big)], ["multiply", str(big), a],
+                 ["verify", a, a, str(big)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "big.poly:2: " in err
+        assert "outside int64" in err
+
+
 def test_env_seed_default(telescoping, tmp_path, capsys, monkeypatch):
     a, b = telescoping
     out1 = tmp_path / "e1.poly"

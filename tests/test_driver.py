@@ -1,22 +1,33 @@
 """End-to-end sparse multiplication: peeling loop plus verification gate."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from sparseconv.driver import (AlgoParams, MultiplicationFailed,
-                               _hash_and_iterate, hash_and_iterate,
-                               sparse_multiply)
+import sparseconv
+from sparseconv.driver import (OUTER_FAILURE_CONSTANT, MultiplicationFailed,
+                               hash_and_iterate, sparse_multiply)
+from sparseconv.locate import ISOLATION_CONSTANT
 from sparseconv.vectors import (EnvelopeError, cyclic_convolve_naive,
                                 from_arrays, make_sparse_vector,
                                 poly_multiply_naive, subtract, zero_vector)
 
 
 def test_params_relations_enforced():
-    AlgoParams()  # defaults must validate
-    with pytest.raises(ValueError, match="collision_fraction"):
-        AlgoParams(collision_fraction=0.5)
-    with pytest.raises(ValueError, match="outer failure"):
-        AlgoParams(outer_failure_constant=0.01)
+    # the analysis relations the pipeline constants must satisfy: with
+    # trial failure q = 1/8 per hash, a C-isolating prime leaves a
+    # collision fraction gamma = 2 / (C^2 q) of the support, and each peel
+    # round contracts the residual by 5 * gamma < 1
+    trial_failure = 1.0 / 8.0
+    collision_fraction = 2.0 / (ISOLATION_CONSTANT ** 2 * trial_failure)
+    assert math.isclose(collision_fraction, 1.0 / 16.0)
+    assert 5 * collision_fraction < 1
+    # total failure across outer rounds: 2c * sum r^-2 = c * pi^2 / 3
+    assert OUTER_FAILURE_CONSTANT * math.pi ** 2 / 3.0 <= 0.01
 
 
 def test_multiply_telescoping():
@@ -114,7 +125,7 @@ def test_hash_and_iterate_recovers_with_generous_budget():
     y = make_sparse_vector(2 * n, v.to_pairs())
     want = cyclic_convolve_naive(x, y)
     budget = 16 * want.l0
-    w = hash_and_iterate(x, y, budget, 0.01, np.random.default_rng(7))
+    w, _ = hash_and_iterate(x, y, budget, 0.01, np.random.default_rng(7))
     assert w == want
 
 
@@ -126,8 +137,8 @@ def test_hash_and_iterate_residual_contracts_per_round():
     x = from_arrays(2 * n, xi, rng_inst.integers(1, 30, size=16))
     y = from_arrays(2 * n, yi, rng_inst.integers(1, 30, size=16))
     exact = cyclic_convolve_naive(x, y)
-    _, trace = _hash_and_iterate(x, y, 16 * exact.l0, 0.01,
-                                 np.random.default_rng(8))
+    _, trace = hash_and_iterate(x, y, 16 * exact.l0, 0.01,
+                                np.random.default_rng(8))
     residuals = [subtract(exact, w).l0 for w, _ in trace]
     assert residuals[-1] == 0
     assert all(a >= b for a, b in zip(residuals, residuals[1:]))
@@ -138,7 +149,7 @@ def test_hash_and_iterate_converged_exit():
     # so the trace stops early instead of burning the remaining rounds
     x = make_sparse_vector(32, [(1, 2)])
     y = make_sparse_vector(32, [(3, 4)])
-    w, trace = _hash_and_iterate(x, y, 256, 0.01, np.random.default_rng(9))
+    w, trace = hash_and_iterate(x, y, 256, 0.01, np.random.default_rng(9))
     assert w == cyclic_convolve_naive(x, y)
     assert len(trace) < max(1, int(np.ceil(np.log2(256))))
     last_report = trace[-1][1]
@@ -153,7 +164,7 @@ def test_hash_and_iterate_budget_too_small_yields_rejectable_w():
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 29)])
     y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 31)])
     exact = cyclic_convolve_naive(x, y)
-    w = hash_and_iterate(x, y, 2, 0.1, np.random.default_rng(10))
+    w, _ = hash_and_iterate(x, y, 2, 0.1, np.random.default_rng(10))
     assert w != exact
     assert w.l0 < exact.l0
 
@@ -165,7 +176,7 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 29)])
     y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 31)])
     exact = cyclic_convolve_naive(x, y)
-    w, trace = _hash_and_iterate(x, y, 64, 0.1, np.random.default_rng(10))
+    w, trace = hash_and_iterate(x, y, 64, 0.1, np.random.default_rng(10))
     assert len(trace) == 1
     assert trace[0][1].aborted_rep is not None
     assert w != exact
@@ -173,3 +184,20 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
 
 def test_multiplication_failed_is_runtime_error():
     assert issubclass(MultiplicationFailed, RuntimeError)
+
+
+def test_imports_and_multiplies_without_float128():
+    # numpy has no float128 on Windows or macOS arm64
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparseconv.__file__)))
+    code = (
+        "import numpy\n"
+        "del numpy.float128\n"
+        "import numpy as np, sparseconv\n"
+        "u = sparseconv.make_sparse_vector(8, [(0, 1), (3, -2)])\n"
+        "w = sparseconv.sparse_multiply(u, u, np.random.default_rng(0))\n"
+        "print(w.to_pairs())\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[(0, 1), (3, -4), (6, 4)]"

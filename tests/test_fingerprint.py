@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseconv.fingerprint import (FingerprintParams, eval_sparse_poly_mod,
+from sparseconv.fingerprint import (eval_rounds, eval_sparse_poly_mod,
                                     equality_test)
 from sparseconv.primes import random_prime_in_range
 from sparseconv.vectors import (MAX_DIMENSION, cyclic_convolve_naive,
@@ -115,12 +115,11 @@ def test_eval_matches_reference_property(case):
 
 
 def test_eval_rounds_formula():
-    params = FingerprintParams()
     # log2(3/0.1)/log2(64) = 4.9/6 -> ceil = 1, plus 1
-    assert params.eval_rounds(0.1) == 2
-    assert params.eval_rounds(0.0001) >= 3
+    assert eval_rounds(0.1) == 2
+    assert eval_rounds(0.0001) >= 3
     with pytest.raises(ValueError):
-        params.eval_rounds(0.0)
+        eval_rounds(0.0)
 
 
 def test_rejects_bad_arguments():
@@ -200,7 +199,7 @@ def reference_equality(x, y, w, delta, rng):
     to the first mismatch."""
     n = x.length
     p = random_prime_in_range(64 * n, 128 * n, rng)
-    for _ in range(FingerprintParams().eval_rounds(delta)):
+    for _ in range(eval_rounds(delta)):
         r = int(rng.integers(0, p))
         fx, fy, fw = (reference_eval(f, r, p) for f in (x, y, w))
         if fx * fy % p != fw:

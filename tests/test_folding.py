@@ -1,16 +1,31 @@
 """Folding into buckets: roots of unity, short convolutions, residuals."""
 
+import functools
+
 import mpmath
 import numpy as np
 import pytest
 
-from sparseconv.folding import (FoldedVector, cyclic_fft_convolve, fold,
-                                folded_residual, heavy_residual_buckets,
-                                phased_coeffs, root_of_unity_power)
+from sparseconv.folding import (_fast_fft_length, _unit_root_powers,
+                                combined_pair_terms,
+                                cyclic_fft_convolve, fold,
+                                heavy_residual_buckets, phased_coeffs)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
 
 mpmath.mp.prec = 120
+
+# Largest distance from the exact root that the phases may have: far
+# inside the 0.1 re-encode tolerance and the pi / N root spacing.
+ROOT_BUDGET = 1e-12
+
+
+def root(j, n):
+    return complex(_unit_root_powers(np.array([j]), n)[0])
+
+
+def fold_vec(v, m):
+    return fold(v.indices, phased_coeffs(v), m)
 
 
 def mp_root(j, n):
@@ -18,70 +33,51 @@ def mp_root(j, n):
     return mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta))
 
 
-def root_error(j, n):
-    got = root_of_unity_power(j, n)
-    return float(abs(mpmath.mpc(got.real, got.imag) - mp_root(j, n)))
-
-
 def test_root_identities():
-    assert root_of_unity_power(0, 16) == 1.0 + 0.0j
+    assert root(0, 16) == 1.0 + 0.0j
     # w^N = -1 is the sign carrier for negative coefficients
-    assert abs(root_of_unity_power(16, 16) - (-1.0)) < 1e-15
-    assert abs(root_of_unity_power(8, 16) - 1j) < 1e-15
-    assert abs(root_of_unity_power(24, 16) - (-1j)) < 1e-15
+    assert abs(root(16, 16) - (-1.0)) < 1e-15
+    assert abs(root(8, 16) - 1j) < 1e-15
+    assert abs(root(24, 16) - (-1j)) < 1e-15
 
 
 def test_root_against_mpmath():
-    assert root_error(5, 8) <= 4 * 2.0**-53
-    cases = [(1, 3), (7, 7), (12, 7), (1 << 20, 1 << 24)]
+    # the phase function production uses, at every dimension up to the
+    # envelope's 2^26 and across the whole exponent range [0, 2N)
+    cases = [(5, 8), (1, 3), (7, 7), (12, 7), (1 << 20, 1 << 24),
+             ((1 << 27) - 1, 1 << 26), (1 << 26, 1 << 26)]
     rng = np.random.default_rng(31)
-    n = 1 << 24
-    cases += [(int(rng.integers(0, 2 * n)), n) for _ in range(50)]
+    for n in (1 << 24, 1 << 26):
+        cases += [(int(j), n) for j in rng.integers(0, 2 * n, size=50)]
     for j, half in cases:
-        assert root_error(j, half) <= 4 * 2.0**-53, (j, half)
-
-
-def test_root_exponent_validation():
-    with pytest.raises(ValueError):
-        root_of_unity_power(-1, 8)
-    with pytest.raises(ValueError):
-        root_of_unity_power(16, 8)
-    with pytest.raises(ValueError):
-        root_of_unity_power(0, 0)
-
-
-def test_root_array_matches_scalar():
-    n = 1 << 10
-    js = np.arange(0, 2 * n, 37)
-    batch = root_of_unity_power(js, n)
-    for j, b in zip(js, batch):
-        assert b == root_of_unity_power(int(j), n)
+        got = root(j, half)
+        err = float(abs(mpmath.mpc(got.real, got.imag) - mp_root(j, half)))
+        assert err <= ROOT_BUDGET, (j, half, err)
 
 
 def test_fold_single_term_bucket_and_phase():
     # coefficient 3 at index 5 of Z^8 lands in bucket 5 mod 3 = 2
     v = make_sparse_vector(8, [(5, 3)])
-    f = fold(v, 3)
-    assert f.modulus == 3
-    assert f.buckets.shape == (3,)
-    assert abs(f.buckets[0]) < 1e-12 and abs(f.buckets[1]) < 1e-12
-    assert abs(f.buckets[2] - 3 * root_of_unity_power(5, 8)) < 1e-12
+    f = fold_vec(v, 3)
+    assert f.shape == (3,)
+    assert abs(f[0]) < 1e-12 and abs(f[1]) < 1e-12
+    assert abs(f[2] - 3 * root(5, 8)) < 1e-12
 
 
 def test_fold_sums_collisions():
     # indices 1 and 5 collide mod 4; bucket holds the phased sum
     v = make_sparse_vector(8, [(1, 2), (5, -1)])
-    f = fold(v, 4)
-    want = 2 * root_of_unity_power(1, 8) - root_of_unity_power(5, 8)
-    assert abs(f.buckets[1] - want) < 1e-12
+    f = fold_vec(v, 4)
+    want = 2 * root(1, 8) - root(5, 8)
+    assert abs(f[1] - want) < 1e-12
 
 
 def test_negative_value_encodes_as_shifted_phase():
     # -c at index j has the phase of +c at j + N, since w^N = -1
     n = 32
-    neg = fold(make_sparse_vector(n, [(7, -4)]), 5)
-    expect = 4 * root_of_unity_power(7 + n, n)
-    assert abs(neg.buckets[7 % 5] - expect) < 1e-12
+    neg = fold_vec(make_sparse_vector(n, [(7, -4)]), 5)
+    expect = 4 * root(7 + n, n)
+    assert abs(neg[7 % 5] - expect) < 1e-12
 
 
 def test_fold_is_linear():
@@ -92,9 +88,8 @@ def test_fold_is_linear():
         yi = rng.choice(n, size=9, replace=False)
         x = from_arrays(n, xi, rng.integers(-20, 21, size=9))
         y = from_arrays(n, yi, rng.integers(-20, 21, size=9))
-        both = fold(x, m).buckets + fold(y, m).buckets
-        summed = fold(make_sparse_vector(
-            n, x.to_pairs() + y.to_pairs()), m).buckets
+        both = fold_vec(x, m) + fold_vec(y, m)
+        summed = fold_vec(make_sparse_vector(n, x.to_pairs() + y.to_pairs()), m)
         assert np.allclose(both, summed, atol=1e-10)
 
 
@@ -116,6 +111,22 @@ def test_fft_convolve_matches_quadratic_at_prime_length():
         assert np.allclose(got, cyclic_conv_quadratic(a, b), atol=1e-9)
 
 
+def test_fast_fft_length_is_smallest_5_smooth_length():
+    def smooth(k):
+        for q in (2, 3, 5):
+            while k % q == 0:
+                k //= q
+        return k == 1
+
+    want = 1
+    for n in range(1, 5000):
+        while not smooth(want) or want < n:
+            want += 1
+        assert _fast_fft_length(n) == want, n
+    assert _fast_fft_length(2 * 4194301 - 1) == 8388608    # 2^23
+    assert _fast_fft_length(2 * 1000003 - 1) == 2025000    # 2^3 3^4 5^5
+
+
 def test_fft_convolve_rejects_mismatch():
     with pytest.raises(ValueError):
         cyclic_fft_convolve(np.ones(3), np.ones(4))
@@ -131,8 +142,8 @@ def test_fold_commutes_with_convolution():
         yi = rng.choice(n // 2, size=12, replace=False)
         x = from_arrays(n, xi, rng.integers(-50, 51, size=12))
         y = from_arrays(n, yi, rng.integers(-50, 51, size=12))
-        direct = fold(cyclic_convolve_naive(x, y), m).buckets
-        factored = cyclic_fft_convolve(fold(x, m).buckets, fold(y, m).buckets)
+        direct = fold_vec(cyclic_convolve_naive(x, y), m)
+        factored = cyclic_fft_convolve(fold_vec(x, m), fold_vec(y, m))
         assert np.max(np.abs(direct - factored)) < 1e-8
 
 
@@ -141,12 +152,23 @@ def test_fold_factoring_fails_with_wraparound():
     # the test above is actually exercising a nontrivial precondition
     n = 16
     x = make_sparse_vector(n, [(15, 1)])
-    direct = fold(cyclic_convolve_naive(x, x), 3).buckets
-    factored = cyclic_fft_convolve(fold(x, 3).buckets, fold(x, 3).buckets)
+    direct = fold_vec(cyclic_convolve_naive(x, x), 3)
+    factored = cyclic_fft_convolve(fold_vec(x, 3), fold_vec(x, 3))
     assert np.max(np.abs(direct - factored)) > 1.0
 
 
+def _phases(v):
+    return v.indices.copy(), phased_coeffs(v)
+
+
+def _residual_buckets(x, y, w, m, threshold):
+    return heavy_residual_buckets(*_phases(x), *_phases(y), *_phases(w), m,
+                                  threshold)
+
+
 def test_folded_residual_matches_exact_residual():
+    # 100 pairs against 13 buckets: the fold route, which folds x and y
+    # and convolves the folds; threshold 0 returns every bucket
     rng = np.random.default_rng(8)
     n, m = 128, 13
     xi = rng.choice(n // 2, size=10, replace=False)
@@ -156,35 +178,35 @@ def test_folded_residual_matches_exact_residual():
     exact = cyclic_convolve_naive(x, y)
     # recover all but three of the product terms
     w = make_sparse_vector(n, exact.to_pairs()[:-3])
-    want = fold(subtract(exact, w), m).buckets
-    got = folded_residual(x, y, w, m)
-    assert isinstance(got, FoldedVector)
-    assert np.max(np.abs(got.buckets - want)) < 1e-8
+    want = fold_vec(subtract(exact, w), m)
+    ids, vals = _residual_buckets(x, y, w, m, 0.0)
+    assert ids.tolist() == list(range(m))
+    assert np.max(np.abs(vals - want)) < 1e-8
 
 
 def test_folded_residual_zero_when_fully_recovered():
     x = make_sparse_vector(16, [(0, 1), (3, 2)])
     y = make_sparse_vector(16, [(1, 5)])
     w = cyclic_convolve_naive(x, y)
-    got = folded_residual(x, y, w, 7)
-    assert np.max(np.abs(got.buckets)) < 1e-9
-
-
-def _phases(v):
-    return v.indices.copy(), phased_coeffs(v)
+    for m in (1, 7):                    # fold route, direct route
+        ids, _ = _residual_buckets(x, y, w, m, 1e-9)
+        assert ids.size == 0
 
 
 def _heavy_reference(x, y, w, m, threshold):
-    """Dense contract: fold the exact residual and keep heavy buckets."""
+    """Residual buckets summed term by term, no fold and no FFT."""
     residual = subtract(cyclic_convolve_naive(x, y), w)
-    buckets = fold(residual, m).buckets
-    ids = np.flatnonzero(np.abs(buckets) >= threshold)
-    return ids, buckets[ids]
+    sums = {}
+    for j, c in zip(residual.indices.tolist(), phased_coeffs(residual)):
+        sums[j % m] = sums.get(j % m, 0) + c
+    ids = sorted(b for b, c in sums.items() if abs(c) >= threshold)
+    return np.array(ids, dtype=np.int64), np.array([sums[b] for b in ids])
 
 
 @pytest.mark.parametrize("m,k", [
-    (8, 15),      # pairs = 225 > 6 * 8 * 3: FFT route
-    (4096, 6),    # pairs = 36, tiny vs fft cost: direct route
+    (8, 15),          # pairs = 225 > 8 buckets: fold route
+    (4096, 6),        # pairs = 36, tiny vs fft cost: direct route
+    (4194319, 6),     # prime above the fold route's 2^22 bound: direct route
 ])
 def test_heavy_buckets_both_routes_match_reference(m, k):
     rng = np.random.default_rng(m * 1000 + k)
@@ -198,11 +220,14 @@ def test_heavy_buckets_both_routes_match_reference(m, k):
     jx, px = _phases(x)
     jy, py = _phases(y)
     jw, pw = _phases(w)
-    ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5)
     want_ids, want_vals = _heavy_reference(x, y, w, m, 0.5)
-    assert ids.tolist() == want_ids.tolist()
-    order = np.argsort(ids)
-    assert np.allclose(vals[order], want_vals[np.argsort(want_ids)], atol=1e-6)
+    cached = functools.cache(lambda: combined_pair_terms(jx, px, jy, py))
+    for pair_terms in (None, cached):
+        ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5,
+                                           pair_terms)
+        order = np.argsort(ids)
+        assert ids[order].tolist() == want_ids.tolist()
+        assert np.allclose(vals[order], want_vals, atol=1e-6)
 
 
 def test_heavy_buckets_empty_inputs():
@@ -215,10 +240,10 @@ def test_heavy_buckets_empty_inputs():
     jw, pw = _phases(v)
     ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, jw, pw, 5, 0.5)
     assert ids.tolist() == [3]
-    assert abs(vals[0] + 7 * root_of_unity_power(3, 32)) < 1e-12
+    assert abs(vals[0] + 7 * root(3, 32)) < 1e-12
 
 
 def test_fold_of_zero_vector():
-    f = fold(zero_vector(64), 9)
-    assert f.l0 == 0
-    assert np.all(f.buckets == 0)
+    f = fold_vec(zero_vector(64), 9)
+    assert f.shape == (9,)
+    assert np.all(f == 0)

@@ -1,11 +1,13 @@
 """Heavy-coordinate recovery: decoding, validation, majority pruning."""
 
+import mpmath
 import numpy as np
 import pytest
 
-from sparseconv.folding import root_of_unity_power
-from sparseconv.locate import (LocateParams, decode_index, decode_indices,
-                               locate, locate_with_report, sieve_limit_for)
+from sparseconv import folding
+from sparseconv.folding import _unit_root_powers
+from sparseconv.locate import (LocateParams, decode_indices, locate,
+                               locate_with_report, sieve_limit_for)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
 
@@ -28,29 +30,38 @@ def test_sieve_limit_formula():
     assert sieve_limit_for(1, 2) >= 2
 
 
+def decode_roots(js, n):
+    js = np.asarray(js, dtype=np.int64)
+    return decode_indices(_unit_root_powers(js, n), n)
+
+
 def test_decode_index_exact_roots():
-    assert decode_index(1 + 0j, 8) == 0
-    assert decode_index(root_of_unity_power(5, 8), 8) == 5
-    assert decode_index(root_of_unity_power(15, 8), 8) == 15  # last exponent
-    assert decode_index(-1 + 0j, 8) == 8
+    assert decode_indices(np.array([1 + 0j, -1 + 0j]), 8).tolist() == [0, 8]
+    assert decode_roots([5, 15], 8).tolist() == [5, 15]  # 15: last exponent
     n = 1 << 12
-    for j in (1, n // 2, n - 1, n, n + 1, 2 * n - 1):
-        assert decode_index(root_of_unity_power(j, n), n) == j
+    js = [1, n // 2, n - 1, n, n + 1, 2 * n - 1]
+    assert decode_roots(js, n).tolist() == js
+
+
+def test_decode_exact_on_every_root_small_dimensions():
+    for n in (1, 2, 3, 7, 255, 256):
+        js = np.arange(2 * n)
+        assert np.array_equal(decode_roots(js, n), js), n
 
 
 def test_decode_index_is_nearest_root():
     # contract: return the exponent minimizing |u - w^j|, whatever u is;
     # brute force over all 2N roots is the oracle
     n = 256
-    roots = np.array([root_of_unity_power(j, n) for j in range(2 * n)])
+    roots = _unit_root_powers(np.arange(2 * n), n)
     rng = np.random.default_rng(3)
-    for _ in range(300):
-        j = int(rng.integers(0, 2 * n))
-        mag = float(rng.uniform(1, 900))
-        noise = (rng.normal(scale=0.05) + 1j * rng.normal(scale=0.05))
-        u = mag * (complex(roots[j]) + noise)
-        want = int(np.argmin(np.abs(u - roots)))
-        assert decode_index(u, n) == want
+    js = rng.integers(0, 2 * n, size=300)
+    mags = rng.uniform(1, 900, size=300)
+    noise = rng.normal(scale=0.05, size=300) + 1j * rng.normal(scale=0.05,
+                                                             size=300)
+    readings = mags * (roots[js] + noise)
+    want = np.argmin(np.abs(readings[:, None] - roots[None, :]), axis=1)
+    assert decode_indices(readings, n).tolist() == want.tolist()
 
 
 def test_decode_index_exact_under_subspacing_noise():
@@ -58,35 +69,27 @@ def test_decode_index_exact_under_subspacing_noise():
     n = 1 << 10
     spacing = np.pi / n
     rng = np.random.default_rng(14)
-    for _ in range(200):
-        j = int(rng.integers(0, 2 * n))
-        mag = float(rng.uniform(1, 900))
-        phase_err = float(rng.uniform(-0.4, 0.4)) * spacing
-        u = mag * np.exp(1j * (j * np.pi / n + phase_err))
-        assert decode_index(complex(u), n) == j
+    js = rng.integers(0, 2 * n, size=200)
+    mags = rng.uniform(1, 900, size=200)
+    phase_err = rng.uniform(-0.4, 0.4, size=200) * spacing
+    readings = mags * np.exp(1j * (js * np.pi / n + phase_err))
+    assert decode_indices(readings, n).tolist() == js.tolist()
 
 
-def test_decode_batch_matches_scalar_exhaustively():
-    n = 1 << 8
-    js = np.arange(2 * n)
-    readings = np.array([root_of_unity_power(int(j), n) for j in js])
-    batch = decode_indices(readings, n)
-    for j in js:
-        assert batch[j] == decode_index(complex(readings[j]), n) == j
-
-
-def test_decode_batch_matches_scalar_on_noisy_large_n():
-    # batch and scalar decoders must agree reading-for-reading even when
-    # the noise moves readings across root boundaries
+def test_decode_matches_high_precision_phase_on_noisy_large_n():
+    # noise of 0.01 moves readings thousands of root spacings at n = 2^20;
+    # the oracle rounds the phase of each reading in 120-bit arithmetic
     n = 1 << 20
     rng = np.random.default_rng(17)
     js = rng.integers(0, 2 * n, size=400)
     noise = rng.normal(scale=0.01, size=js.size) * np.exp(
         1j * rng.uniform(0, 2 * np.pi, size=js.size))
-    readings = np.array([root_of_unity_power(int(j), n) for j in js]) + noise
-    batch = decode_indices(readings, n)
-    for u, b in zip(readings, batch):
-        assert decode_index(complex(u), n) == b
+    readings = _unit_root_powers(js, n) + noise
+    with mpmath.workprec(120):
+        want = [int(mpmath.nint(mpmath.arg(mpmath.mpc(u.real, u.imag))
+                                * n / mpmath.pi)) % (2 * n)
+                for u in readings]
+    assert decode_indices(readings, n).tolist() == want
 
 
 def embedded(n, pairs):
@@ -195,3 +198,31 @@ def test_locate_is_deterministic_given_rng_state():
     a = locate(x, y, w, 64, 0.1, np.random.default_rng(42))
     b = locate(x, y, w, 64, 0.1, np.random.default_rng(42))
     assert a == b
+
+
+def test_locate_builds_pair_terms_once_and_only_for_direct_route(monkeypatch):
+    builds = []
+    real = folding.combined_pair_terms
+
+    def counting(*args):
+        builds.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(folding, "combined_pair_terms", counting)
+    n = 1 << 10
+    # 2 pairs, fewer than any prime modulus above 2: every repetition
+    # takes the direct route and they share one build
+    x = embedded(n, [(1, 1), (9, 2)])
+    y = embedded(n, [(2, 1)])
+    z, report = locate_with_report(x, y, zero_vector(2 * n), 64, 0.1,
+                                   np.random.default_rng(4))
+    assert z == cyclic_convolve_naive(x, y)
+    assert report.reps_run > 1 and len(builds) == 1
+    # 64 * 64 pairs outnumber every prime below the sieve limit of budget
+    # 1: every repetition folds, so the pair terms are never built
+    builds.clear()
+    x = embedded(n, [(j, 1) for j in range(64)])
+    locate_with_report(x, x, zero_vector(2 * n), 1, 0.1,
+                       np.random.default_rng(4))
+    assert sieve_limit_for(1, 2 * n) < 64 * 64
+    assert builds == []

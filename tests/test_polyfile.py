@@ -82,3 +82,15 @@ def test_negative_and_large_coefficients(tmp_path):
     path = write_text(tmp_path, "n.poly", "N 4\n0 -1048576\n3 1048576\n")
     v = parse_poly_file(path)
     assert v.to_pairs() == [(0, -1048576), (3, 1048576)]
+
+
+def test_coefficient_outside_int64_rejected(tmp_path):
+    for coeff in (1 << 63, -(1 << 63) - 1):
+        path = write_text(tmp_path, "big.poly", f"N 4\n0 1\n1 {coeff}\n")
+        with pytest.raises(PolyFileError, match="outside int64") as info:
+            parse_poly_file(path)
+        assert info.value.line_no == 3
+    path = write_text(tmp_path, "edge.poly",
+                      f"N 4\n0 {-(1 << 63)}\n1 {(1 << 63) - 1}\n")
+    assert parse_poly_file(path).to_pairs() == [(0, -(1 << 63)),
+                                                (1, (1 << 63) - 1)]

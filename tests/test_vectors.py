@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseconv.vectors import (Envelope, EnvelopeError, SparseVector, add,
+from sparseconv.instances import blocked_telescoping_instance
+from sparseconv.vectors import (MAX_COEFF_ABS, MAX_TERMS, EnvelopeError,
+                                SparseVector, add,
                                 cyclic_convolve_naive, dense_fft_multiply,
                                 embed_for_product, from_arrays,
                                 make_sparse_vector, poly_multiply_dense,
@@ -63,15 +65,37 @@ def test_index_out_of_range_rejected():
 
 
 def test_envelope_rejections():
-    env = Envelope(max_dimension=16, max_coeff_abs=10, max_terms=3)
-    big_coeff = vec(8, {0: 11})
-    with pytest.raises(EnvelopeError, match="magnitude"):
-        cyclic_convolve_naive(big_coeff, big_coeff, env)
-    many = vec(8, {0: 1, 1: 1, 2: 1, 3: 1})
-    with pytest.raises(EnvelopeError, match="terms"):
-        cyclic_convolve_naive(many, many, env)
+    big_coeff = vec(8, {0: MAX_COEFF_ABS + 1})
+    ok = vec(8, {1: MAX_COEFF_ABS})
+    for backend in (cyclic_convolve_naive, dense_fft_multiply):
+        with pytest.raises(EnvelopeError, match="magnitude"):
+            backend(big_coeff, ok)
+    # from_arrays refuses this many terms, so build the vector directly
+    idx = np.arange(MAX_TERMS + 1, dtype=np.int64)
+    many = SparseVector(MAX_TERMS + 2, idx, np.ones_like(idx))
+    one = vec(MAX_TERMS + 2, {0: 1})
+    for backend in (cyclic_convolve_naive, dense_fft_multiply):
+        with pytest.raises(EnvelopeError, match="terms"):
+            backend(one, many)
     with pytest.raises(EnvelopeError, match="length"):
         make_sparse_vector(1 << 27, [])
+
+
+def test_from_arrays_rejects_non_integers():
+    # regression: float input used to be truncated, 1.7 -> 1 and 2.9 -> 2
+    for idx, val in (([1.7], [2.9]), ([1], [2.5]), ([1.5], [2]),
+                     ([1], [float("nan")]), ([1], [2 ** 63]),
+                     ([1], [float(2 ** 63)])):
+        with pytest.raises(ValueError, match="integers"):
+            from_arrays(8, idx, val)
+    with pytest.raises(ValueError, match="integers"):
+        make_sparse_vector(8, [(1, 0.5)])
+    # integral values of any numeric type are accepted
+    floats = from_arrays(8, [1.0, 3.0], [2.0, -4.0])
+    assert floats.to_pairs() == [(1, 2), (3, -4)]
+    small = from_arrays(8, np.array([1], dtype=np.uint8), [2])
+    assert small.to_pairs() == [(1, 2)]
+    assert make_sparse_vector(8, []).is_zero
 
 
 def test_add_subtract_roundtrip():
@@ -120,6 +144,21 @@ def test_dense_fft_agrees_with_naive():
         y = from_arrays(n, rng.choice(n, size=k, replace=False),
                         rng.integers(-1000, 1001, size=k))
         assert dense_fft_multiply(x, y) == cyclic_convolve_naive(x, y)
+
+
+def test_dense_fft_at_dimensions_with_large_prime_factors():
+    # N = 2 * 30269 is slow to transform; products below N/2 use a
+    # power-of-two length, products that reach past it the full N
+    n = 2 * 30269
+    rng = np.random.default_rng(11)
+    for top in (100, n // 2, n):
+        x = from_arrays(n, rng.choice(top, size=20, replace=False),
+                        rng.integers(-99, 100, size=20) | 1)
+        y = from_arrays(n, rng.choice(top, size=20, replace=False),
+                        rng.integers(-99, 100, size=20) | 1)
+        assert dense_fft_multiply(x, y) == cyclic_convolve_naive(x, y)
+    u, v, product = blocked_telescoping_instance(10)
+    assert poly_multiply_dense(u, v) == product
 
 
 def test_fft_rejects_oversized_mass():
