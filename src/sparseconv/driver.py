@@ -16,6 +16,7 @@ import numpy as np
 
 from .fingerprint import equality_test
 from .locate import ISOLATION_CONSTANT, LocateReport, locate_with_report
+from .primes import PrimeSamplingError
 from .vectors import (SparseVector, EnvelopeError, add, check_operand,
                       embed_for_product, zero_vector)
 
@@ -43,6 +44,14 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     With B >= 16 * l0(x * y) no round aborts and w equals x * y with
     probability at least 1 - delta; smaller budgets typically return a
     partial (often empty) w that the caller's verification rejects.
+
+    A locate call ends at its first repetition with no heavy bucket, so
+    the closing round costs one repetition. A nonzero residual of k terms
+    looks quiet to a repetition with probability below
+    (k - 1) * log2(N) / pi(L), pi(L) the number of primes up to the sieve
+    limit (see locate_with_report); if that ends the peel, the caller's
+    fingerprint rejects the incomplete w and the budget doubles: time
+    lost, never a wrong product.
     Returns (w, trace), trace holding (w so far, LocateReport) per round.
     """
     if bucket_budget < 1:
@@ -79,7 +88,9 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     Output-sensitive: runtime is governed by the input and product term
     counts rather than the dimension. Raises MultiplicationFailed instead
     of ever returning an unverified vector; the failure probability is at
-    most 1/100 per call.
+    most 1/100 per call. A prime sampler that runs out of draws (below
+    1e-9 per sampled prime) raises MultiplicationFailed too, with the
+    sampler's message and its PrimeSamplingError as the cause.
     """
     check_operand(u, "u")
     check_operand(v, "v")
@@ -89,11 +100,14 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
         return zero_vector(x.length)
     locate_rng, fingerprint_rng = rng.spawn(2)
     max_rounds = max(1, int(x.length - 1).bit_length()) + 2
-    for r in range(1, max_rounds + 1):
-        budget = ISOLATION_CONSTANT << r                 # C * 2^r
-        round_delta = OUTER_FAILURE_CONSTANT / (r * r)
-        w, _ = hash_and_iterate(x, y, budget, round_delta, locate_rng)
-        if equality_test(x, y, w, round_delta, fingerprint_rng):
-            return w
+    try:
+        for r in range(1, max_rounds + 1):
+            budget = ISOLATION_CONSTANT << r                 # C * 2^r
+            round_delta = OUTER_FAILURE_CONSTANT / (r * r)
+            w, _ = hash_and_iterate(x, y, budget, round_delta, locate_rng)
+            if equality_test(x, y, w, round_delta, fingerprint_rng):
+                return w
+    except PrimeSamplingError as err:
+        raise MultiplicationFailed(str(err)) from err
     raise MultiplicationFailed(
         f"no verified product within {max_rounds} budget doublings")

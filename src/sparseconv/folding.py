@@ -43,9 +43,17 @@ def phased_coeffs(v: SparseVector) -> np.ndarray:
 def fold(indices: np.ndarray, phased: np.ndarray, m: int) -> np.ndarray:
     """Fold phase-weighted terms into m buckets: bucket b sums phased[t]
     over the terms with indices[t] = b (mod m). See phased_coeffs."""
+    out = np.empty(m, dtype=np.complex128)
+    _fold_into(out, indices, phased, m)
+    return out
+
+
+def _fold_into(out: np.ndarray, indices: np.ndarray, phased: np.ndarray,
+               m: int) -> None:
+    """fold(indices, phased, m), written into the length-m array out."""
     bucket = indices % m
-    out = np.bincount(bucket, weights=phased.real, minlength=m)
-    return out + 1j * np.bincount(bucket, weights=phased.imag, minlength=m)
+    out.real = np.bincount(bucket, weights=phased.real, minlength=m)
+    out.imag = np.bincount(bucket, weights=phased.imag, minlength=m)
 
 
 def _fast_fft_length(n: int) -> int:
@@ -79,10 +87,28 @@ def cyclic_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if m == 1:
         return a * b
     padded = _fast_fft_length(2 * m - 1)
-    linear = np.fft.ifft(np.fft.fft(a, padded) * np.fft.fft(b, padded))[:2 * m - 1]
-    out = linear[:m].copy()
-    out[:m - 1] += linear[m:]
-    return out
+    fa = np.zeros(padded, dtype=np.complex128)
+    fb = np.zeros(padded, dtype=np.complex128)
+    fa[:m] = a
+    fb[:m] = b
+    return _convolve_padded(fa, fb, m).copy()
+
+
+def _convolve_padded(fa: np.ndarray, fb: np.ndarray, m: int) -> np.ndarray:
+    """Cyclic length-m convolution of fa[:m] and fb[:m], in place.
+
+    fa and fb have the same length, at least 2m - 1, and hold zeros past
+    m. Returns a view of fa[:m]; fb is left holding junk. Every step
+    writes into fa or fb, so a caller that keeps them across moduli
+    page-faults them in once instead of once per modulus.
+    """
+    np.fft.fft(fa, out=fa)
+    np.fft.fft(fb, out=fb)
+    np.multiply(fa, fb, out=fa)
+    np.fft.ifft(fa, out=fa)
+    conv = fa[:m]
+    conv[:m - 1] += fa[m:2 * m - 1]
+    return conv
 
 
 def _heavy_from_terms(idx: np.ndarray, val: np.ndarray, threshold: float):
@@ -125,10 +151,35 @@ def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
     return jsum, vals
 
 
+class BucketWorkspace:
+    """What heavy_residual_buckets keeps across the moduli of one operand
+    pair: the pair terms, built when a modulus first takes the direct
+    route, and the fold route's two FFT buffers, grown to the largest
+    length seen. One per locate call, dropped when the call returns."""
+
+    def __init__(self):
+        self._pairs = None
+        self._spectra = np.empty((2, 0), dtype=np.complex128)
+
+    def pair_terms(self, jx: np.ndarray, px: np.ndarray,
+                   jy: np.ndarray, py: np.ndarray):
+        """combined_pair_terms(jx, px, jy, py), built on the first call."""
+        if self._pairs is None:
+            self._pairs = combined_pair_terms(jx, px, jy, py)
+        return self._pairs
+
+    def spectra(self, length: int):
+        """Two complex buffers of the given length, contents undefined."""
+        if self._spectra.shape[1] < length:
+            del self._spectra           # release the shorter pair first
+            self._spectra = np.empty((2, length), dtype=np.complex128)
+        return self._spectra[0, :length], self._spectra[1, :length]
+
+
 def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
                            jy: np.ndarray, py: np.ndarray,
                            jw: np.ndarray, pw: np.ndarray,
-                           m: int, threshold: float, pair_terms=None):
+                           m: int, threshold: float, workspace=None):
     """Occupied residual buckets with |value| >= threshold, for one modulus.
 
     Inputs are index arrays and matching phase-weighted coefficient arrays
@@ -140,25 +191,34 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
       when the pairs outnumber the buckets and length-m arrays fit;
     * direct route: reduces the l0(x) * l0(y) pair terms mod m and groups
       them by bucket, never materializing length-m arrays; chosen when m is
-      huge or pairs are few. pair_terms, if given, is a zero-argument
-      callable returning combined_pair_terms(jx, px, jy, py), so a caller
-      can build them once across moduli, and only if some modulus takes
-      this route.
+      huge or pairs are few.
+
+    workspace, a BucketWorkspace, carries the pair terms and the fold
+    route's buffers from one modulus to the next: pass the same one for
+    every modulus tried on one x and y.
 
     Returns (bucket_indices, bucket_values) of the heavy buckets only; all
     other buckets are zero up to fold rounding error, far below threshold.
+    Neither array shares memory with the workspace.
     """
+    if workspace is None:
+        workspace = BucketWorkspace()
     if m <= _FFT_ROUTE_MAX_LEN and jx.size * jy.size > m:
-        conv = cyclic_fft_convolve(fold(jx, px, m), fold(jy, py, m))
+        fa, fb = workspace.spectra(_fast_fft_length(2 * m - 1))
+        _fold_into(fa[:m], jx, px, m)
+        _fold_into(fb[:m], jy, py, m)
+        fa[m:] = 0
+        fb[m:] = 0
+        conv = _convolve_padded(fa, fb, m)
+        # fb is free again: it takes the fold of w, then the magnitudes.
         if jw.size:
-            conv -= fold(jw, pw, m)
-        heavy = np.flatnonzero(np.abs(conv) >= threshold)
+            _fold_into(fb[:m], jw, pw, m)
+            conv -= fb[:m]
+        magnitude = np.abs(conv, out=fb.view(np.float64)[:m])
+        heavy = np.flatnonzero(magnitude >= threshold)
         return heavy.astype(np.int64), conv[heavy]
 
-    if pair_terms is None:
-        jsum, pvals = combined_pair_terms(jx, px, jy, py)
-    else:
-        jsum, pvals = pair_terms()
+    jsum, pvals = workspace.pair_terms(jx, px, jy, py)
     if jw.size:
         return _heavy_from_terms(np.concatenate([jsum % m, jw % m]),
                                  np.concatenate([pvals, -pw]), threshold)

@@ -7,12 +7,14 @@ alone in its bucket reproduces value * w^index exactly, so the magnitude
 rounds to the coefficient and the phase decodes to the index. Candidates
 that persist across at least 3/4 of the repetitions are returned; buckets
 hit by collisions decode to junk that fails re-encoding or the majority
-filter.
+filter. A call also ends, returning zero, at its first repetition with
+more heavy buckets than its budget (the residual is too large to
+separate) or with none at all (the residual is almost surely zero; see
+locate_with_report).
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -161,7 +163,25 @@ def _prune(idx_all: np.ndarray, val_all: np.ndarray, n: int,
 def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
                        bucket_budget: int, delta: float,
                        rng: np.random.Generator):
-    """locate() plus a LocateReport of per-repetition diagnostics."""
+    """locate() plus a LocateReport of per-repetition diagnostics.
+
+    The call returns the zero vector at its first repetition with no heavy
+    bucket, reporting reps_run up to and including it and leaving
+    saw_heavy as the earlier repetitions set it. A quiet repetition means
+    the residual is zero, except with small probability: a residual term
+    alone in its bucket leaves |c| >= 1 there, above HEAVY_THRESHOLD, so a
+    nonzero residual looks quiet only if every one of its terms shares a
+    bucket, and a one-term residual never does. For a residual of k terms
+    below N = x.length and a prime p drawn uniformly from the pi(L) primes
+    up to the sieve limit L, one fixed term shares its bucket only if p
+    divides one of its k - 1 index differences, each of which has fewer
+    than log2(N) prime factors; so a repetition is quiet with probability
+    below (k - 1) * log2(N) / pi(L), which for k <= bucket_budget / 16 is
+    below ln(L) / (256 * log2(N)), and a call stops early with at most
+    reps times that. Stopping early costs time, never correctness: the
+    call returns zero, no wrong term, and the caller's peel ends with an
+    incomplete w, which its fingerprint rejects like any other.
+    """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
     n = x.length
@@ -172,9 +192,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     jx, px = x.indices, folding.phased_coeffs(x)
     jy, py = y.indices, folding.phased_coeffs(y)
     jw, pw = w.indices, folding.phased_coeffs(w)
-    # Built on the first repetition that takes the direct route, if any.
-    pair_terms = functools.cache(
-        lambda: folding.combined_pair_terms(jx, px, jy, py))
+    workspace = folding.BucketWorkspace()
 
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
@@ -183,7 +201,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         report.primes.append(p)
         report.reps_run = rep + 1
         ids, vals = folding.heavy_residual_buckets(
-            jx, px, jy, py, jw, pw, p, HEAVY_THRESHOLD, pair_terms)
+            jx, px, jy, py, jw, pw, p, HEAVY_THRESHOLD, workspace)
         report.heavy_counts.append(int(ids.size))
         if ids.size > bucket_budget:
             # Residual support overflows the budget; this call cannot
@@ -191,7 +209,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
             report.aborted_rep = rep
             return zero_vector(n), report
         if ids.size == 0:
-            continue
+            return zero_vector(n), report
         report.saw_heavy = True
         index, value = _decode_heavy(ids, vals, n)
         if index.size:
@@ -211,8 +229,8 @@ def locate(x: SparseVector, y: SparseVector, w: SparseVector,
 
     With bucket_budget exceeding 16 * l0(residual), the returned vector
     matches the residual except on at most a 5/16 fraction of its support,
-    with failure probability at most delta. Always returns the zero vector
-    when some repetition sees more than bucket_budget heavy buckets.
+    with failure probability at most delta. Returns the zero vector as soon
+    as a repetition sees more than bucket_budget heavy buckets, or none.
     """
     z, _ = locate_with_report(x, y, w, bucket_budget, delta, rng)
     return z

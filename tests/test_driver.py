@@ -1,5 +1,6 @@
 """End-to-end sparse multiplication: peeling loop plus verification gate."""
 
+import importlib
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import sparseconv
 from sparseconv.driver import (OUTER_FAILURE_CONSTANT, MultiplicationFailed,
                                hash_and_iterate, sparse_multiply)
 from sparseconv.locate import ISOLATION_CONSTANT
+from sparseconv.primes import PrimeSamplingError
 from sparseconv.vectors import (EnvelopeError, cyclic_convolve_naive,
                                 from_arrays, make_sparse_vector,
                                 poly_multiply_naive, subtract, zero_vector)
@@ -154,6 +156,8 @@ def test_hash_and_iterate_converged_exit():
     assert len(trace) < max(1, int(np.ceil(np.log2(256))))
     last_report = trace[-1][1]
     assert not last_report.saw_heavy and last_report.aborted_rep is None
+    # the closing quiet call stops at its first repetition
+    assert last_report.reps_run == 1
 
 
 def test_hash_and_iterate_budget_too_small_yields_rejectable_w():
@@ -180,6 +184,24 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
     assert len(trace) == 1
     assert trace[0][1].aborted_rep is not None
     assert w != exact
+
+
+@pytest.mark.parametrize("site", ["locate.uniform_prime_below",
+                                  "fingerprint.random_prime_in_range"])
+def test_sampler_failure_raises_multiplication_failed(monkeypatch, site):
+    module, name = site.split(".")
+    message = "no prime found in [2, 99] after 3 draws"
+
+    def give_up(*args):
+        raise PrimeSamplingError(message)
+
+    monkeypatch.setattr(importlib.import_module(f"sparseconv.{module}"),
+                        name, give_up)
+    u = make_sparse_vector(64, [(0, 3), (17, -5), (40, 9)])
+    with pytest.raises(MultiplicationFailed) as info:
+        sparse_multiply(u, u, np.random.default_rng(0))
+    assert str(info.value) == message
+    assert isinstance(info.value.__cause__, PrimeSamplingError)
 
 
 def test_multiplication_failed_is_runtime_error():

@@ -1,14 +1,11 @@
 """Folding into buckets: roots of unity, short convolutions, residuals."""
 
-import functools
-
 import mpmath
 import numpy as np
 import pytest
 
-from sparseconv.folding import (_fast_fft_length, _unit_root_powers,
-                                combined_pair_terms,
-                                cyclic_fft_convolve, fold,
+from sparseconv.folding import (BucketWorkspace, _fast_fft_length,
+                                _unit_root_powers, cyclic_fft_convolve, fold,
                                 heavy_residual_buckets, phased_coeffs)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
@@ -127,6 +124,22 @@ def test_fast_fft_length_is_smallest_5_smooth_length():
     assert _fast_fft_length(2 * 1000003 - 1) == 2025000    # 2^3 3^4 5^5
 
 
+def test_fft_convolve_bit_identical_to_padded_fft_and_leaves_inputs():
+    # reference: pad both to P, multiply the spectra, fold the tail mod m
+    rng = np.random.default_rng(31)
+    for m in (2, 3, 127, 1000):
+        a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        b = rng.normal(size=m) + 1j * rng.normal(size=m)
+        a0, b0 = a.copy(), b.copy()
+        padded = _fast_fft_length(2 * m - 1)
+        linear = np.fft.ifft(np.fft.fft(a, padded) * np.fft.fft(b, padded))
+        want = linear[:m].copy()
+        want[:m - 1] += linear[m:2 * m - 1]
+        got = cyclic_fft_convolve(a, b)
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
 def test_fft_convolve_rejects_mismatch():
     with pytest.raises(ValueError):
         cyclic_fft_convolve(np.ones(3), np.ones(4))
@@ -221,13 +234,40 @@ def test_heavy_buckets_both_routes_match_reference(m, k):
     jy, py = _phases(y)
     jw, pw = _phases(w)
     want_ids, want_vals = _heavy_reference(x, y, w, m, 0.5)
-    cached = functools.cache(lambda: combined_pair_terms(jx, px, jy, py))
-    for pair_terms in (None, cached):
+    for workspace in (None, BucketWorkspace()):
         ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5,
-                                           pair_terms)
+                                           workspace)
         order = np.argsort(ids)
         assert ids[order].tolist() == want_ids.tolist()
         assert np.allclose(vals[order], want_vals, atol=1e-6)
+
+
+def test_workspace_reuse_matches_fresh_calls():
+    # fold-route moduli that shrink and then grow within one workspace:
+    # a longer modulus must leave no stale tail behind for a shorter one
+    rng = np.random.default_rng(5)
+    n = 1 << 14
+    k = 60
+    x = from_arrays(n, rng.choice(n // 2, size=k, replace=False),
+                    rng.integers(-40, 41, size=k) | 1)
+    y = from_arrays(n, rng.choice(n // 2, size=k, replace=False),
+                    rng.integers(-40, 41, size=k) | 1)
+    exact = cyclic_convolve_naive(x, y)
+    w = make_sparse_vector(n, exact.to_pairs()[::3])
+    args = (*_phases(x), *_phases(y), *_phases(w))
+    workspace = BucketWorkspace()
+    for m in (1999, 1009, 101, 7, 211, 3001, 2, 1499):
+        assert k * k > m                       # fold route
+        for threshold in (0.5, 0.0):
+            want_ids, want_vals = heavy_residual_buckets(*args, m, threshold)
+            ids, vals = heavy_residual_buckets(*args, m, threshold, workspace)
+            assert np.array_equal(ids, want_ids), m
+            assert np.array_equal(vals, want_vals), m
+    # what a call returns is its own: later calls do not overwrite it
+    ids, vals = heavy_residual_buckets(*args, 1009, 0.0, workspace)
+    kept = vals.copy()
+    heavy_residual_buckets(*args, 1999, 0.0, workspace)
+    assert np.array_equal(vals, kept)
 
 
 def test_heavy_buckets_empty_inputs():

@@ -170,7 +170,9 @@ def test_locate_empty_residual_reports_quiet():
     assert z.is_zero
     assert not report.saw_heavy
     assert report.aborted_rep is None
-    assert report.heavy_counts == [0] * report.params.reps
+    # the first quiet repetition ends the call
+    assert report.reps_run == 1
+    assert report.heavy_counts == [0]
 
 
 def test_locate_zero_times_zero():
