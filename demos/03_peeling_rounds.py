@@ -6,7 +6,10 @@ bucket budget, runs the peeling recovery at that budget, fingerprints
 the accumulated vector, and doubles the budget on rejection. The peel
 itself runs locate rounds with halving budgets, subtracting everything
 recovered so far, until a round sees no heavy bucket at all or aborts
-on more heavy buckets than its budget.
+on more heavy buckets than its budget. Each locate call runs a fixed 5
+repetitions and keeps what 4 agree on: a term one call misses stays in
+the residual for the next round, and a peel that still ends wrong is
+rejected by the fingerprint, so the vote need not be reliable alone.
 
 This script replays that logic by hand on one instance, using the
 per-round trace that hash_and_iterate returns to show what each budget
@@ -41,7 +44,7 @@ verify_rng = substream(31, "verify")
 print(f"\n{'budget':>7}  {'recovered':>9}  {'residual':>8}  fingerprint")
 for log_b in range(11, 17):
     budget = 1 << log_b
-    w, trace = hash_and_iterate(x, y, budget, 0.01, rng)
+    w, trace = hash_and_iterate(x, y, budget, rng)
     ok = equality_test(x, y, w, 0.01, verify_rng)
     residual = subtract(exact, w).l0
     print(f"{budget:>7}  {w.l0:>9}  {residual:>8}  "
@@ -55,7 +58,7 @@ for log_b in range(11, 17):
 # fall below the heavy threshold everywhere and the loop exits early.
 # Budgets halve per round because the residual shrinks at least that
 # fast; quiet rounds certify convergence.
-w, trace = hash_and_iterate(x, y, budget, 0.01, substream(32, "multiply"))
+w, trace = hash_and_iterate(x, y, budget, substream(32, "multiply"))
 print(f"\nper-round trace at budget {budget}:")
 print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
       f"{'recovered':>9}  {'residual':>8}")

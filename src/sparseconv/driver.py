@@ -20,9 +20,13 @@ from .primes import PrimeSamplingError
 from .vectors import (SparseVector, EnvelopeError, add, check_operand,
                       embed_for_product, zero_vector)
 
-# Round r gives its peel and its fingerprint failure budget c / r^2 each:
-# 2c * sum r^-2 = c * pi^2 / 3 < 1/100 over all rounds.
+# Round r gives its fingerprint a false-accept budget c / r^2, so a wrong
+# vector passes with probability below c * pi^2 / 6 over all rounds.
 OUTER_FAILURE_CONSTANT = 1.0 / 400.0
+
+# Per-call delta of every locate call in a peel: 5 repetitions, vote >= 4.
+# A call that misses a term only costs time; see sparse_multiply.
+LOCATE_DELTA = 0.5
 
 # Phase-folded bucket values must stay resolvable in float64: their total
 # coefficient mass times accumulated rounding must sit far below the 0.5
@@ -35,34 +39,34 @@ class MultiplicationFailed(RuntimeError):
 
 
 def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
-                     delta: float, rng: np.random.Generator):
+                     rng: np.random.Generator):
     """Peeling recovery of x * y at a fixed sparsity budget.
 
     Runs ceil(log2 B) locate rounds with halving budgets B, B/2, ...,
     accumulating recovered terms into w so later rounds only see the
     shrinking residual; stops at a round with no heavy bucket or an abort.
-    With B >= 16 * l0(x * y) no round aborts and w equals x * y with
-    probability at least 1 - delta; smaller budgets typically return a
-    partial (often empty) w that the caller's verification rejects.
+    Each call runs at LOCATE_DELTA, so it may miss a term, which stays in
+    the residual for a later round, or misread one, which becomes a
+    residual term that a later round recovers. With B >= 16 * l0(x * y)
+    no round aborts, and w equals x * y except with the probability
+    bounded in sparse_multiply; smaller budgets typically return a
+    partial (often empty) w. The caller's fingerprint rejects every
+    inexact w, so a miss costs time, never a wrong product.
 
     A locate call ends at its first repetition with no heavy bucket, so
-    the closing round costs one repetition. A nonzero residual of k terms
-    looks quiet to a repetition with probability below
-    (k - 1) * log2(N) / pi(L), pi(L) the number of primes up to the sieve
-    limit (see locate_with_report); if that ends the peel, the caller's
-    fingerprint rejects the incomplete w and the budget doubles: time
-    lost, never a wrong product.
+    the closing round costs one repetition; a nonzero residual looks
+    quiet only if all its terms share buckets (see locate_with_report),
+    which ends the peel with an incomplete w.
     Returns (w, trace), trace holding (w so far, LocateReport) per round.
     """
     if bucket_budget < 1:
         raise ValueError("bucket budget must be positive")
     rounds = max(1, math.ceil(math.log2(bucket_budget))) if bucket_budget > 1 else 1
-    round_delta = delta / rounds
     w = zero_vector(x.length)
     trace: list[tuple[SparseVector, LocateReport]] = []
     for r in range(rounds):
         budget = max(1, bucket_budget >> r)
-        z, report = locate_with_report(x, y, w, budget, round_delta, rng)
+        z, report = locate_with_report(x, y, w, budget, LOCATE_DELTA, rng)
         w = add(w, z)
         trace.append((w, report))
         if report.aborted_rep is not None or not report.saw_heavy:
@@ -87,10 +91,37 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
 
     Output-sensitive: runtime is governed by the input and product term
     counts rather than the dimension. Raises MultiplicationFailed instead
-    of ever returning an unverified vector; the failure probability is at
-    most 1/100 per call. A prime sampler that runs out of draws (below
-    1e-9 per sampled prime) raises MultiplicationFailed too, with the
-    sampler's message and its PrimeSamplingError as the cause.
+    of ever returning an unverified vector. A prime sampler that runs out
+    of draws (below 1e-9 per sampled prime) raises MultiplicationFailed
+    too, with the sampler's message and its PrimeSamplingError as the cause.
+
+    A call fails, or returns a wrong vector, with probability below 1/100.
+    The fingerprint accepts an exact w always and an inexact one in round
+    r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
+    c * pi^2 / 6 < 0.0042 over all rounds. Otherwise a call fails only if
+    no peel is exact. Let k = l0(x * y) and r0 the first round with
+    2^r0 >= k; rounds r0 .. r0 + 2 all run (k < N) at budgets at least
+    16k, 32k and 64k. Let h be a call's budget over 16 * l0(residual). As
+    in the isolation analysis, the mean fraction of residual terms that
+    share a bucket, at most (l0 - 1) log2 N / pi(L), is at most gamma q / h
+    with gamma = 1/16, q = 1/8; by Markov a repetition is bad (more than
+    gamma of the terms shared) with probability at most q / h.
+    A locate call votes 4 of 5 (LOCATE_DELTA). If at most one repetition
+    is bad, it leaves at most 5 gamma of the residual: 4 gamma missed terms
+    (shared in a good repetition) and 2 gamma / 3 junk ones (3 good votes
+    from buckets of two or more terms). It cannot stop sooner: an abort
+    needs more heavy buckets than the budget, so than residual terms, and
+    a quiet repetition on a nonzero residual needs every term shared
+    (probability at most gamma q / h). So a call fails with probability
+    at most 10 (q/h)^2 + 5 gamma q / h, and a success multiplies the next
+    call's h by (1/2) / (5 gamma) = 8/5; the peel's ceil(log2 B) calls
+    outnumber the successes that empty the residual. Summed, a peel
+    starting at h is inexact with probability at most P(h) = (640/39)
+    (q/h)^2 + (40/3) gamma q / h, P(1) < 0.361. Doubling the budget
+    doubles the prime range L >= 512 but its prime count only by
+    2 ln L / ln 2L >= 1.8 (pi(L) ~ L / ln L), so rounds r0 .. r0 + 2
+    count as h >= 1, 1.8, 3.2. They draw independently, so all three
+    peels are inexact with probability at most P(1) P(1.8) P(3.2) < 0.003.
     """
     check_operand(u, "u")
     check_operand(v, "v")
@@ -103,9 +134,9 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     try:
         for r in range(1, max_rounds + 1):
             budget = ISOLATION_CONSTANT << r                 # C * 2^r
-            round_delta = OUTER_FAILURE_CONSTANT / (r * r)
-            w, _ = hash_and_iterate(x, y, budget, round_delta, locate_rng)
-            if equality_test(x, y, w, round_delta, fingerprint_rng):
+            w, _ = hash_and_iterate(x, y, budget, locate_rng)
+            if equality_test(x, y, w, OUTER_FAILURE_CONSTANT / (r * r),
+                             fingerprint_rng):
                 return w
     except PrimeSamplingError as err:
         raise MultiplicationFailed(str(err)) from err

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import sparseconv
-from sparseconv.driver import (OUTER_FAILURE_CONSTANT, MultiplicationFailed,
-                               hash_and_iterate, sparse_multiply)
-from sparseconv.locate import ISOLATION_CONSTANT
+from sparseconv import driver
+from sparseconv.driver import (LOCATE_DELTA, OUTER_FAILURE_CONSTANT,
+                               MultiplicationFailed, hash_and_iterate,
+                               sparse_multiply)
+from sparseconv.locate import ISOLATION_CONSTANT, LocateParams
 from sparseconv.primes import PrimeSamplingError
 from sparseconv.vectors import (EnvelopeError, cyclic_convolve_naive,
                                 from_arrays, make_sparse_vector,
@@ -22,14 +24,47 @@ from sparseconv.vectors import (EnvelopeError, cyclic_convolve_naive,
 def test_params_relations_enforced():
     # the analysis relations the pipeline constants must satisfy: with
     # trial failure q = 1/8 per hash, a C-isolating prime leaves a
-    # collision fraction gamma = 2 / (C^2 q) of the support, and each peel
-    # round contracts the residual by 5 * gamma < 1
-    trial_failure = 1.0 / 8.0
-    collision_fraction = 2.0 / (ISOLATION_CONSTANT ** 2 * trial_failure)
-    assert math.isclose(collision_fraction, 1.0 / 16.0)
-    assert 5 * collision_fraction < 1
-    # total failure across outer rounds: 2c * sum r^-2 = c * pi^2 / 3
-    assert OUTER_FAILURE_CONSTANT * math.pi ** 2 / 3.0 <= 0.01
+    # collision fraction gamma = 2 / (C^2 q) of the support
+    q = 1.0 / 8.0
+    gamma = 2.0 / (ISOLATION_CONSTANT ** 2 * q)
+    assert math.isclose(gamma, 1.0 / 16.0)
+    # a locate call at LOCATE_DELTA votes thr of t repetitions; with at
+    # most t - thr bad repetitions its missed plus junk terms stay within
+    # 5 gamma of the residual
+    params = LocateParams.for_budget(16, LOCATE_DELTA)
+    t, thr = params.reps, params.prune_threshold
+    assert (t, thr) == (5, 4)
+    for bad in range(t - thr + 1):
+        missed = (t - bad) * gamma / (t - thr + 1 - bad)
+        junk = (t - bad) * gamma / 2 / (thr - bad)
+        assert missed + junk <= 5 * gamma
+    growth = 0.5 / (5 * gamma)       # headroom gained per successful call
+    assert growth > 1
+
+    def peel_failure(h):
+        # union bound over a peel's calls: t - thr + 1 bad repetitions in
+        # one call, or one quiet repetition on a nonzero residual
+        total = 0.0
+        while h < 1e9:
+            bad = q / h
+            total += math.comb(t, t - thr + 1) * bad ** (t - thr + 1)
+            total += t * gamma * bad
+            h *= growth
+        return total
+
+    assert math.isclose(peel_failure(1), 640 / 39 * q ** 2
+                        + 40 / 3 * gamma * q, rel_tol=1e-6)
+    assert peel_failure(1) < 0.361
+    # rounds r0 .. r0 + 2 draw independently at headroom 1, then doubled
+    # budgets and prime ranges L >= 512 (pi(L) ~ L / ln L)
+    log_l = math.log(512)
+    h2, h4 = 2 * log_l / math.log(1024), 4 * log_l / math.log(2048)
+    assert h2 >= 1.8 and h4 >= 3.2
+    no_exact_peel = peel_failure(1) * peel_failure(1.8) * peel_failure(3.2)
+    assert no_exact_peel < 0.003
+    # fingerprint false accepts over all outer rounds: c * sum r^-2
+    false_accept = OUTER_FAILURE_CONSTANT * math.pi ** 2 / 6.0
+    assert no_exact_peel + false_accept <= 0.01
 
 
 def test_multiply_telescoping():
@@ -127,7 +162,7 @@ def test_hash_and_iterate_recovers_with_generous_budget():
     y = make_sparse_vector(2 * n, v.to_pairs())
     want = cyclic_convolve_naive(x, y)
     budget = 16 * want.l0
-    w, _ = hash_and_iterate(x, y, budget, 0.01, np.random.default_rng(7))
+    w, _ = hash_and_iterate(x, y, budget, np.random.default_rng(7))
     assert w == want
 
 
@@ -139,7 +174,7 @@ def test_hash_and_iterate_residual_contracts_per_round():
     x = from_arrays(2 * n, xi, rng_inst.integers(1, 30, size=16))
     y = from_arrays(2 * n, yi, rng_inst.integers(1, 30, size=16))
     exact = cyclic_convolve_naive(x, y)
-    _, trace = hash_and_iterate(x, y, 16 * exact.l0, 0.01,
+    _, trace = hash_and_iterate(x, y, 16 * exact.l0,
                                 np.random.default_rng(8))
     residuals = [subtract(exact, w).l0 for w, _ in trace]
     assert residuals[-1] == 0
@@ -151,7 +186,7 @@ def test_hash_and_iterate_converged_exit():
     # so the trace stops early instead of burning the remaining rounds
     x = make_sparse_vector(32, [(1, 2)])
     y = make_sparse_vector(32, [(3, 4)])
-    w, trace = hash_and_iterate(x, y, 256, 0.01, np.random.default_rng(9))
+    w, trace = hash_and_iterate(x, y, 256, np.random.default_rng(9))
     assert w == cyclic_convolve_naive(x, y)
     assert len(trace) < max(1, int(np.ceil(np.log2(256))))
     last_report = trace[-1][1]
@@ -168,7 +203,7 @@ def test_hash_and_iterate_budget_too_small_yields_rejectable_w():
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 29)])
     y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 31)])
     exact = cyclic_convolve_naive(x, y)
-    w, _ = hash_and_iterate(x, y, 2, 0.1, np.random.default_rng(10))
+    w, _ = hash_and_iterate(x, y, 2, np.random.default_rng(10))
     assert w != exact
     assert w.l0 < exact.l0
 
@@ -180,10 +215,63 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 29)])
     y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 31)])
     exact = cyclic_convolve_naive(x, y)
-    w, trace = hash_and_iterate(x, y, 64, 0.1, np.random.default_rng(10))
+    w, trace = hash_and_iterate(x, y, 64, np.random.default_rng(10))
     assert len(trace) == 1
     assert trace[0][1].aborted_rep is not None
     assert w != exact
+
+
+@pytest.mark.parametrize("budget", [16, 1 << 16])
+def test_hash_and_iterate_votes_over_five_repetitions(budget):
+    # every locate call of a peel runs at LOCATE_DELTA, whatever the
+    # budget: 5 repetitions and a vote of 4
+    n = 256
+    rng_inst = np.random.default_rng(22)
+    x = from_arrays(2 * n, rng_inst.choice(n, size=10, replace=False),
+                    rng_inst.integers(1, 30, size=10))
+    y = from_arrays(2 * n, rng_inst.choice(n, size=10, replace=False),
+                    rng_inst.integers(1, 30, size=10))
+    _, trace = hash_and_iterate(x, y, budget, np.random.default_rng(11))
+    assert trace
+    for _, report in trace:
+        assert report.params.reps == 5
+        assert report.params.prune_threshold == 4
+
+
+def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
+    # every locate call of the peel that would first verify drops one
+    # recovered term; that peel ends inexact, the fingerprint rejects it,
+    # and a later peel still returns the exact product
+    n = 256
+    rng_inst = np.random.default_rng(23)
+    u = from_arrays(n, rng_inst.choice(n, size=12, replace=False),
+                    rng_inst.integers(1, 50, size=12))
+    v = from_arrays(n, rng_inst.choice(n, size=12, replace=False),
+                    rng_inst.integers(1, 50, size=12))
+    exact = poly_multiply_naive(u, v)
+    real_peel, real_locate = driver.hash_and_iterate, driver.locate_with_report
+    peels = []
+    lossy_budget = None
+
+    def peel(x, y, budget, rng):
+        peels.append(budget)
+        w, trace = real_peel(x, y, budget, rng)
+        assert budget != lossy_budget or w != exact
+        return w, trace
+
+    def lossy_locate(x, y, w, budget, delta, rng):
+        z, report = real_locate(x, y, w, budget, delta, rng)
+        if peels[-1] == lossy_budget and z.l0:
+            z = from_arrays(z.length, z.indices[1:], z.coeffs[1:])
+        return z, report
+
+    monkeypatch.setattr(driver, "hash_and_iterate", peel)
+    monkeypatch.setattr(driver, "locate_with_report", lossy_locate)
+    assert sparse_multiply(u, v, np.random.default_rng(12)) == exact
+    lossy_budget = peels[-1]
+    peels.clear()
+    assert sparse_multiply(u, v, np.random.default_rng(12)) == exact
+    assert lossy_budget in peels and peels[-1] > lossy_budget
 
 
 @pytest.mark.parametrize("site", ["locate.uniform_prime_below",
