@@ -107,9 +107,13 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     seed = resolve_seed(args.seed)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ValueError("--algos names no algorithm")
     for algo in algos:
         if algo not in ALGOS:
             raise ValueError(f"unknown algorithm {algo!r}")
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     spec = InstanceSpec(n=args.n, terms=args.terms, coeff_bound=args.coeff_bound,
                         cancel_fraction=args.cancel_fraction, seed=seed)
     u, v = gen_instance(spec)

@@ -86,8 +86,9 @@ def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,
 
     A true equality always returns True. An inequality survives with
     probability at most delta: x * y - w is then a nonzero polynomial of
-    degree < N, so all eval_rounds points are its roots with probability
-    at most delta / (3 * RANGE_MULTIPLIER), plus 4^-50 for a composite p.
+    degree < N and p is prime (miller_rabin is exact below 2^64), so all
+    eval_rounds points are its roots with probability at most
+    delta / (3 * RANGE_MULTIPLIER).
     Running out of prime draws (probability below 1e-9) raises
     PrimeSamplingError: an explicit failure, never an answer.
     """

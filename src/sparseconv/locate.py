@@ -6,16 +6,15 @@ isolated heavy bucket as a (index, value) candidate. An index that lands
 alone in its bucket reproduces value * w^index exactly, so the magnitude
 rounds to the coefficient and the phase decodes to the index. Candidates
 that persist across at least 3/4 of the repetitions are returned; buckets
-hit by collisions decode to junk that fails re-encoding or the majority
-filter. A call also ends, returning zero, at its first repetition with
-more heavy buckets than its budget (the residual is too large to
-separate) or with none at all (the residual is almost surely zero; see
-locate_with_report).
+hit by collisions decode to junk that fails re-encoding, the bucket check
+(an isolated index sits in bucket index mod p) or the majority filter. A
+call also ends, returning zero, at its first repetition with more heavy
+buckets than its budget (the residual is too large to separate) or with
+none at all (the residual is almost surely zero; see locate_with_report).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -24,8 +23,6 @@ import numpy as np
 from . import folding
 from .primes import uniform_prime_below
 from .vectors import SparseVector, _canonical, _empty_terms, zero_vector
-
-logger = logging.getLogger(__name__)
 
 ISOLATION_CONSTANT = 16          # prime range and bucket budget multiplier
 HEAVY_THRESHOLD = 0.5
@@ -85,27 +82,30 @@ def sieve_limit_for(bucket_budget: int, dimension: int) -> int:
     return max(2, ISOLATION_CONSTANT * bucket_budget * lg * lg)
 
 
-def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int):
-    """Turn heavy buckets into validated (index, value) candidates."""
+def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, p: int):
+    """Turn heavy buckets mod p into validated (index, value) candidates.
+
+    A reading survives only if it re-encodes and its index lies in its own
+    bucket, so one repetition gives each index at most one reading.
+    """
     mag = np.abs(vals)
     rounded = np.rint(mag)
     keep = rounded >= 1.0
     if not keep.any():
         return _empty_terms()
+    ids = ids[keep]
     vals = vals[keep]
     rounded = rounded[keep]
     exponents = decode_indices(vals, n)
-    # Re-encode check: an isolated bucket must reproduce value * w^exponent.
-    expected = rounded * folding._unit_root_powers(exponents, n)
-    ok = np.abs(vals - expected) <= REENCODE_TOLERANCE
-    if not ok.any():
-        return _empty_terms()
-    exponents = exponents[ok]
-    signed = rounded[ok].astype(np.int64)
     negative = exponents >= n       # w^(j + N) = -w^j encodes a negative value
     index = np.where(negative, exponents - n, exponents)
-    value = np.where(negative, -signed, signed)
-    return index, value
+    # Re-encode check: an isolated bucket must reproduce value * w^exponent.
+    expected = rounded * folding._unit_root_powers(exponents, n)
+    ok = (np.abs(vals - expected) <= REENCODE_TOLERANCE) & (index % p == ids)
+    if not ok.any():
+        return _empty_terms()
+    signed = rounded[ok].astype(np.int64)
+    return index[ok], np.where(negative[ok], -signed, signed)
 
 
 def _group_candidates(idx_all: np.ndarray, val_all: np.ndarray):
@@ -138,26 +138,13 @@ def _group_candidates(idx_all: np.ndarray, val_all: np.ndarray):
 
 def _prune(idx_all: np.ndarray, val_all: np.ndarray, n: int,
            params: LocateParams) -> SparseVector:
-    """Majority filter plus per-index conflict resolution."""
+    """Majority filter: keep the (index, value) pairs read in at least
+    prune_threshold repetitions. Each index has at most one reading per
+    repetition and 2 * prune_threshold > reps, so no index keeps two values.
+    """
     si, sv, counts = _group_candidates(idx_all, val_all)
     keep = counts >= params.prune_threshold
-    cand_i = si[keep]
-    cand_v = sv[keep]
-    cand_h = counts[keep]
-    if cand_i.size == 0:
-        return zero_vector(n)
-    # Same index surviving with two values: keep the better-supported one,
-    # breaking ties toward the smaller magnitude.
-    pick = np.lexsort((np.abs(cand_v), -cand_h, cand_i))
-    cand_i = cand_i[pick]
-    cand_v = cand_v[pick]
-    first = np.empty(cand_i.size, dtype=bool)
-    first[0] = True
-    np.not_equal(cand_i[1:], cand_i[:-1], out=first[1:])
-    dropped = int(cand_i.size - np.count_nonzero(first))
-    if dropped:
-        logger.warning("locate: %d conflicting index candidates dropped", dropped)
-    return _canonical(n, cand_i[first], cand_v[first])
+    return _canonical(n, si[keep], sv[keep])
 
 
 def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
@@ -211,7 +198,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         if ids.size == 0:
             return zero_vector(n), report
         report.saw_heavy = True
-        index, value = _decode_heavy(ids, vals, n)
+        index, value = _decode_heavy(ids, vals, n, p)
         if index.size:
             got_i.append(index)
             got_v.append(value)

@@ -1,15 +1,18 @@
-"""Prime sieving, sampling, and primality testing."""
+"""Prime sieving, sampling, and primality testing.
+
+Locate primes are drawn uniformly from one process-wide sieved array,
+re-sieved only when a larger limit arrives; past SAMPLING_SIEVE_MAX, and
+for the fingerprint, primes come from rejection sampling with the
+deterministic Miller-Rabin test, which draws nothing from the stream.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-MILLER_RABIN_ROUNDS = 50
-
-# Hard ceiling on sieve size; above this the pool would not fit in memory.
+# Hard ceiling on sieve size; above this the sieve would not fit in memory.
 SIEVE_LIMIT_CAP = 1 << 32
 
 # Largest limit served by an actual sieve. Uniform sampling above this
@@ -45,72 +48,46 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.concatenate([np.array([2], dtype=np.int64), odds])
 
 
-@dataclass(frozen=True)
-class PrimePool:
-    """Immutable ascending array of all primes <= limit."""
-
-    limit: int
-    primes: np.ndarray
-
-    @classmethod
-    def build(cls, limit: int) -> "PrimePool":
-        return cls(limit, sieve_primes(limit))
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
-    def up_to(self, limit: int) -> "PrimePool":
-        """Cheap restricted view of the pool (no re-sieve)."""
-        if limit > self.limit:
-            raise ValueError(f"pool only covers primes <= {self.limit}")
-        cut = int(np.searchsorted(self.primes, limit, side="right"))
-        return PrimePool(limit, self.primes[:cut])
-
-
-_shared_pool: PrimePool | None = None
-
-
-def shared_pool(limit: int) -> PrimePool:
-    """Process-wide pool cache, extended monotonically as limits grow."""
-    global _shared_pool
-    if _shared_pool is None or _shared_pool.limit < limit:
-        _shared_pool = PrimePool.build(limit)
-    return _shared_pool.up_to(limit)
-
-
-def sample_prime_uniform(pool: PrimePool, rng: np.random.Generator) -> int:
-    """Uniform draw from the pool."""
-    if len(pool) == 0:
-        raise ValueError("pool is empty")
-    return int(pool.primes[int(rng.integers(len(pool)))])
+# Primes <= _sieved_limit, grown monotonically as larger limits arrive.
+_sieved_limit = 0
+_sieved = np.empty(0, dtype=np.int64)
 
 
 def uniform_prime_below(limit: int, rng: np.random.Generator) -> int:
     """Uniform draw from the primes <= limit.
 
-    Small limits are served from the shared sieved pool. Past
-    SAMPLING_SIEVE_MAX the sieve would not pay for itself, so the draw
-    becomes rejection sampling over [2, limit] with Miller-Rabin; a uniform
-    integer conditioned on being prime is uniform over the same prime set,
-    so the two branches sample the same distribution.
+    Small limits index the process-wide sieved array with one
+    rng.integers(pi(limit)) draw. Past SAMPLING_SIEVE_MAX the sieve would
+    not pay for itself, so the draw becomes rejection sampling over
+    [2, limit] with Miller-Rabin; a uniform integer conditioned on being
+    prime is uniform over the same prime set, so the two branches sample
+    the same distribution.
     """
+    global _sieved_limit, _sieved
     if limit < 2:
         raise ValueError("no primes below 2")
-    if limit <= SAMPLING_SIEVE_MAX:
-        return sample_prime_uniform(shared_pool(limit), rng)
-    return random_prime_in_range(2, limit, rng)
+    if limit > SAMPLING_SIEVE_MAX:
+        return random_prime_in_range(2, limit, rng)
+    if limit > _sieved_limit:
+        _sieved = sieve_primes(limit)
+        _sieved_limit = limit
+    count = int(np.searchsorted(_sieved, limit, side="right"))
+    return int(_sieved[int(rng.integers(count))])
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def miller_rabin(n: int, rng: np.random.Generator,
-                 rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Probabilistic primality test; False is always correct.
+def miller_rabin(n: int) -> bool:
+    """Exact primality test for 0 <= n < 2^64; raises ValueError outside.
 
-    Composite n survives one random base with probability <= 1/4, so the
-    error after `rounds` independent bases is <= 4**-rounds.
+    The strong test on the twelve bases 2..37: no odd composite below
+    psi_12 = 318665857834031151167461 (about 3.18e23) is a strong
+    pseudoprime to all of them (Sorenson & Webster, "Strong pseudoprimes
+    to twelve prime bases", Math. Comp. 2017).
     """
+    if not 0 <= n < 1 << 64:
+        raise ValueError(f"miller_rabin is exact only on [0, 2^64), got {n}")
     if n < 2:
         return False
     if n in _SMALL_PRIMES:
@@ -122,8 +99,7 @@ def miller_rabin(n: int, rng: np.random.Generator,
     while d % 2 == 0:       # n - 1 = d * 2**s with d odd
         d //= 2
         s += 1
-    for _ in range(rounds):
-        a = int(rng.integers(2, n - 1))
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)      # builtin pow: C-level square-and-multiply
         if x == 1 or x == n - 1:
             continue
@@ -139,15 +115,16 @@ def miller_rabin(n: int, rng: np.random.Generator,
 def random_prime_in_range(lo: int, hi: int, rng: np.random.Generator) -> int:
     """Uniform prime from [lo, hi] by rejection sampling.
 
-    Draws are capped so that running out of them without seeing a prime
-    has probability below _REJECTION_FAILURE; running out raises.
+    The stream supplies only the candidates. Draws are capped so that
+    running out of them without seeing a prime has probability below
+    _REJECTION_FAILURE; running out raises.
     """
     if lo < 2 or hi < 2 * lo:
         raise ValueError("need hi >= 2 * lo >= 4")
     attempts = math.ceil(math.log(hi) * math.log(2.0 / _REJECTION_FAILURE))
     for _ in range(attempts):
         candidate = int(rng.integers(lo, hi + 1))
-        if miller_rabin(candidate, rng):
+        if miller_rabin(candidate):
             return candidate
     raise PrimeSamplingError(
         f"no prime found in [{lo}, {hi}] after {attempts} draws")

@@ -170,6 +170,15 @@ def test_bench_rejects_unknown_algo(tmp_path, capsys):
                  "--algos", "naive,quantum"]) == 2
 
 
+@pytest.mark.parametrize("extra", [["--repeats", "0"], ["--repeats", "-3"],
+                                   ["--algos", ","], ["--algos", " , "]])
+def test_bench_rejects_empty_run(capsys, extra):
+    assert main(["bench", "--n", "64", "--terms", "4"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_bench_records_deterministic_modulo_timing(tmp_path, capsys):
     def run(name):
         out = tmp_path / name

@@ -228,3 +228,23 @@ def test_locate_builds_pair_terms_once_and_only_for_direct_route(monkeypatch):
                        np.random.default_rng(4))
     assert sieve_limit_for(1, 2 * n) < 64 * 64
     assert builds == []
+
+
+@pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
+def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
+    # Every repetition reports one heavy bucket that decodes cleanly to
+    # 3 x^5. In bucket 5 mod p it is a candidate; in the next bucket it
+    # cannot be an isolated term, so it is junk and yields nothing.
+    n = 64
+    reading = 3 * _unit_root_powers(np.array([5]), 2 * n)
+
+    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, workspace):
+        return np.array([(5 + shift) % m]), reading
+
+    monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
+    x = embedded(n, [(5, 3)])
+    y = embedded(n, [(0, 1)])
+    z, report = locate_with_report(x, y, zero_vector(2 * n), 16, 0.1,
+                                   np.random.default_rng(6))
+    assert report.reps_run == report.params.reps
+    assert z.to_pairs() == want

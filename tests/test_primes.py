@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sparseconv.primes import (_REJECTION_FAILURE, SAMPLING_SIEVE_MAX,
-                               PrimeSamplingError, PrimePool, miller_rabin,
-                               random_prime_in_range, sample_prime_uniform,
-                               shared_pool, sieve_primes, uniform_prime_below)
+                               PrimeSamplingError, miller_rabin,
+                               random_prime_in_range, sieve_primes,
+                               uniform_prime_below)
 
 
 def reference_sieve(limit):
@@ -44,47 +44,77 @@ def test_prime_counting_at_a_million():
     assert sieve_primes(1_000_000).size == want
 
 
-def test_shared_pool_grows_monotonically():
-    small = shared_pool(100)
-    assert small.limit >= 100
-    big = shared_pool(10_000)
-    assert big.limit >= 10_000
-    # the grown pool still answers smaller queries from a slice view
-    again = shared_pool(100)
-    assert again.primes.tolist() == sieve_primes(100).tolist()
+def test_uniform_prime_below_after_a_larger_limit():
+    # a draw at 10^4 sieves past 100; later draws at 100 still index the
+    # primes <= 100 only
+    uniform_prime_below(10_000, np.random.default_rng(3))
+    small = reference_sieve(100)
+    rng = np.random.default_rng(4)
+    draws = [uniform_prime_below(100, rng) for _ in range(300)]
+    assert set(draws) == set(small)
+    replay = np.random.default_rng(4)
+    assert draws == [small[int(replay.integers(len(small)))]
+                     for _ in range(300)]
 
 
-def test_pool_up_to_is_prefix():
-    pool = PrimePool.build(500)
-    assert pool.up_to(100).primes.tolist() == reference_sieve(100)
-    assert pool.up_to(500).primes.tolist() == reference_sieve(500)
-    with pytest.raises(ValueError):
-        pool.up_to(501)
+@pytest.mark.parametrize("limit", [2, 3, 100, 7919, 10_000, 1 << 22])
+def test_uniform_prime_below_indexes_the_sieve(limit):
+    primes = sieve_primes(limit)
+    for seed in range(3):
+        want = primes[np.random.default_rng(seed).integers(primes.size)]
+        assert uniform_prime_below(limit, np.random.default_rng(seed)) == want
 
 
 def test_miller_rabin_known_values():
-    rng = np.random.default_rng(0)
-    assert miller_rabin(2, rng)
-    assert miller_rabin(7919, rng)
-    assert not miller_rabin(4, rng)
-    assert not miller_rabin(561, rng)  # Carmichael number
-    assert not miller_rabin(1, rng)
-    assert not miller_rabin(7919 * 7927, rng)
+    assert miller_rabin(2)
+    assert miller_rabin(7919)
+    assert not miller_rabin(0)
+    assert not miller_rabin(1)
+    assert not miller_rabin(4)
+    assert not miller_rabin(561)  # Carmichael number
+    assert not miller_rabin(7919 * 7927)
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751,
+                               2152302898747, 3474749660383,
+                               341550071728321])
+def test_miller_rabin_rejects_strong_pseudoprime_ladder(n):
+    # psi_1 .. psi_8: the least strong pseudoprimes to the first 1..8
+    # prime bases
+    assert not miller_rabin(n)
+
+
+def test_miller_rabin_needs_base_37():
+    # psi_9 = psi_10 = psi_11 passes every base 2..31, and its prime
+    # factors are all above 37, so only base 37 rejects it
+    n = 3825123056546413051
+    assert n == 149491 * 747451 * 34233211
+    assert not miller_rabin(n)
+
+
+def test_miller_rabin_accepts_large_primes():
+    assert miller_rabin((1 << 31) - 1)
+    assert miller_rabin((1 << 61) - 1)
+    assert miller_rabin((1 << 64) - 59)     # the largest prime below 2^64
 
 
 def test_miller_rabin_agrees_with_sieve():
-    rng = np.random.default_rng(5)
-    primes = set(reference_sieve(2000))
-    for n in range(2, 2000):
-        assert miller_rabin(n, rng) == (n in primes), n
+    primes = set(reference_sieve(100_000))
+    for n in range(100_000):
+        assert miller_rabin(n) == (n in primes), n
 
 
-def test_sample_prime_uniform_is_roughly_uniform():
+@pytest.mark.parametrize("n", [-1, 1 << 64, 318665857834031151167461])
+def test_miller_rabin_raises_outside_its_exact_range(n):
+    # the last is psi_12, the least strong pseudoprime to bases 2..37
+    with pytest.raises(ValueError, match="2\\^64"):
+        miller_rabin(n)
+
+
+def test_uniform_prime_below_is_roughly_uniform():
     # chi-square over the primes below 100; 25 cells, 5000 draws
-    pool = PrimePool.build(100)
     rng = np.random.default_rng(123)
-    draws = np.array([sample_prime_uniform(pool, rng)
-                      for _ in range(5000)])
+    draws = np.array([uniform_prime_below(100, rng) for _ in range(5000)])
     values, counts = np.unique(draws, return_counts=True)
     assert set(values.tolist()) <= set(reference_sieve(100))
     expected = 5000 / len(reference_sieve(100))
@@ -98,7 +128,7 @@ def test_random_prime_in_range_bounds_and_primality():
     for _ in range(50):
         p = random_prime_in_range(1 << 16, 1 << 17, rng)
         assert (1 << 16) <= p < (1 << 17)
-        assert miller_rabin(p, np.random.default_rng(1))
+        assert miller_rabin(p)
 
 
 def test_random_prime_requires_doubling_range():
@@ -109,8 +139,8 @@ def test_random_prime_requires_doubling_range():
 
 class EvenFirst:
     """Generator stand-in: its first `evens` draws are even, the rest come
-    from a seeded numpy generator. Even candidates never reach
-    Miller-Rabin's base draws, so these are all candidate draws."""
+    from a seeded numpy generator. Miller-Rabin draws nothing, so every
+    call is a candidate draw."""
 
     def __init__(self, evens, seed=0):
         self.evens = evens
@@ -143,16 +173,29 @@ def test_random_prime_outlasts_200_even_candidates():
     p = random_prime_in_range(lo, hi, stub)
     assert lo <= p <= hi
     assert stub.calls > 200
-    assert miller_rabin(p, np.random.default_rng(0), rounds=80)
+    assert miller_rabin(p)
 
 
 def test_sampling_is_deterministic_per_seed():
-    pool = PrimePool.build(10_000)
     rng_a = np.random.default_rng(77)
     rng_b = np.random.default_rng(77)
-    a = [sample_prime_uniform(pool, rng_a) for _ in range(5)]
-    b = [sample_prime_uniform(pool, rng_b) for _ in range(5)]
+    a = [uniform_prime_below(10_000, rng_a) for _ in range(5)]
+    b = [uniform_prime_below(10_000, rng_b) for _ in range(5)]
     assert a == b
+
+
+def test_random_prime_draws_only_candidates():
+    # the sampler returns the first prime of a replayed candidate stream
+    # and leaves the stream just past it
+    lo, hi = 1 << 40, 1 << 41
+    rng = np.random.default_rng(21)
+    p = random_prime_in_range(lo, hi, rng)
+    replay = np.random.default_rng(21)
+    candidate = int(replay.integers(lo, hi + 1))
+    while candidate != p:
+        assert not miller_rabin(candidate)
+        candidate = int(replay.integers(lo, hi + 1))
+    assert rng.integers(1 << 62) == replay.integers(1 << 62)
 
 
 def test_uniform_prime_below_pool_branch():
@@ -173,5 +216,5 @@ def test_uniform_prime_below_rejection_branch():
                    for s in range(8)]
     for p in got:
         assert 2 <= p <= limit
-        assert miller_rabin(p, np.random.default_rng(0), rounds=80)
+        assert miller_rabin(p)
     assert any(p > SAMPLING_SIEVE_MAX for p in got)
