@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Inside the driver: budget doubling outside, peeling rounds inside.
+"""Inside the driver: growing budgets outside, peeling rounds inside.
 
 sparse_multiply never knows the product sparsity up front. It guesses a
 bucket budget, runs the peeling recovery at that budget, fingerprints
-the accumulated vector, and doubles the budget on rejection. The peel
+the accumulated vector, and on rejection doubles the budget, or jumps
+to the heavy-bucket count at which the peel's first locate call
+aborted, when that is larger: that call folds the product itself, so
+the count never exceeds the product's term count. The peel
 itself runs locate rounds with halving budgets, subtracting everything
 recovered so far, until a round sees no heavy bucket at all or aborts
 on more heavy buckets than its budget. Each locate call runs a fixed 5
@@ -21,6 +24,7 @@ import numpy as np
 from sparseconv import (InstanceSpec, embed_for_product, equality_test,
                         gen_instance, poly_multiply_naive, substream)
 from sparseconv.driver import hash_and_iterate
+from sparseconv.locate import ISOLATION_CONSTANT
 from sparseconv.vectors import subtract
 
 spec = InstanceSpec(n=1 << 14, terms=192, coeff_bound=100,
@@ -36,22 +40,27 @@ x, y = embed_for_product(u, v)
 rng = substream(31, "multiply")
 verify_rng = substream(31, "verify")
 
-# Sweep budgets the way the driver does (doubling), but print verdicts
-# instead of returning at the first success. A budget below the number
-# of occupied buckets makes every locate repetition abort, so the peel
-# comes back empty and the fingerprint rejects it. Once the budget
+# Grow budgets the way the driver does, printing each verdict. A budget
+# below the number of occupied buckets makes the first locate call
+# abort, so the peel comes back empty and the fingerprint rejects it;
+# the heavy count that call saw sets the next budget. Once the budget
 # clears that bar, recovery is total and the fingerprint accepts.
-print(f"\n{'budget':>7}  {'recovered':>9}  {'residual':>8}  fingerprint")
-for log_b in range(11, 17):
-    budget = 1 << log_b
+print(f"\n{'budget':>7}  {'1st heavy':>9}  {'recovered':>9}  "
+      f"{'residual':>8}  fingerprint")
+r = 1
+while True:
+    budget = ISOLATION_CONSTANT << r
     w, trace = hash_and_iterate(x, y, budget, rng)
     ok = equality_test(x, y, w, 0.01, verify_rng)
-    residual = subtract(exact, w).l0
-    print(f"{budget:>7}  {w.l0:>9}  {residual:>8}  "
-          f"{'accept' if ok else 'reject'}")
+    first = trace[0][1]
+    heavy = first.heavy_counts[-1] if first.aborted_rep is not None else 0
+    print(f"{budget:>7}  {heavy:>9}  {w.l0:>9}  "
+          f"{subtract(exact, w).l0:>8}  {'accept' if ok else 'reject'}")
     if ok:
         assert w == exact
         break
+    cells = -(-heavy // ISOLATION_CONSTANT)   # least C * 2^r >= heavy
+    r = max(r + 1, (cells - 1).bit_length())
 
 # Now look inside the successful budget: the per-round trace. Round 0
 # recovers the bulk of the product; the next round sees the residual
@@ -70,7 +79,7 @@ assert w == exact
 
 # The abort gate is what keeps wrong budgets cheap: a repetition stops
 # as soon as it counts more heavy buckets than the budget allows, and the
-# peel stops with it, so undersized budgets cost little and the doubling
-# loop pays mostly for the one budget that works.
+# peel stops with it, so undersized budgets cost little, and the heavy
+# count of the abort lets the driver skip the budgets in between.
 print("\nundersized budgets abort instead of decoding garbage; the "
       "fingerprint gate is what lets the driver trust a success")

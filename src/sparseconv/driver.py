@@ -1,11 +1,13 @@
 """Output-sensitive sparse multiplication driver.
 
-The core loop guesses the product sparsity by doubling a bucket budget.
+The core loop guesses the product sparsity with a growing bucket budget.
 For each guess it peels the product out of phase-folded buckets over a
 logarithmic number of halving rounds (each round recovers most of what is
 still missing, so the residual support contracts geometrically), then
 fingerprints the accumulated result against the operands. The first
-verified accumulation is returned; nothing unverified ever escapes.
+verified accumulation is returned; nothing unverified ever escapes. On
+rejection the budget doubles, or jumps to the heavy count of the peel's
+first locate call if larger: a lower bound on the product sparsity.
 """
 
 from __future__ import annotations
@@ -100,12 +102,19 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
     c * pi^2 / 6 < 0.0042 over all rounds. Otherwise a call fails only if
     no peel is exact. Let k = l0(x * y) and r0 the first round with
-    2^r0 >= k; rounds r0 .. r0 + 2 all run (k < N) at budgets at least
-    16k, 32k and 64k. Let h be a call's budget over 16 * l0(residual). As
-    in the isolation analysis, the mean fraction of residual terms that
-    share a bucket, at most (l0 - 1) log2 N / pi(L), is at most gamma q / h
-    with gamma = 1/16, q = 1/8; by Markov a repetition is bad (more than
-    gamma of the terms shared) with probability at most q / h.
+    2^r0 >= k. A rejected round r goes next to round max(r + 1, r'), r'
+    the least with C * 2^r' >= h1, the heavy count at which the peel's
+    first locate call aborted (0 if it did not). That call folds x * y
+    itself (w = 0), where a bucket holding no product term reads zero up
+    to rounding, so h1 <= k and the jump never passes r0: rounds r0 ..
+    r0 + 2 all run (k < N) at budgets at least 16k, 32k and 64k, each
+    keeping its fingerprint budget c / r^2.
+    Let h be a call's budget over 16 * l0(residual). As in the isolation
+    analysis of locate_with_report, the mean fraction of residual terms
+    that share a bucket, at most (l0 - 1) 10 ln N / (3L), is below
+    0.0046 / h < gamma q / h with gamma = 1/16, q = 1/8; by Markov a
+    repetition is bad (more than gamma of the terms shared) with
+    probability at most q / h.
     A locate call votes 4 of 5 (LOCATE_DELTA). If at most one repetition
     is bad, it leaves at most 5 gamma of the residual: 4 gamma missed terms
     (shared in a good repetition) and 2 gamma / 3 junk ones (3 good votes
@@ -118,10 +127,10 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     outnumber the successes that empty the residual. Summed, a peel
     starting at h is inexact with probability at most P(h) = (640/39)
     (q/h)^2 + (40/3) gamma q / h, P(1) < 0.361. Doubling the budget
-    doubles the prime range L >= 512 but its prime count only by
-    2 ln L / ln 2L >= 1.8 (pi(L) ~ L / ln L), so rounds r0 .. r0 + 2
-    count as h >= 1, 1.8, 3.2. They draw independently, so all three
-    peels are inexact with probability at most P(1) P(1.8) P(3.2) < 0.003.
+    doubles L and so halves the sharing bound, so rounds r0 .. r0 + 2
+    count as h >= 1, 2, 4. They draw independently, so all three peels
+    are inexact with probability at most P(1) P(2) P(4), below
+    P(1) P(1.8) P(3.2) < 0.003.
     """
     check_operand(u, "u")
     check_operand(v, "v")
@@ -131,13 +140,19 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
         return zero_vector(x.length)
     locate_rng, fingerprint_rng = rng.spawn(2)
     max_rounds = max(1, int(x.length - 1).bit_length()) + 2
+    r = 1
     try:
-        for r in range(1, max_rounds + 1):
+        while r <= max_rounds:
             budget = ISOLATION_CONSTANT << r                 # C * 2^r
-            w, _ = hash_and_iterate(x, y, budget, locate_rng)
+            w, trace = hash_and_iterate(x, y, budget, locate_rng)
             if equality_test(x, y, w, OUTER_FAILURE_CONSTANT / (r * r),
                              fingerprint_rng):
                 return w
+            first = trace[0][1]
+            if first.aborted_rep is not None:   # jump to C * 2^r >= heavy
+                cells = -(-first.heavy_counts[-1] // ISOLATION_CONSTANT)
+                r = max(r, (cells - 1).bit_length() - 1)
+            r += 1
     except PrimeSamplingError as err:
         raise MultiplicationFailed(str(err)) from err
     raise MultiplicationFailed(

@@ -1,16 +1,18 @@
 """Recovery of heavy residual coordinates from phase-folded buckets.
 
 One locate call repeats the same experiment t times: draw a random prime
-modulus p, fold the residual (x * y) - w into p buckets, and read every
-isolated heavy bucket as a (index, value) candidate. An index that lands
-alone in its bucket reproduces value * w^index exactly, so the magnitude
-rounds to the coefficient and the phase decodes to the index. Candidates
-that persist across at least 3/4 of the repetitions are returned; buckets
-hit by collisions decode to junk that fails re-encoding, the bucket check
-(an isolated index sits in bucket index mod p) or the majority filter. A
-call also ends, returning zero, at its first repetition with more heavy
-buckets than its budget (the residual is too large to separate) or with
-none at all (the residual is almost surely zero; see locate_with_report).
+modulus p from the dyadic range [L/2, L] of prime_range_for, fold the
+residual (x * y) - w into p buckets, and read every isolated heavy bucket
+as a (index, value) candidate; L is O(B log N) for a budget of B heavy
+buckets, and so is a fold's transform. An index that lands alone in its
+bucket reproduces value * w^index exactly, so the magnitude rounds to
+the coefficient and the phase decodes to the index. Candidates that
+persist across at least 3/4 of the repetitions are returned; buckets hit
+by collisions decode to junk that fails re-encoding, the bucket check (an
+isolated index sits in bucket index mod p) or the majority filter. A call
+also ends, returning zero, at its first repetition with more heavy buckets
+than its budget (the residual is too large to separate) or with none at
+all (the residual is almost surely zero; see locate_with_report).
 """
 
 from __future__ import annotations
@@ -76,10 +78,10 @@ def decode_indices(values: np.ndarray, half_order: int) -> np.ndarray:
     return j
 
 
-def sieve_limit_for(bucket_budget: int, dimension: int) -> int:
-    """Prime range for isolating hashes: C * B * ceil(log2 N)**2."""
+def prime_range_for(bucket_budget: int, dimension: int) -> int:
+    """Prime range L = 2C * B * ceil(log2 N), at least 42 (L/2 >= 21)."""
     lg = max(1, int(dimension - 1).bit_length())
-    return max(2, ISOLATION_CONSTANT * bucket_budget * lg * lg)
+    return max(42, 2 * ISOLATION_CONSTANT * bucket_budget * lg)
 
 
 def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, p: int):
@@ -158,23 +160,26 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     the residual is zero, except with small probability: a residual term
     alone in its bucket leaves |c| >= 1 there, above HEAVY_THRESHOLD, so a
     nonzero residual looks quiet only if every one of its terms shares a
-    bucket, and a one-term residual never does. For a residual of k terms
-    below N = x.length and a prime p drawn uniformly from the pi(L) primes
-    up to the sieve limit L, one fixed term shares its bucket only if p
-    divides one of its k - 1 index differences, each of which has fewer
-    than log2(N) prime factors; so a repetition is quiet with probability
-    below (k - 1) * log2(N) / pi(L), which for k <= bucket_budget / 16 is
-    below ln(L) / (256 * log2(N)), and a call stops early with at most
-    reps times that. Stopping early costs time, never correctness: the
-    call returns zero, no wrong term, and the caller's peel ends with an
-    incomplete w, which its fingerprint rejects like any other.
+    bucket, and a one-term residual never does. Let N = x.length and p be
+    uniform over the primes in [L/2, L], L = prime_range_for(bucket_budget,
+    N). An index difference 0 < d < N has fewer than ln N / ln(L/2) prime
+    factors of at least L/2, none once L/2 >= N, and [L/2, L] holds more
+    than 3(L/2) / (5 ln(L/2)) primes (Rosser & Schoenfeld 1962, L/2 >=
+    20.5). So two fixed indices share a bucket with probability at most
+    10 ln N / (3L), and one term of a k-term residual shares its bucket
+    with probability at most (k - 1) 10 ln N / (3L), below 10 ln 2 / 1536
+    < 0.0046 when k <= bucket_budget / 16 (L >= 32 bucket_budget log2 N).
+    A repetition is quiet with at most that probability, and a call stops
+    early with at most reps times it. Stopping early costs time, never
+    correctness: the call returns zero, no wrong term, and the caller's
+    peel ends with an incomplete w, which its fingerprint rejects.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
     n = x.length
     params = LocateParams.for_budget(bucket_budget, delta)
     report = LocateReport(params=params)
-    limit = sieve_limit_for(bucket_budget, n)
+    limit = prime_range_for(bucket_budget, n)
 
     jx, px = x.indices, folding.phased_coeffs(x)
     jy, py = y.indices, folding.phased_coeffs(y)

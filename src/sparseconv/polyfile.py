@@ -71,5 +71,5 @@ def parse_poly_file(path) -> SparseVector:
 def write_poly_file(v: SparseVector, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"N {v.length}\n")
-        for index, coeff in v.to_pairs():
-            handle.write(f"{index} {coeff}\n")
+        handle.writelines(f"{index} {coeff}\n" for index, coeff
+                          in zip(v.indices.tolist(), v.coeffs.tolist()))

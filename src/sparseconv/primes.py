@@ -1,9 +1,10 @@
-"""Prime sieving, sampling, and primality testing.
+"""Prime sampling, primality testing, and a sieve.
 
-Locate primes are drawn uniformly from one process-wide sieved array,
-re-sieved only when a larger limit arrives; past SAMPLING_SIEVE_MAX, and
-for the fingerprint, primes come from rejection sampling with the
-deterministic Miller-Rabin test, which draws nothing from the stream.
+Every prime is drawn by rejection sampling with the deterministic
+Miller-Rabin test, which draws nothing from the stream: locate primes
+uniformly from one dyadic range [L/2, L] (uniform_prime_below), the
+fingerprint's from its own. No draw sieves; sieve_primes is kept for
+tests and tooling that count primes.
 """
 
 from __future__ import annotations
@@ -14,11 +15,6 @@ import numpy as np
 
 # Hard ceiling on sieve size; above this the sieve would not fit in memory.
 SIEVE_LIMIT_CAP = 1 << 32
-
-# Largest limit served by an actual sieve. Uniform sampling above this
-# switches to rejection with Miller-Rabin, which draws from exactly the
-# same distribution (uniform over the primes <= limit) in O(1) memory.
-SAMPLING_SIEVE_MAX = 1 << 28
 
 # Chance that one call of the rejection sampler runs out of draws and
 # raises; vanishing against any delta the callers track.
@@ -48,31 +44,14 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.concatenate([np.array([2], dtype=np.int64), odds])
 
 
-# Primes <= _sieved_limit, grown monotonically as larger limits arrive.
-_sieved_limit = 0
-_sieved = np.empty(0, dtype=np.int64)
-
-
 def uniform_prime_below(limit: int, rng: np.random.Generator) -> int:
-    """Uniform draw from the primes <= limit.
+    """Uniform draw from the primes in [limit // 2, limit]; limit >= 4.
 
-    Small limits index the process-wide sieved array with one
-    rng.integers(pi(limit)) draw. Past SAMPLING_SIEVE_MAX the sieve would
-    not pay for itself, so the draw becomes rejection sampling over
-    [2, limit] with Miller-Rabin; a uniform integer conditioned on being
-    prime is uniform over the same prime set, so the two branches sample
-    the same distribution.
+    One dyadic range: it holds more than 3x / (5 ln x) primes for
+    x = limit / 2 >= 20.5 (Rosser & Schoenfeld 1962), and every draw costs
+    O(log limit) Miller-Rabin tests in O(1) memory.
     """
-    global _sieved_limit, _sieved
-    if limit < 2:
-        raise ValueError("no primes below 2")
-    if limit > SAMPLING_SIEVE_MAX:
-        return random_prime_in_range(2, limit, rng)
-    if limit > _sieved_limit:
-        _sieved = sieve_primes(limit)
-        _sieved_limit = limit
-    count = int(np.searchsorted(_sieved, limit, side="right"))
-    return int(_sieved[int(rng.integers(count))])
+    return random_prime_in_range(limit // 2, limit, rng)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -56,7 +56,8 @@ class SparseVector:
                 and np.array_equal(self.coeffs, other.coeffs))
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{i}: {c}" for i, c in self.to_pairs()[:6])
+        pairs = zip(self.indices[:6].tolist(), self.coeffs[:6].tolist())
+        head = ", ".join(f"{i}: {c}" for i, c in pairs)
         tail = ", ..." if self.l0 > 6 else ""
         return f"SparseVector(N={self.length}, {{{head}{tail}}})"
 

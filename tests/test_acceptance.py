@@ -23,7 +23,7 @@ from sparseconv.folding import (_unit_root_powers, cyclic_fft_convolve, fold,
                                 phased_coeffs)
 from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
                                   gen_instance)
-from sparseconv.locate import decode_indices, locate, sieve_limit_for
+from sparseconv.locate import decode_indices, locate, prime_range_for
 from sparseconv.primes import PrimeSamplingError, uniform_prime_below
 from sparseconv.seeding import substream
 from sparseconv.vectors import (embed_for_product, make_sparse_vector,
@@ -155,7 +155,7 @@ def test_folded_convolution_identity(capsys):
 
 def test_isolation_statistics(capsys):
     budget = 16 * 128
-    limit = sieve_limit_for(budget, 1 << 16)
+    limit = prime_range_for(budget, 1 << 16)
     rng = np.random.default_rng(55)
     passed = 0
     for _ in range(200):

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import sparseconv
-from sparseconv import driver
+from sparseconv import driver, primes
 from sparseconv.driver import (LOCATE_DELTA, OUTER_FAILURE_CONSTANT,
                                MultiplicationFailed, hash_and_iterate,
                                sparse_multiply)
-from sparseconv.locate import ISOLATION_CONSTANT, LocateParams
+from sparseconv.instances import InstanceSpec, gen_instance
+from sparseconv.locate import ISOLATION_CONSTANT, LocateParams, LocateReport
 from sparseconv.primes import PrimeSamplingError
 from sparseconv.vectors import (EnvelopeError, cyclic_convolve_naive,
                                 from_arrays, make_sparse_vector,
@@ -272,6 +273,74 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
     peels.clear()
     assert sparse_multiply(u, v, np.random.default_rng(12)) == exact
     assert lossy_budget in peels and peels[-1] > lossy_budget
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_budget_jumps_to_the_heavy_count(monkeypatch, seed):
+    # a product of some 50k terms: doubling from 32 walks 12 budgets, the
+    # jump after the first abort lands within a few of the product's size
+    u, v = gen_instance(InstanceSpec(n=1 << 16, terms=256, coeff_bound=100,
+                                     cancel_fraction=0.0, seed=seed))
+    real_peel = driver.hash_and_iterate
+    budgets = []
+
+    def peel(x, y, budget, rng):
+        budgets.append(budget)
+        return real_peel(x, y, budget, rng)
+
+    monkeypatch.setattr(driver, "hash_and_iterate", peel)
+    got = sparse_multiply(u, v, np.random.default_rng(seed))
+    assert got == poly_multiply_naive(u, v)
+    assert len(budgets) <= 4, budgets
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("heavy, want", [
+    ([33], [32, 64]),
+    ([None], [32, 64]),
+    ([16 * 512], [32, 16 * 512]),
+    ([16 * 512 + 1], [32, 16 * 1024]),
+    ([5000, 100], [32, 16 * 512, 16 * 1024]),
+    ([5000, None, 70000], [32, 16 * 512, 16 * 1024, 16 * 8192]),
+])
+def test_budget_after_an_abort(monkeypatch, heavy, want):
+    # each stubbed peel returns an empty w whose first locate call aborted
+    # at the scripted heavy count (None: did not abort); the next budget is
+    # the least C * 2^r at or above it, and never below the doubled one
+    budgets = []
+
+    def peel(x, y, budget, rng):
+        budgets.append(budget)
+        if len(budgets) > len(heavy):
+            raise _Stop
+        h = heavy[len(budgets) - 1]
+        report = LocateReport(LocateParams.for_budget(budget, LOCATE_DELTA),
+                              reps_run=1, aborted_rep=None if h is None else 0,
+                              heavy_counts=[0 if h is None else h])
+        w = zero_vector(x.length)
+        return w, [(w, report)]
+
+    monkeypatch.setattr(driver, "hash_and_iterate", peel)
+    u = make_sparse_vector(1 << 14, [(0, 3), (17, -5), (4000, 9)])
+    with pytest.raises(_Stop):
+        sparse_multiply(u, u, np.random.default_rng(0))
+    assert budgets == want
+
+
+def test_multiply_never_sieves(monkeypatch):
+    # locate draws its primes without a sieve; perfbench's tracer still
+    # counts primes.sieve_primes calls, which must stay at zero
+    def no_sieve(limit):
+        raise AssertionError(f"sieve_primes({limit}) on the hot path")
+
+    monkeypatch.setattr(primes, "sieve_primes", no_sieve)
+    u, v = gen_instance(InstanceSpec(n=1 << 12, terms=64, coeff_bound=100,
+                                     cancel_fraction=0.5, seed=7))
+    got = sparse_multiply(u, v, np.random.default_rng(7))
+    assert got == poly_multiply_naive(u, v)
 
 
 @pytest.mark.parametrize("site", ["locate.uniform_prime_below",

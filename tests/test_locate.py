@@ -7,7 +7,7 @@ import pytest
 from sparseconv import folding
 from sparseconv.folding import _unit_root_powers
 from sparseconv.locate import (LocateParams, decode_indices, locate,
-                               locate_with_report, sieve_limit_for)
+                               locate_with_report, prime_range_for)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
 
@@ -25,9 +25,11 @@ def test_params_from_budget():
 
 
 def test_sieve_limit_formula():
-    # C * B * ceil(log2 N)^2 with C = 16
-    assert sieve_limit_for(128, 1 << 16) == 16 * 128 * 16 * 16
-    assert sieve_limit_for(1, 2) >= 2
+    # 2C * B * ceil(log2 N) with C = 16, never below 42 (L/2 >= 21)
+    assert prime_range_for(128, 1 << 16) == 32 * 128 * 16
+    assert prime_range_for(3, 1000) == 32 * 3 * 10
+    assert prime_range_for(1, 2) == 42
+    assert prime_range_for(1, 3) == 64
 
 
 def decode_roots(js, n):
@@ -187,8 +189,8 @@ def test_locate_primes_within_sieve_range():
     y = embedded(n, [(2, 1)])
     _, report = locate_with_report(x, y, zero_vector(2 * n), 16, 0.1,
                                    np.random.default_rng(12))
-    limit = sieve_limit_for(16, 2 * n)
-    assert all(2 <= p <= limit for p in report.primes)
+    limit = prime_range_for(16, 2 * n)
+    assert all(limit // 2 <= p <= limit for p in report.primes)
     assert len(report.primes) == report.params.reps
 
 
@@ -220,13 +222,13 @@ def test_locate_builds_pair_terms_once_and_only_for_direct_route(monkeypatch):
                                    np.random.default_rng(4))
     assert z == cyclic_convolve_naive(x, y)
     assert report.reps_run > 1 and len(builds) == 1
-    # 64 * 64 pairs outnumber every prime below the sieve limit of budget
+    # 64 * 64 pairs outnumber every prime in the range of budget
     # 1: every repetition folds, so the pair terms are never built
     builds.clear()
     x = embedded(n, [(j, 1) for j in range(64)])
     locate_with_report(x, x, zero_vector(2 * n), 1, 0.1,
                        np.random.default_rng(4))
-    assert sieve_limit_for(1, 2 * n) < 64 * 64
+    assert prime_range_for(1, 2 * n) < 64 * 64
     assert builds == []
 
 

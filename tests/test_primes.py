@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sparseconv.primes import (_REJECTION_FAILURE, SAMPLING_SIEVE_MAX,
-                               PrimeSamplingError, miller_rabin,
+from sparseconv.primes import (_REJECTION_FAILURE, PrimeSamplingError,
+                               miller_rabin,
                                random_prime_in_range, sieve_primes,
                                uniform_prime_below)
 
@@ -44,25 +44,31 @@ def test_prime_counting_at_a_million():
     assert sieve_primes(1_000_000).size == want
 
 
-def test_uniform_prime_below_after_a_larger_limit():
-    # a draw at 10^4 sieves past 100; later draws at 100 still index the
-    # primes <= 100 only
-    uniform_prime_below(10_000, np.random.default_rng(3))
-    small = reference_sieve(100)
-    rng = np.random.default_rng(4)
-    draws = [uniform_prime_below(100, rng) for _ in range(300)]
-    assert set(draws) == set(small)
-    replay = np.random.default_rng(4)
-    assert draws == [small[int(replay.integers(len(small)))]
-                     for _ in range(300)]
+def test_rosser_schoenfeld_dyadic_prime_count():
+    # pi(2x) - pi(x) > 3x / (5 ln x) for every integer x >= 21, the count
+    # behind the isolation bound of locate's [L/2, L] range; checked
+    # against the sieve for every x with 2x <= 10^6
+    primes = sieve_primes(1_000_000)
+    x = np.arange(21, 500_001)
+    count = (np.searchsorted(primes, 2 * x, side="right")
+             - np.searchsorted(primes, x, side="right"))
+    assert np.all(count > 3 * x / (5 * np.log(x)))
 
 
-@pytest.mark.parametrize("limit", [2, 3, 100, 7919, 10_000, 1 << 22])
-def test_uniform_prime_below_indexes_the_sieve(limit):
-    primes = sieve_primes(limit)
-    for seed in range(3):
-        want = primes[np.random.default_rng(seed).integers(primes.size)]
-        assert uniform_prime_below(limit, np.random.default_rng(seed)) == want
+@pytest.mark.parametrize("limit", [4, 5, 42, 100, 7919, 10_000, 1 << 22,
+                                   1 << 40])
+def test_uniform_prime_below_draws_primes_in_dyadic_range(limit):
+    rng = np.random.default_rng(limit)
+    for _ in range(50):
+        p = uniform_prime_below(limit, rng)
+        assert limit // 2 <= p <= limit
+        assert miller_rabin(p)
+
+
+@pytest.mark.parametrize("limit", [-1, 0, 1, 2, 3])
+def test_uniform_prime_below_rejects_limits_below_4(limit):
+    with pytest.raises(ValueError):
+        uniform_prime_below(limit, np.random.default_rng(0))
 
 
 def test_miller_rabin_known_values():
@@ -112,15 +118,16 @@ def test_miller_rabin_raises_outside_its_exact_range(n):
 
 
 def test_uniform_prime_below_is_roughly_uniform():
-    # chi-square over the primes below 100; 25 cells, 5000 draws
+    # chi-square over the 10 primes in [50, 100]; 5000 draws
     rng = np.random.default_rng(123)
     draws = np.array([uniform_prime_below(100, rng) for _ in range(5000)])
+    cells = [p for p in reference_sieve(100) if p >= 50]
     values, counts = np.unique(draws, return_counts=True)
-    assert set(values.tolist()) <= set(reference_sieve(100))
-    expected = 5000 / len(reference_sieve(100))
+    assert values.tolist() == cells
+    expected = 5000 / len(cells)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    # 24 dof, 99.9th percentile is ~51.2; far looser than any real skew
-    assert chi2 < 60
+    # 9 dof, 99.9th percentile is ~27.9
+    assert chi2 < 30
 
 
 def test_random_prime_in_range_bounds_and_primality():
@@ -196,25 +203,3 @@ def test_random_prime_draws_only_candidates():
         assert not miller_rabin(candidate)
         candidate = int(replay.integers(lo, hi + 1))
     assert rng.integers(1 << 62) == replay.integers(1 << 62)
-
-
-def test_uniform_prime_below_pool_branch():
-    rng = np.random.default_rng(5)
-    draws = {uniform_prime_below(50, rng) for _ in range(300)}
-    assert draws == set(reference_sieve(50))
-    with pytest.raises(ValueError):
-        uniform_prime_below(1, rng)
-
-
-def test_uniform_prime_below_rejection_branch():
-    # Above the sieve ceiling the draw switches to Miller-Rabin rejection;
-    # results must still be primes in range and reproducible per seed.
-    limit = SAMPLING_SIEVE_MAX * 4
-    got = [uniform_prime_below(limit, np.random.default_rng(s))
-           for s in range(8)]
-    assert got == [uniform_prime_below(limit, np.random.default_rng(s))
-                   for s in range(8)]
-    for p in got:
-        assert 2 <= p <= limit
-        assert miller_rabin(p)
-    assert any(p > SAMPLING_SIEVE_MAX for p in got)
