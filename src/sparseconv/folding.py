@@ -9,6 +9,8 @@ cyclic convolution factor through cyclic convolution of the folds, which
 is what lets short FFTs observe a length-N product. With wrap-around the
 factored form picks up a sign flip per wrapped pair, so
 heavy_residual_buckets must not be fed unembedded full-support operands.
+At m >= N nothing wraps and every index has a bucket of its own, so
+locate never folds longer than N.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .vectors import SparseVector
-
-# Route bound: FFT-based bucket accumulation only below this length.
-_FFT_ROUTE_MAX_LEN = 1 << 22
-# Pair block size for building the pair terms; bounds the temporaries.
-_PAIR_BLOCK = 1 << 23
 
 
 def _unit_root_powers(indices: np.ndarray, half_order: int) -> np.ndarray:
@@ -111,62 +108,24 @@ def _convolve_padded(fa: np.ndarray, fb: np.ndarray, m: int) -> np.ndarray:
     return conv
 
 
-def _heavy_from_terms(idx: np.ndarray, val: np.ndarray, threshold: float):
-    """Group (bucket, value) terms by bucket, sum, keep the heavy sums."""
-    if idx.size == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.complex128)
-    order = np.argsort(idx)        # introsort: radix would scan the full range
-    si = idx[order]
-    sv = val[order]
-    starts = np.empty(si.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(si[1:], si[:-1], out=starts[1:])
-    start_pos = np.flatnonzero(starts)
-    sums = np.add.reduceat(sv, start_pos)
-    heavy = np.abs(sums) >= threshold
-    return si[start_pos][heavy], sums[heavy]
-
-
 def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
                         jy: np.ndarray, py: np.ndarray):
     """All term pairs of a product: raw index sums and coefficient products.
 
-    Both arrays are modulus-independent, so a locate call can build them
-    once and reduce them mod a fresh prime on every repetition instead of
-    re-enumerating the pairs. Built in blocks to bound peak memory; the
-    result itself is l0(x) * l0(y) entries.
+    No route of the package builds these; only perfbench's tracer looks
+    the name up. It goes together with primes.sieve_primes once perfbench
+    stops patching module attributes (ROADMAP item 5).
     """
-    pairs = jx.size * jy.size
-    jsum = np.empty(pairs, dtype=np.int64)
-    vals = np.empty(pairs, dtype=np.complex128)
-    step = max(1, _PAIR_BLOCK // max(1, jy.size))
-    pos = 0
-    for a in range(0, jx.size, step):
-        b = min(a + step, jx.size)
-        count = (b - a) * jy.size
-        shape = (b - a, jy.size)
-        np.add.outer(jx[a:b], jy, out=jsum[pos:pos + count].reshape(shape))
-        np.multiply.outer(px[a:b], py, out=vals[pos:pos + count].reshape(shape))
-        pos += count
-    return jsum, vals
+    return np.add.outer(jx, jy).ravel(), np.multiply.outer(px, py).ravel()
 
 
 class BucketWorkspace:
-    """What heavy_residual_buckets keeps across the moduli of one operand
-    pair: the pair terms, built when a modulus first takes the direct
-    route, and the fold route's two FFT buffers, grown to the largest
-    length seen. One per locate call, dropped when the call returns."""
+    """The two FFT buffers heavy_residual_buckets keeps across the moduli
+    of one operand pair, grown to the largest length seen. One per locate
+    call, dropped when the call returns."""
 
     def __init__(self):
-        self._pairs = None
         self._spectra = np.empty((2, 0), dtype=np.complex128)
-
-    def pair_terms(self, jx: np.ndarray, px: np.ndarray,
-                   jy: np.ndarray, py: np.ndarray):
-        """combined_pair_terms(jx, px, jy, py), built on the first call."""
-        if self._pairs is None:
-            self._pairs = combined_pair_terms(jx, px, jy, py)
-        return self._pairs
 
     def spectra(self, length: int):
         """Two complex buffers of the given length, contents undefined."""
@@ -183,19 +142,12 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
     """Occupied residual buckets with |value| >= threshold, for one modulus.
 
     Inputs are index arrays and matching phase-weighted coefficient arrays
-    (see phased_coeffs) for x, y, and the recovered part w. Two routes with
-    identical semantics:
+    (see phased_coeffs) for x, y, and the recovered part w. Folds x, y and
+    w separately and convolves the length-m folds of x and y with FFTs:
+    O(terms + m log m), independent of the pair count.
 
-    * fold route: fold x and y separately and convolve the length-m folds
-      with FFTs; O(terms + m log m) independent of the pair count, chosen
-      when the pairs outnumber the buckets and length-m arrays fit;
-    * direct route: reduces the l0(x) * l0(y) pair terms mod m and groups
-      them by bucket, never materializing length-m arrays; chosen when m is
-      huge or pairs are few.
-
-    workspace, a BucketWorkspace, carries the pair terms and the fold
-    route's buffers from one modulus to the next: pass the same one for
-    every modulus tried on one x and y.
+    workspace, a BucketWorkspace, carries the FFT buffers from one modulus
+    to the next: pass the same one for every modulus tried on one x and y.
 
     Returns (bucket_indices, bucket_values) of the heavy buckets only; all
     other buckets are zero up to fold rounding error, far below threshold.
@@ -203,23 +155,16 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
     """
     if workspace is None:
         workspace = BucketWorkspace()
-    if m <= _FFT_ROUTE_MAX_LEN and jx.size * jy.size > m:
-        fa, fb = workspace.spectra(_fast_fft_length(2 * m - 1))
-        _fold_into(fa[:m], jx, px, m)
-        _fold_into(fb[:m], jy, py, m)
-        fa[m:] = 0
-        fb[m:] = 0
-        conv = _convolve_padded(fa, fb, m)
-        # fb is free again: it takes the fold of w, then the magnitudes.
-        if jw.size:
-            _fold_into(fb[:m], jw, pw, m)
-            conv -= fb[:m]
-        magnitude = np.abs(conv, out=fb.view(np.float64)[:m])
-        heavy = np.flatnonzero(magnitude >= threshold)
-        return heavy.astype(np.int64), conv[heavy]
-
-    jsum, pvals = workspace.pair_terms(jx, px, jy, py)
+    fa, fb = workspace.spectra(_fast_fft_length(2 * m - 1))
+    _fold_into(fa[:m], jx, px, m)
+    _fold_into(fb[:m], jy, py, m)
+    fa[m:] = 0
+    fb[m:] = 0
+    conv = _convolve_padded(fa, fb, m)
+    # fb is free again: it takes the fold of w, then the magnitudes.
     if jw.size:
-        return _heavy_from_terms(np.concatenate([jsum % m, jw % m]),
-                                 np.concatenate([pvals, -pw]), threshold)
-    return _heavy_from_terms(jsum % m, pvals, threshold)
+        _fold_into(fb[:m], jw, pw, m)
+        conv -= fb[:m]
+    magnitude = np.abs(conv, out=fb.view(np.float64)[:m])
+    heavy = np.flatnonzero(magnitude >= threshold)
+    return heavy.astype(np.int64), conv[heavy]

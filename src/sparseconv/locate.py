@@ -1,18 +1,23 @@
 """Recovery of heavy residual coordinates from phase-folded buckets.
 
 One locate call repeats the same experiment t times: draw a random prime
-modulus p from the dyadic range [L/2, L] of prime_range_for, fold the
-residual (x * y) - w into p buckets, and read every isolated heavy bucket
-as a (index, value) candidate; L is O(B log N) for a budget of B heavy
-buckets, and so is a fold's transform. An index that lands alone in its
-bucket reproduces value * w^index exactly, so the magnitude rounds to
-the coefficient and the phase decodes to the index. Candidates that
-persist across at least 3/4 of the repetitions are returned; buckets hit
-by collisions decode to junk that fails re-encoding, the bucket check (an
-isolated index sits in bucket index mod p) or the majority filter. A call
-also ends, returning zero, at its first repetition with more heavy buckets
-than its budget (the residual is too large to separate) or with none at
-all (the residual is almost surely zero; see locate_with_report).
+p from the dyadic range [L/2, L] of prime_range_for, fold the residual
+(x * y) - w into m = min(p, N) buckets (a prime p >= N maps [0, N) to
+itself), and read every isolated heavy bucket as a (index, value)
+candidate; L is O(B log N) for a budget of B heavy buckets, and so is a
+fold's transform. An index that lands alone in its bucket reproduces
+value * w^index exactly, so the magnitude rounds to the coefficient and
+the phase decodes to the index. Candidates that persist across at least
+3/4 of the repetitions are returned; buckets hit by collisions decode to
+junk that fails re-encoding, the bucket check (an isolated index sits in
+bucket index mod m) or the majority filter. A call also ends, returning
+zero, at its first repetition with more heavy buckets than its budget
+(the residual is too large to separate) or with none at all (the
+residual is almost surely zero; see locate_with_report).
+
+When l0(x) * l0(y) <= L/2 the pairs are no more than the smallest
+modulus the call could draw, so it reads the residual exactly from them
+instead, at no more cost than one fold, as a single repetition.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import numpy as np
 
 from . import folding
 from .primes import uniform_prime_below
-from .vectors import SparseVector, _canonical, _empty_terms, zero_vector
+from .vectors import (SparseVector, _canonical, _empty_terms,
+                      cyclic_convolve_naive, subtract, zero_vector)
 
 ISOLATION_CONSTANT = 16          # prime range and bucket budget multiplier
 HEAVY_THRESHOLD = 0.5
@@ -84,8 +90,8 @@ def prime_range_for(bucket_budget: int, dimension: int) -> int:
     return max(42, 2 * ISOLATION_CONSTANT * bucket_budget * lg)
 
 
-def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, p: int):
-    """Turn heavy buckets mod p into validated (index, value) candidates.
+def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, m: int):
+    """Turn heavy buckets mod m into validated (index, value) candidates.
 
     A reading survives only if it re-encodes and its index lies in its own
     bucket, so one repetition gives each index at most one reading.
@@ -103,7 +109,7 @@ def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, p: int):
     index = np.where(negative, exponents - n, exponents)
     # Re-encode check: an isolated bucket must reproduce value * w^exponent.
     expected = rounded * folding._unit_root_powers(exponents, n)
-    ok = (np.abs(vals - expected) <= REENCODE_TOLERANCE) & (index % p == ids)
+    ok = (np.abs(vals - expected) <= REENCODE_TOLERANCE) & (index % m == ids)
     if not ok.any():
         return _empty_terms()
     signed = rounded[ok].astype(np.int64)
@@ -149,6 +155,20 @@ def _prune(idx_all: np.ndarray, val_all: np.ndarray, n: int,
     return _canonical(n, si[keep], sv[keep])
 
 
+def _exact_read(x: SparseVector, y: SparseVector, w: SparseVector,
+                bucket_budget: int, report: LocateReport):
+    """The residual (x * y) - w by enumerating its pairs, as one repetition
+    that draws no prime: aborted above the budget, quiet on zero."""
+    residual = subtract(cyclic_convolve_naive(x, y), w)
+    report.reps_run = 1
+    report.heavy_counts.append(residual.l0)
+    if residual.l0 > bucket_budget:
+        report.aborted_rep = 0
+        return zero_vector(x.length), report
+    report.saw_heavy = not residual.is_zero
+    return residual, report
+
+
 def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
                        bucket_budget: int, delta: float,
                        rng: np.random.Generator):
@@ -165,14 +185,18 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     N). An index difference 0 < d < N has fewer than ln N / ln(L/2) prime
     factors of at least L/2, none once L/2 >= N, and [L/2, L] holds more
     than 3(L/2) / (5 ln(L/2)) primes (Rosser & Schoenfeld 1962, L/2 >=
-    20.5). So two fixed indices share a bucket with probability at most
-    10 ln N / (3L), and one term of a k-term residual shares its bucket
+    20.5). Folding at m = min(p, N) separates no fewer indices than p. So
+    two fixed indices share a bucket with probability at most 10 ln N /
+    (3L), and one term of a k-term residual shares its bucket
     with probability at most (k - 1) 10 ln N / (3L), below 10 ln 2 / 1536
     < 0.0046 when k <= bucket_budget / 16 (L >= 32 bucket_budget log2 N).
     A repetition is quiet with at most that probability, and a call stops
     early with at most reps times it. Stopping early costs time, never
     correctness: the call returns zero, no wrong term, and the caller's
     peel ends with an incomplete w, which its fingerprint rejects.
+
+    An exact read (l0(x) * l0(y) <= L/2) reports one repetition, no prime
+    and heavy_counts [l0(residual)], and never errs.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
@@ -180,6 +204,9 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     params = LocateParams.for_budget(bucket_budget, delta)
     report = LocateReport(params=params)
     limit = prime_range_for(bucket_budget, n)
+
+    if x.l0 * y.l0 <= limit // 2:
+        return _exact_read(x, y, w, bucket_budget, report)
 
     jx, px = x.indices, folding.phased_coeffs(x)
     jy, py = y.indices, folding.phased_coeffs(y)
@@ -190,10 +217,11 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     got_v: list[np.ndarray] = []
     for rep in range(params.reps):
         p = uniform_prime_below(limit, rng)
+        m = min(p, n)       # a prime p >= N maps [0, N) to itself
         report.primes.append(p)
         report.reps_run = rep + 1
         ids, vals = folding.heavy_residual_buckets(
-            jx, px, jy, py, jw, pw, p, HEAVY_THRESHOLD, workspace)
+            jx, px, jy, py, jw, pw, m, HEAVY_THRESHOLD, workspace)
         report.heavy_counts.append(int(ids.size))
         if ids.size > bucket_budget:
             # Residual support overflows the budget; this call cannot
@@ -203,7 +231,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         if ids.size == 0:
             return zero_vector(n), report
         report.saw_heavy = True
-        index, value = _decode_heavy(ids, vals, n, p)
+        index, value = _decode_heavy(ids, vals, n, m)
         if index.size:
             got_i.append(index)
             got_v.append(value)

@@ -187,9 +187,10 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
         return zero_vector(n)
     xi, xv = x.indices, x.coeffs
     yi, yv = y.indices, y.coeffs
-    # Dense int64 accumulator when the dimension is small enough; np.add.at
-    # keeps the sums exact where a float bincount would not.
-    if n <= _DENSE_ACC_MAX:
+    # Dense int64 accumulator when the dimension is small enough and no
+    # more than 16 times the pair count (below that, sorting the pairs is
+    # faster); np.add.at keeps the sums exact where a float bincount would not.
+    if n <= _DENSE_ACC_MAX and n <= 16 * xi.size * yi.size:
         acc = np.zeros(n, dtype=np.int64)
         step = max(1, _PAIR_BLOCK // yi.size)
         for a in range(0, xi.size, step):

@@ -354,7 +354,9 @@ def test_sampler_failure_raises_multiplication_failed(monkeypatch, site):
 
     monkeypatch.setattr(importlib.import_module(f"sparseconv.{module}"),
                         name, give_up)
-    u = make_sparse_vector(64, [(0, 3), (17, -5), (40, 9)])
+    # 64 * 64 pairs outnumber half the first budget's prime range (3584),
+    # so locate folds and draws primes instead of reading exactly
+    u = make_sparse_vector(64, [(j, 1 + j % 5) for j in range(64)])
     with pytest.raises(MultiplicationFailed) as info:
         sparse_multiply(u, u, np.random.default_rng(0))
     assert str(info.value) == message
@@ -380,3 +382,27 @@ def test_imports_and_multiplies_without_float128():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[(0, 1), (3, -4), (6, 4)]"
+
+
+def test_memory_bound_at_8192_terms_per_operand():
+    # n = 2^20 with 8192 terms per operand: 67 M term pairs. A product
+    # that built them all would need gigabytes; under a 1.5 GiB address
+    # space limit it raises MemoryError instead of exhausting the machine.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparseconv.__file__)))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+        "import numpy as np\n"
+        "from sparseconv import sparse_multiply\n"
+        "from sparseconv.instances import InstanceSpec, gen_instance\n"
+        "from sparseconv.vectors import poly_multiply_dense\n"
+        "u, v = gen_instance(InstanceSpec(n=1 << 20, terms=8192,\n"
+        "    coeff_bound=100, cancel_fraction=0.0, seed=1))\n"
+        "w = sparse_multiply(u, v, np.random.default_rng(0))\n"
+        "print(w.l0, w == poly_multiply_dense(u, v))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split()[1] == "True"

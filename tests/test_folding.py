@@ -201,7 +201,7 @@ def test_folded_residual_zero_when_fully_recovered():
     x = make_sparse_vector(16, [(0, 1), (3, 2)])
     y = make_sparse_vector(16, [(1, 5)])
     w = cyclic_convolve_naive(x, y)
-    for m in (1, 7):                    # fold route, direct route
+    for m in (1, 7):
         ids, _ = _residual_buckets(x, y, w, m, 1e-9)
         assert ids.size == 0
 
@@ -217,11 +217,11 @@ def _heavy_reference(x, y, w, m, threshold):
 
 
 @pytest.mark.parametrize("m,k", [
-    (8, 15),          # pairs = 225 > 8 buckets: fold route
-    (4096, 6),        # pairs = 36, tiny vs fft cost: direct route
-    (4194319, 6),     # prime above the fold route's 2^22 bound: direct route
+    (8, 15),          # pairs = 225 > 8 buckets
+    (4096, 6),        # pairs = 36, far fewer than buckets
+    (4194319, 6),     # a prime above 2^22, far beyond the dimension 2^14
 ])
-def test_heavy_buckets_both_routes_match_reference(m, k):
+def test_heavy_buckets_match_reference(m, k):
     rng = np.random.default_rng(m * 1000 + k)
     n = 1 << 14
     xi = rng.choice(n // 2, size=k, replace=False)
@@ -243,7 +243,7 @@ def test_heavy_buckets_both_routes_match_reference(m, k):
 
 
 def test_workspace_reuse_matches_fresh_calls():
-    # fold-route moduli that shrink and then grow within one workspace:
+    # moduli that shrink and then grow within one workspace:
     # a longer modulus must leave no stale tail behind for a shorter one
     rng = np.random.default_rng(5)
     n = 1 << 14
@@ -257,7 +257,6 @@ def test_workspace_reuse_matches_fresh_calls():
     args = (*_phases(x), *_phases(y), *_phases(w))
     workspace = BucketWorkspace()
     for m in (1999, 1009, 101, 7, 211, 3001, 2, 1499):
-        assert k * k > m                       # fold route
         for threshold in (0.5, 0.0):
             want_ids, want_vals = heavy_residual_buckets(*args, m, threshold)
             ids, vals = heavy_residual_buckets(*args, m, threshold, workspace)

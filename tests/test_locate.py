@@ -1,5 +1,7 @@
 """Heavy-coordinate recovery: decoding, validation, majority pruning."""
 
+import importlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -183,15 +185,25 @@ def test_locate_zero_times_zero():
     assert z.is_zero
 
 
+def full(n):
+    """All n coefficients of [0, n) set: n * n pairs with itself."""
+    return embedded(n, [(j, 1 + j % 7) for j in range(n)])
+
+
 def test_locate_primes_within_sieve_range():
+    # 4096 pairs against L/2 = 1792: every repetition draws a prime, and
+    # a two-term residual keeps each one heavy, so all of them run
     n = 64
-    x = embedded(n, [(1, 1)])
-    y = embedded(n, [(2, 1)])
-    _, report = locate_with_report(x, y, zero_vector(2 * n), 16, 0.1,
+    x = full(n)
+    exact = cyclic_convolve_naive(x, x)
+    w = make_sparse_vector(2 * n, exact.to_pairs()[2:])
+    z, report = locate_with_report(x, x, w, 16, 0.1,
                                    np.random.default_rng(12))
     limit = prime_range_for(16, 2 * n)
+    assert x.l0 * x.l0 > limit // 2
     assert all(limit // 2 <= p <= limit for p in report.primes)
     assert len(report.primes) == report.params.reps
+    assert z == subtract(exact, w)
 
 
 def test_locate_is_deterministic_given_rng_state():
@@ -204,32 +216,52 @@ def test_locate_is_deterministic_given_rng_state():
     assert a == b
 
 
-def test_locate_builds_pair_terms_once_and_only_for_direct_route(monkeypatch):
-    builds = []
-    real = folding.combined_pair_terms
+def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
+    n = 16                              # N = 32, budget 1: L = 160
+    limit = prime_range_for(1, 2 * n)
+    assert limit // 2 == 80 == 8 * 10 and limit // 2 + 1 == 9 * 9
+    x = embedded(n, [(j, 2 * j - 7) for j in range(8)])   # 8 * 10 pairs
+    y = embedded(n, [(2 * j, 9 - 2 * j) for j in range(8)]
+                 + [(15, 2), (1, -1)])
+    exact = cyclic_convolve_naive(x, y)
+    assert x.l0 * y.l0 == limit // 2
+    drop = exact.to_pairs()[3]
+    w = make_sparse_vector(2 * n, exact.to_pairs()[:3] + exact.to_pairs()[4:]
+                           + [(30, 4)])
 
-    def counting(*args):
-        builds.append(1)
-        return real(*args)
+    def no_draw(*args):
+        raise AssertionError("the exact read draws no prime")
 
-    monkeypatch.setattr(folding, "combined_pair_terms", counting)
-    n = 1 << 10
-    # 2 pairs, fewer than any prime modulus above 2: every repetition
-    # takes the direct route and they share one build
-    x = embedded(n, [(1, 1), (9, 2)])
-    y = embedded(n, [(2, 1)])
-    z, report = locate_with_report(x, y, zero_vector(2 * n), 64, 0.1,
-                                   np.random.default_rng(4))
-    assert z == cyclic_convolve_naive(x, y)
-    assert report.reps_run > 1 and len(builds) == 1
-    # 64 * 64 pairs outnumber every prime in the range of budget
-    # 1: every repetition folds, so the pair terms are never built
-    builds.clear()
-    x = embedded(n, [(j, 1) for j in range(64)])
-    locate_with_report(x, x, zero_vector(2 * n), 1, 0.1,
-                       np.random.default_rng(4))
-    assert prime_range_for(1, 2 * n) < 64 * 64
-    assert builds == []
+    monkeypatch.setattr(importlib.import_module("sparseconv.locate"),
+                        "uniform_prime_below", no_draw)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    # two residual terms: one left out of w, one that w adds wrongly
+    z, report = locate_with_report(x, y, w, 2, 0.1, rng)
+    assert z == subtract(exact, w)
+    assert z.to_pairs() == [drop, (30, -4)]
+    assert rng.bit_generator.state == state
+    assert (report.reps_run, report.primes, report.heavy_counts,
+            report.aborted_rep, report.saw_heavy) == (1, [], [2], None, True)
+    # above the budget: abort with the residual's exact size
+    z, report = locate_with_report(x, y, zero_vector(2 * n), 1, 0.1, rng)
+    assert z.is_zero
+    assert (report.reps_run, report.primes, report.heavy_counts,
+            report.aborted_rep) == (1, [], [exact.l0], 0)
+    # nothing left: quiet
+    z, report = locate_with_report(x, y, exact, 1, 0.1, rng)
+    assert z.is_zero and not report.saw_heavy
+    assert (report.reps_run, report.heavy_counts, report.aborted_rep) == (
+        1, [0], None)
+    # one pair more than L/2 folds, drawing its primes from [L/2, L]
+    monkeypatch.undo()
+    x9 = embedded(n, [(j, j + 1) for j in range(9)])
+    w = make_sparse_vector(2 * n, cyclic_convolve_naive(x9, x9).to_pairs()[1:])
+    z, report = locate_with_report(x9, x9, w, 1, 0.1,
+                                   np.random.default_rng(3))
+    assert z == subtract(cyclic_convolve_naive(x9, x9), w)
+    assert report.primes
+    assert all(limit // 2 <= p <= limit for p in report.primes)
 
 
 @pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
@@ -244,9 +276,25 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
         return np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
-    x = embedded(n, [(5, 3)])
-    y = embedded(n, [(0, 1)])
-    z, report = locate_with_report(x, y, zero_vector(2 * n), 16, 0.1,
+    x = full(n)                         # 4096 pairs > L/2 = 1792: folds
+    z, report = locate_with_report(x, x, zero_vector(2 * n), 16, 0.1,
                                    np.random.default_rng(6))
     assert report.reps_run == report.params.reps
     assert z.to_pairs() == want
+
+
+def test_vote_groups_values_of_at_least_2_to_the_35():
+    # middle coefficients of x * y are -64 * 2^30 or close to it, too wide
+    # for the vote's packed int64 key, so the vote falls back to lexsort
+    n = 64
+    x = embedded(n, [(j, 1 << 15) for j in range(n)])
+    y = embedded(n, [(j, -(1 << 15)) for j in range(n)])
+    exact = cyclic_convolve_naive(x, y)
+    w = make_sparse_vector(2 * n, [(j, c) for j, c in exact.to_pairs()
+                                   if not 50 <= j < 76])
+    z, report = locate_with_report(x, y, w, 32, 0.1,
+                                   np.random.default_rng(7))
+    assert x.l0 * y.l0 > prime_range_for(32, 2 * n) // 2      # folds
+    assert report.reps_run == report.params.reps
+    assert z == subtract(exact, w)
+    assert z.l0 == 26 and int(np.abs(z.coeffs).min()) >= 1 << 35
