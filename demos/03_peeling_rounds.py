@@ -8,8 +8,8 @@ to the heavy-bucket count at which the peel's first locate call
 aborted, when that is larger: that call folds the product itself, so
 the count never exceeds the product's term count. The peel
 itself runs locate rounds with halving budgets, subtracting everything
-recovered so far, until a round sees no heavy bucket at all or aborts
-on more heavy buckets than its budget. Each locate call runs a fixed 5
+recovered so far, until a round sees no heavy bucket at all, aborts on
+more heavy buckets than its budget, or reads the residual exactly. Each locate call runs a fixed 5
 repetitions and keeps what 4 agree on: a term one call misses stays in
 the residual for the next round, and a peel that still ends wrong is
 rejected by the fingerprint, so the vote need not be reliable alone.
@@ -62,11 +62,12 @@ while True:
     cells = -(-heavy // ISOLATION_CONSTANT)   # least C * 2^r >= heavy
     r = max(r + 1, (cells - 1).bit_length())
 
-# Now look inside the successful budget: the per-round trace. Round 0
-# recovers the bulk of the product; the next round sees the residual
-# fall below the heavy threshold everywhere and the loop exits early.
-# Budgets halve per round because the residual shrinks at least that
-# fast; quiet rounds certify convergence.
+# Now look inside the successful budget: the per-round trace. Budgets
+# halve per round because the residual shrinks at least that fast, and
+# a round that sees no heavy bucket ends the peel. Here the prime range
+# L already exceeds N, so round 0 folds once at N, where every index has
+# a bucket of its own: it reads the whole product exactly, and the peel
+# ends after it.
 w, trace = hash_and_iterate(x, y, budget, substream(32, "multiply"))
 print(f"\nper-round trace at budget {budget}:")
 print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "

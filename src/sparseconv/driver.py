@@ -46,7 +46,8 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
 
     Runs ceil(log2 B) locate rounds with halving budgets B, B/2, ...,
     accumulating recovered terms into w so later rounds only see the
-    shrinking residual; stops at a round with no heavy bucket or an abort.
+    shrinking residual; stops at a round with no heavy bucket, an abort
+    or an exact reading (no prime drawn).
     Each call runs at LOCATE_DELTA, so it may miss a term, which stays in
     the residual for a later round, or misread one, which becomes a
     residual term that a later round recovers. With B >= 16 * l0(x * y)
@@ -71,10 +72,11 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
         z, report = locate_with_report(x, y, w, budget, LOCATE_DELTA, rng)
         w = add(w, z)
         trace.append((w, report))
-        if report.aborted_rep is not None or not report.saw_heavy:
-            # No heavy bucket: later rounds are no-ops. An abort leaves a
-            # residual with more heavy buckets than this budget, too many
-            # for the halved ones: leave w to the caller's fingerprint.
+        if (report.aborted_rep is not None or not report.saw_heavy
+                or not report.primes):
+            # No heavy bucket or an exact reading: later rounds are no-ops.
+            # An abort leaves more heavy buckets than the halved budgets
+            # can take: leave w to the caller's fingerprint.
             break
     return w, trace
 

@@ -9,8 +9,8 @@ cyclic convolution factor through cyclic convolution of the folds, which
 is what lets short FFTs observe a length-N product. With wrap-around the
 factored form picks up a sign flip per wrapped pair, so
 heavy_residual_buckets must not be fed unembedded full-support operands.
-At m >= N nothing wraps and every index has a bucket of its own, so
-locate never folds longer than N.
+At m >= N nothing wraps and the transform needs length m, not 2m - 1:
+locate folds at N for any prime p >= N/2, and never longer.
 """
 
 from __future__ import annotations
@@ -94,17 +94,17 @@ def cyclic_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _convolve_padded(fa: np.ndarray, fb: np.ndarray, m: int) -> np.ndarray:
     """Cyclic length-m convolution of fa[:m] and fb[:m], in place.
 
-    fa and fb have the same length, at least 2m - 1, and hold zeros past
-    m. Returns a view of fa[:m]; fb is left holding junk. Every step
-    writes into fa or fb, so a caller that keeps them across moduli
-    page-faults them in once instead of once per modulus.
+    fa and fb have the same length, at least 2m - 1 (m if no index sum of
+    the folds reaches m), and hold zeros past m. Returns a view of fa[:m];
+    fb is left holding junk. Every step writes into fa or fb, so a caller
+    that keeps them across moduli page-faults them in once, not per modulus.
     """
     np.fft.fft(fa, out=fa)
     np.fft.fft(fb, out=fb)
     np.multiply(fa, fb, out=fa)
     np.fft.ifft(fa, out=fa)
-    conv = fa[:m]
-    conv[:m - 1] += fa[m:2 * m - 1]
+    conv, tail = fa[:m], fa[m:2 * m - 1]
+    conv[:tail.size] += tail
     return conv
 
 
@@ -155,7 +155,9 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
     """
     if workspace is None:
         workspace = BucketWorkspace()
-    fa, fb = workspace.spectra(_fast_fft_length(2 * m - 1))
+    # Folds whose index sums stay below m (m >= N, embedded) never wrap.
+    top = int(jx.max(initial=0)) + int(jy.max(initial=0))
+    fa, fb = workspace.spectra(_fast_fft_length(2 * m - 1 if top >= m else m))
     _fold_into(fa[:m], jx, px, m)
     _fold_into(fb[:m], jy, py, m)
     fa[m:] = 0

@@ -2,22 +2,24 @@
 
 One locate call repeats the same experiment t times: draw a random prime
 p from the dyadic range [L/2, L] of prime_range_for, fold the residual
-(x * y) - w into m = min(p, N) buckets (a prime p >= N maps [0, N) to
-itself), and read every isolated heavy bucket as a (index, value)
-candidate; L is O(B log N) for a budget of B heavy buckets, and so is a
-fold's transform. An index that lands alone in its bucket reproduces
-value * w^index exactly, so the magnitude rounds to the coefficient and
-the phase decodes to the index. Candidates that persist across at least
-3/4 of the repetitions are returned; buckets hit by collisions decode to
-junk that fails re-encoding, the bucket check (an isolated index sits in
-bucket index mod m) or the majority filter. A call also ends, returning
-zero, at its first repetition with more heavy buckets than its budget
-(the residual is too large to separate) or with none at all (the
-residual is almost surely zero; see locate_with_report).
+(x * y) - w into p buckets, and read every isolated heavy bucket as a
+(index, value) candidate; L is O(B log N) for a budget of B heavy
+buckets, and so is a fold's transform. An index that lands alone in its
+bucket reproduces value * w^index exactly, so the magnitude rounds to
+the coefficient and the phase decodes to the index. Candidates that
+persist across at least 3/4 of the repetitions are returned; buckets hit
+by collisions decode to junk that fails re-encoding, the bucket check (an
+isolated index sits in bucket index mod p) or the majority filter. A call
+also ends, returning zero, at its first repetition with more heavy buckets
+than its budget (the residual is too large to separate) or with none at
+all (the residual is almost surely zero; see locate_with_report).
 
-When l0(x) * l0(y) <= L/2 the pairs are no more than the smallest
-modulus the call could draw, so it reads the residual exactly from them
-instead, at no more cost than one fold, as a single repetition.
+A fold at m = N gives every index a bucket of its own, and its transform
+(length N) is no longer than a fold's at p >= N/2 (2p - 1). So a call
+folds at N instead once it draws such a p, and reads the residual
+exactly there, in one repetition; once L >= N it draws no prime at all.
+When l0(x) * l0(y) <= L/2 it reads the residual from its pairs instead,
+at no more cost than a fold, also as one repetition without a draw.
 """
 
 from __future__ import annotations
@@ -155,20 +157,6 @@ def _prune(idx_all: np.ndarray, val_all: np.ndarray, n: int,
     return _canonical(n, si[keep], sv[keep])
 
 
-def _exact_read(x: SparseVector, y: SparseVector, w: SparseVector,
-                bucket_budget: int, report: LocateReport):
-    """The residual (x * y) - w by enumerating its pairs, as one repetition
-    that draws no prime: aborted above the budget, quiet on zero."""
-    residual = subtract(cyclic_convolve_naive(x, y), w)
-    report.reps_run = 1
-    report.heavy_counts.append(residual.l0)
-    if residual.l0 > bucket_budget:
-        report.aborted_rep = 0
-        return zero_vector(x.length), report
-    report.saw_heavy = not residual.is_zero
-    return residual, report
-
-
 def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
                        bucket_budget: int, delta: float,
                        rng: np.random.Generator):
@@ -185,18 +173,18 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     N). An index difference 0 < d < N has fewer than ln N / ln(L/2) prime
     factors of at least L/2, none once L/2 >= N, and [L/2, L] holds more
     than 3(L/2) / (5 ln(L/2)) primes (Rosser & Schoenfeld 1962, L/2 >=
-    20.5). Folding at m = min(p, N) separates no fewer indices than p. So
-    two fixed indices share a bucket with probability at most 10 ln N /
-    (3L), and one term of a k-term residual shares its bucket
-    with probability at most (k - 1) 10 ln N / (3L), below 10 ln 2 / 1536
-    < 0.0046 when k <= bucket_budget / 16 (L >= 32 bucket_budget log2 N).
+    20.5). A fold at N in place of p separates every index. So two fixed
+    indices share a bucket with probability at most 10 ln N / (3L), and
+    one term of a k-term residual shares its bucket with probability at
+    most (k - 1) 10 ln N / (3L), below 10 ln 2 / 1536 < 0.0046 when k <=
+    bucket_budget / 16 (L >= 32 bucket_budget log2 N).
     A repetition is quiet with at most that probability, and a call stops
     early with at most reps times it. Stopping early costs time, never
     correctness: the call returns zero, no wrong term, and the caller's
     peel ends with an incomplete w, which its fingerprint rejects.
 
-    An exact read (l0(x) * l0(y) <= L/2) reports one repetition, no prime
-    and heavy_counts [l0(residual)], and never errs.
+    A call that reads exactly from its pairs, or at N with L >= N, reports
+    one repetition and no prime; no exact reading errs.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
@@ -205,8 +193,15 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     report = LocateReport(params=params)
     limit = prime_range_for(bucket_budget, n)
 
-    if x.l0 * y.l0 <= limit // 2:
-        return _exact_read(x, y, w, bucket_budget, report)
+    if x.l0 * y.l0 <= limit // 2:      # read from the pairs, in one repetition
+        residual = subtract(cyclic_convolve_naive(x, y), w)
+        report.reps_run = 1
+        report.heavy_counts.append(residual.l0)
+        if residual.l0 > bucket_budget:
+            report.aborted_rep = 0
+            return zero_vector(n), report
+        report.saw_heavy = not residual.is_zero
+        return residual, report
 
     jx, px = x.indices, folding.phased_coeffs(x)
     jy, py = y.indices, folding.phased_coeffs(y)
@@ -216,9 +211,11 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
     for rep in range(params.reps):
-        p = uniform_prime_below(limit, rng)
-        m = min(p, n)       # a prime p >= N maps [0, N) to itself
-        report.primes.append(p)
+        m = n               # exact, and no longer than a fold at p >= N/2
+        if limit < n:       # else every prime in [L/2, L] is: draw none
+            p = uniform_prime_below(limit, rng)
+            report.primes.append(p)
+            m = p if 2 * p < n else n
         report.reps_run = rep + 1
         ids, vals = folding.heavy_residual_buckets(
             jx, px, jy, py, jw, pw, m, HEAVY_THRESHOLD, workspace)
@@ -232,6 +229,8 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
             return zero_vector(n), report
         report.saw_heavy = True
         index, value = _decode_heavy(ids, vals, n, m)
+        if m == n:          # one index per bucket: the reading is exact
+            return _canonical(n, index, value), report
         if index.size:
             got_i.append(index)
             got_v.append(value)

@@ -187,19 +187,11 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
         return zero_vector(n)
     xi, xv = x.indices, x.coeffs
     yi, yv = y.indices, y.coeffs
-    # Dense int64 accumulator when the dimension is small enough and no
-    # more than 16 times the pair count (below that, sorting the pairs is
-    # faster); np.add.at keeps the sums exact where a float bincount would not.
-    if n <= _DENSE_ACC_MAX and n <= 16 * xi.size * yi.size:
-        acc = np.zeros(n, dtype=np.int64)
-        step = max(1, _PAIR_BLOCK // yi.size)
-        for a in range(0, xi.size, step):
-            b = min(a + step, xi.size)
-            idx = xi[a:b, None] + yi[None, :]
-            idx[idx >= n] -= n
-            np.add.at(acc, idx.ravel(), (xv[a:b, None] * yv[None, :]).ravel())
-        nz = np.flatnonzero(acc)
-        return _canonical(n, nz.astype(np.int64), acc[nz])
+    # Dense int64 accumulator (np.add.at: exact, unlike float bincount) up to
+    # n = 16 * pairs: sorting the pairs takes 1.1-1.2x its time there and
+    # 0.6-0.7x at n = 32 * pairs (n = 2^16 .. 2^22, one Xeon core, numpy 2.4).
+    dense = n <= _DENSE_ACC_MAX and n <= 16 * xi.size * yi.size
+    acc = np.zeros(n if dense else 0, dtype=np.int64)
     blocks = []
     step = max(1, _PAIR_BLOCK // yi.size)
     for a in range(0, xi.size, step):
@@ -207,7 +199,13 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
         idx = (xi[a:b, None] + yi[None, :]).ravel()
         idx[idx >= n] -= n
         val = (xv[a:b, None] * yv[None, :]).ravel()
-        blocks.append(_reduce_terms(idx, val))
+        if dense:
+            np.add.at(acc, idx, val)
+        else:
+            blocks.append(_reduce_terms(idx, val))
+    if dense:
+        nz = np.flatnonzero(acc)
+        return _canonical(n, nz.astype(np.int64), acc[nz])
     idx, val = (np.concatenate(part) for part in zip(*blocks))
     return _canonical(n, *_reduce_terms(idx, val))
 

@@ -18,8 +18,43 @@ from sparseconv.instances import InstanceSpec, gen_instance
 from sparseconv.locate import ISOLATION_CONSTANT, LocateParams, LocateReport
 from sparseconv.primes import PrimeSamplingError
 from sparseconv.vectors import (EnvelopeError, cyclic_convolve_naive,
-                                from_arrays, make_sparse_vector,
+                                embed_for_product, from_arrays,
+                                make_sparse_vector,
                                 poly_multiply_naive, subtract, zero_vector)
+
+
+def _telescoping_slots(seed, n=1 << 18, run=1 << 13, slots=8):
+    """u: an all-ones run of length `run`; v: cancellers c (z^(s+1) - z^s)
+    at random slots s, so u * v keeps at most 2 * slots terms.
+
+    131072 pairs against N = 2^19: at budgets 32 .. 256, L < N/2 and the
+    pairs outnumber L/2, so locate draws primes below N/2, folds at them
+    and votes. Returns (u, v, u * v).
+    """
+    rng = np.random.default_rng(seed)
+    u = from_arrays(n, np.arange(run), np.ones(run, dtype=np.int64))
+    s = rng.choice(n - 1, size=slots, replace=False)
+    c = rng.integers(1, 50, size=slots) * rng.choice([-1, 1], size=slots)
+    v = from_arrays(n, np.concatenate([s + 1, s]), np.concatenate([c, -c]))
+    return u, v, poly_multiply_naive(u, v)
+
+
+def _record_peels(monkeypatch):
+    """Patch the driver to record each peel's (budget, trace) in a list."""
+    real_peel = driver.hash_and_iterate
+    peels = []
+
+    def peel(x, y, budget, rng):
+        w, trace = real_peel(x, y, budget, rng)
+        peels.append((budget, trace))
+        return w, trace
+
+    monkeypatch.setattr(driver, "hash_and_iterate", peel)
+    return peels
+
+
+def _drew_primes(peels):
+    return any(report.primes for _, trace in peels for _, report in trace)
 
 
 def test_params_relations_enforced():
@@ -106,24 +141,33 @@ def test_multiply_mixed_lengths():
     assert got == poly_multiply_naive(u, v)
 
 
-def test_multiply_never_wrong_across_seeds():
+def test_multiply_never_wrong_across_seeds(monkeypatch):
     # Las Vegas contract: explicit failure is tolerable, a wrong vector is
-    # not; demand a high success rate on desk-size instances as well
+    # not; demand a high success rate. Even seeds: random operands with
+    # more pairs than the first budget's L/2 (7680 or 8192), so locate
+    # folds at drawn primes; odd seeds: telescoping slots, whose verified
+    # peel folds at primes below N/2 and votes.
+    peels = _record_peels(monkeypatch)
     ok = 0
     for seed in range(50):
         rng_inst = np.random.default_rng(1000 + seed)
-        n = int(2 ** rng_inst.integers(4, 11))
-        k = int(rng_inst.integers(1, min(n, 24) + 1))
-        u = from_arrays(n, rng_inst.choice(n, size=k, replace=False),
-                        rng_inst.integers(-100, 101, size=k) | 1)
-        v = from_arrays(n, rng_inst.choice(n, size=k, replace=False),
-                        rng_inst.integers(-100, 101, size=k) | 1)
-        want = poly_multiply_naive(u, v)
+        if seed % 2:
+            u, v, want = _telescoping_slots(seed)
+        else:
+            n = int(2 ** rng_inst.integers(14, 16))
+            k = int(rng_inst.integers(96, 161))
+            u = from_arrays(n, rng_inst.choice(n, size=k, replace=False),
+                            rng_inst.integers(-100, 101, size=k) | 1)
+            v = from_arrays(n, rng_inst.choice(n, size=k, replace=False),
+                            rng_inst.integers(-100, 101, size=k) | 1)
+            want = poly_multiply_naive(u, v)
+        peels.clear()
         try:
             got = sparse_multiply(u, v, np.random.default_rng(seed))
         except MultiplicationFailed:
             continue
         assert got == want, f"wrong product for seed {seed}"
+        assert _drew_primes(peels), f"seed {seed} never folded"
         ok += 1
     assert ok >= 45
 
@@ -153,72 +197,75 @@ def test_float_mass_guard():
 
 
 def test_hash_and_iterate_recovers_with_generous_budget():
-    n = 128
-    rng_inst = np.random.default_rng(12)
-    xi = rng_inst.choice(n, size=12, replace=False)
-    yi = rng_inst.choice(n, size=12, replace=False)
-    u = from_arrays(n, xi, rng_inst.integers(1, 50, size=12))
-    v = from_arrays(n, yi, rng_inst.integers(1, 50, size=12))
-    x = make_sparse_vector(2 * n, u.to_pairs())
-    y = make_sparse_vector(2 * n, v.to_pairs())
-    want = cyclic_convolve_naive(x, y)
-    budget = 16 * want.l0
-    w, _ = hash_and_iterate(x, y, budget, np.random.default_rng(7))
+    u, v, want = _telescoping_slots(12)
+    x, y = embed_for_product(u, v)
+    w, trace = hash_and_iterate(x, y, 16 * want.l0,
+                                np.random.default_rng(7))
     assert w == want
+    assert trace[0][1].reps_run == len(trace[0][1].primes) == 5
 
 
 def test_hash_and_iterate_residual_contracts_per_round():
-    n = 256
-    rng_inst = np.random.default_rng(21)
-    xi = rng_inst.choice(n, size=16, replace=False)
-    yi = rng_inst.choice(n, size=16, replace=False)
-    x = from_arrays(2 * n, xi, rng_inst.integers(1, 30, size=16))
-    y = from_arrays(2 * n, yi, rng_inst.integers(1, 30, size=16))
-    exact = cyclic_convolve_naive(x, y)
+    u, v, exact = _telescoping_slots(21, slots=16)
+    x, y = embed_for_product(u, v)
     _, trace = hash_and_iterate(x, y, 16 * exact.l0,
                                 np.random.default_rng(8))
     residuals = [subtract(exact, w).l0 for w, _ in trace]
     assert residuals[-1] == 0
     assert all(a >= b for a, b in zip(residuals, residuals[1:]))
+    assert all(report.primes for _, report in trace)
 
 
 def test_hash_and_iterate_converged_exit():
     # once the residual is empty no later round may see a heavy bucket,
-    # so the trace stops early instead of burning the remaining rounds
-    x = make_sparse_vector(32, [(1, 2)])
-    y = make_sparse_vector(32, [(3, 4)])
-    w, trace = hash_and_iterate(x, y, 256, np.random.default_rng(9))
+    # so the trace stops early instead of burning the remaining rounds.
+    # u = 1 + ... + z^16383 against z - 1: 32768 pairs outnumber L/2 =
+    # 7680 at budget 32, so the peel folds until a quiet call
+    n = 1 << 14
+    x = make_sparse_vector(2 * n, [(j, 1) for j in range(n)])
+    y = make_sparse_vector(2 * n, [(0, -1), (1, 1)])
+    w, trace = hash_and_iterate(x, y, 32, np.random.default_rng(9))
     assert w == cyclic_convolve_naive(x, y)
-    assert len(trace) < max(1, int(np.ceil(np.log2(256))))
+    assert 1 < len(trace) < 5 and trace[0][1].primes
     last_report = trace[-1][1]
     assert not last_report.saw_heavy and last_report.aborted_rep is None
     # the closing quiet call stops at its first repetition
     assert last_report.reps_run == 1
+    # an exact reading from the pairs draws no prime and ends the peel
+    x = make_sparse_vector(32, [(1, 2)])
+    y = make_sparse_vector(32, [(3, 4)])
+    w, trace = hash_and_iterate(x, y, 256, np.random.default_rng(9))
+    assert w == cyclic_convolve_naive(x, y)
+    assert len(trace) == 1 and not trace[0][1].primes
+
+
+def _budget_overflow_operands():
+    """x, y over N = 2^16 with 165 * 156 pairs, more than L/2 = 16384 at
+    budget 64 (L <= N/2), and some 25 k product terms: (x, y, x * y)."""
+    n = 1 << 15
+    x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, n, 199)])
+    y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, n, 211)])
+    return x, y, cyclic_convolve_naive(x, y)
 
 
 def test_hash_and_iterate_budget_too_small_yields_rejectable_w():
     # with budget far below the product sparsity the locate cutoffs fire
     # and the accumulated w stays incomplete; the driver's verification
     # must then reject it (here: compare directly)
-    n = 512
-    x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 29)])
-    y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 31)])
-    exact = cyclic_convolve_naive(x, y)
-    w, _ = hash_and_iterate(x, y, 2, np.random.default_rng(10))
+    x, y, exact = _budget_overflow_operands()
+    w, trace = hash_and_iterate(x, y, 2, np.random.default_rng(10))
     assert w != exact
     assert w.l0 < exact.l0
+    assert trace[0][1].primes
 
 
 def test_hash_and_iterate_stops_at_first_aborted_call():
     # an aborted locate call returns zero and leaves more heavy buckets
     # than the budget; the halved budgets after it are not tried
-    n = 512
-    x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 29)])
-    y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, 500, 31)])
-    exact = cyclic_convolve_naive(x, y)
+    x, y, exact = _budget_overflow_operands()
     w, trace = hash_and_iterate(x, y, 64, np.random.default_rng(10))
     assert len(trace) == 1
-    assert trace[0][1].aborted_rep is not None
+    assert trace[0][1].aborted_rep is not None and trace[0][1].primes
     assert w != exact
 
 
@@ -242,14 +289,9 @@ def test_hash_and_iterate_votes_over_five_repetitions(budget):
 def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
     # every locate call of the peel that would first verify drops one
     # recovered term; that peel ends inexact, the fingerprint rejects it,
-    # and a later peel still returns the exact product
-    n = 256
-    rng_inst = np.random.default_rng(23)
-    u = from_arrays(n, rng_inst.choice(n, size=12, replace=False),
-                    rng_inst.integers(1, 50, size=12))
-    v = from_arrays(n, rng_inst.choice(n, size=12, replace=False),
-                    rng_inst.integers(1, 50, size=12))
-    exact = poly_multiply_naive(u, v)
+    # and a later peel still returns the exact product. Both verifying
+    # peels fold at drawn primes and vote.
+    u, v, exact = _telescoping_slots(23)
     real_peel, real_locate = driver.hash_and_iterate, driver.locate_with_report
     peels = []
     lossy_budget = None
@@ -266,13 +308,20 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
             z = from_arrays(z.length, z.indices[1:], z.coeffs[1:])
         return z, report
 
+    def drawing_locate(x, y, w, budget, delta, rng):
+        z, report = lossy_locate(x, y, w, budget, delta, rng)
+        drew.append(bool(report.primes))
+        return z, report
+
+    drew = []
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
-    monkeypatch.setattr(driver, "locate_with_report", lossy_locate)
+    monkeypatch.setattr(driver, "locate_with_report", drawing_locate)
     assert sparse_multiply(u, v, np.random.default_rng(12)) == exact
     lossy_budget = peels[-1]
     peels.clear()
     assert sparse_multiply(u, v, np.random.default_rng(12)) == exact
     assert lossy_budget in peels and peels[-1] > lossy_budget
+    assert all(drew)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -337,10 +386,19 @@ def test_multiply_never_sieves(monkeypatch):
         raise AssertionError(f"sieve_primes({limit}) on the hot path")
 
     monkeypatch.setattr(primes, "sieve_primes", no_sieve)
-    u, v = gen_instance(InstanceSpec(n=1 << 12, terms=64, coeff_bound=100,
+    peels = _record_peels(monkeypatch)
+    # 128 * 65 pairs outnumber L/2 = 7680 at the first budget: locate
+    # draws primes
+    u, v = gen_instance(InstanceSpec(n=1 << 14, terms=128, coeff_bound=100,
                                      cancel_fraction=0.5, seed=7))
     got = sparse_multiply(u, v, np.random.default_rng(7))
     assert got == poly_multiply_naive(u, v)
+    assert _drew_primes(peels)
+    # so does the verified peel on telescoping slots
+    u, v, want = _telescoping_slots(7)
+    peels.clear()
+    assert sparse_multiply(u, v, np.random.default_rng(7)) == want
+    assert all(report.primes for _, report in peels[-1][1])
 
 
 @pytest.mark.parametrize("site", ["locate.uniform_prime_below",
@@ -354,9 +412,9 @@ def test_sampler_failure_raises_multiplication_failed(monkeypatch, site):
 
     monkeypatch.setattr(importlib.import_module(f"sparseconv.{module}"),
                         name, give_up)
-    # 64 * 64 pairs outnumber half the first budget's prime range (3584),
-    # so locate folds and draws primes instead of reading exactly
-    u = make_sparse_vector(64, [(j, 1 + j % 5) for j in range(64)])
+    # 128 * 128 pairs outnumber half the first budget's prime range L =
+    # 15360 < N = 32768, so locate draws primes instead of reading exactly
+    u = make_sparse_vector(1 << 14, [(128 * j, 1 + j % 5) for j in range(128)])
     with pytest.raises(MultiplicationFailed) as info:
         sparse_multiply(u, u, np.random.default_rng(0))
     assert str(info.value) == message

@@ -220,6 +220,7 @@ def _heavy_reference(x, y, w, m, threshold):
     (8, 15),          # pairs = 225 > 8 buckets
     (4096, 6),        # pairs = 36, far fewer than buckets
     (4194319, 6),     # a prime above 2^22, far beyond the dimension 2^14
+    (1 << 14, 6),     # m = N, as locate folds for a prime p >= N
 ])
 def test_heavy_buckets_match_reference(m, k):
     rng = np.random.default_rng(m * 1000 + k)
@@ -240,11 +241,13 @@ def test_heavy_buckets_match_reference(m, k):
         order = np.argsort(ids)
         assert ids[order].tolist() == want_ids.tolist()
         assert np.allclose(vals[order], want_vals, atol=1e-6)
+    # from m >= N on no index sum reaches m: no padding to 2m - 1
+    assert (workspace._spectra.shape[1] < 2 * m - 1) == (m >= n)
 
 
 def test_workspace_reuse_matches_fresh_calls():
-    # moduli that shrink and then grow within one workspace:
-    # a longer modulus must leave no stale tail behind for a shorter one
+    # moduli that shrink and then grow within one workspace, one of them
+    # (m = N) unpadded: a longer modulus must leave no stale tail behind
     rng = np.random.default_rng(5)
     n = 1 << 14
     k = 60
@@ -256,7 +259,7 @@ def test_workspace_reuse_matches_fresh_calls():
     w = make_sparse_vector(n, exact.to_pairs()[::3])
     args = (*_phases(x), *_phases(y), *_phases(w))
     workspace = BucketWorkspace()
-    for m in (1999, 1009, 101, 7, 211, 3001, 2, 1499):
+    for m in (1999, 1009, 1 << 14, 101, 7, 211, 3001, 2, 1499):
         for threshold in (0.5, 0.0):
             want_ids, want_vals = heavy_residual_buckets(*args, m, threshold)
             ids, vals = heavy_residual_buckets(*args, m, threshold, workspace)

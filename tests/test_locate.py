@@ -185,22 +185,25 @@ def test_locate_zero_times_zero():
     assert z.is_zero
 
 
-def full(n):
-    """All n coefficients of [0, n) set: n * n pairs with itself."""
-    return embedded(n, [(j, 1 + j % 7) for j in range(n)])
+def spread(count, n=1 << 13):
+    """count terms evenly spaced over [0, n), embedded at N = 2n = 2^14.
+
+    64 of them make 4096 pairs with themselves, more than L/2 = 3584 at
+    budget 16, while L = 7168 < N/2: every repetition draws a prime below
+    N/2 and folds at it, so a call runs its vote.
+    """
+    return embedded(n, [(j * (n // count), 1 + j % 7) for j in range(count)])
 
 
 def test_locate_primes_within_sieve_range():
-    # 4096 pairs against L/2 = 1792: every repetition draws a prime, and
-    # a two-term residual keeps each one heavy, so all of them run
-    n = 64
-    x = full(n)
+    # a two-term residual keeps every repetition heavy, so all of them run
+    x = spread(64)
     exact = cyclic_convolve_naive(x, x)
-    w = make_sparse_vector(2 * n, exact.to_pairs()[2:])
+    w = make_sparse_vector(x.length, exact.to_pairs()[2:])
     z, report = locate_with_report(x, x, w, 16, 0.1,
                                    np.random.default_rng(12))
-    limit = prime_range_for(16, 2 * n)
-    assert x.l0 * x.l0 > limit // 2
+    limit = prime_range_for(16, x.length)
+    assert limit // 2 < x.l0 * x.l0 and 2 * limit < x.length
     assert all(limit // 2 <= p <= limit for p in report.primes)
     assert len(report.primes) == report.params.reps
     assert z == subtract(exact, w)
@@ -217,17 +220,16 @@ def test_locate_is_deterministic_given_rng_state():
 
 
 def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
-    n = 16                              # N = 32, budget 1: L = 160
+    n = 512                             # N = 1024, budget 1: L = 320
     limit = prime_range_for(1, 2 * n)
-    assert limit // 2 == 80 == 8 * 10 and limit // 2 + 1 == 9 * 9
-    x = embedded(n, [(j, 2 * j - 7) for j in range(8)])   # 8 * 10 pairs
-    y = embedded(n, [(2 * j, 9 - 2 * j) for j in range(8)]
-                 + [(15, 2), (1, -1)])
+    assert limit // 2 == 160 == 10 * 16 and limit // 2 + 1 == 7 * 23
+    x = embedded(n, [(j, 2 * j - 7) for j in range(10)])  # 10 * 16 pairs
+    y = embedded(n, [(3 * j, 9 - 2 * j) for j in range(16)])
     exact = cyclic_convolve_naive(x, y)
     assert x.l0 * y.l0 == limit // 2
     drop = exact.to_pairs()[3]
     w = make_sparse_vector(2 * n, exact.to_pairs()[:3] + exact.to_pairs()[4:]
-                           + [(30, 4)])
+                           + [(1000, 4)])
 
     def no_draw(*args):
         raise AssertionError("the exact read draws no prime")
@@ -236,10 +238,13 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
                         "uniform_prime_below", no_draw)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    # two residual terms: one left out of w, one that w adds wrongly
+    # two residual terms: one left out of w, one that w adds wrongly; at
+    # budget 1 the read fires at exactly L/2 pairs and aborts
+    z, report = locate_with_report(x, y, w, 1, 0.1, rng)
+    assert report.aborted_rep == 0 and report.heavy_counts == [2]
     z, report = locate_with_report(x, y, w, 2, 0.1, rng)
     assert z == subtract(exact, w)
-    assert z.to_pairs() == [drop, (30, -4)]
+    assert z.to_pairs() == [drop, (1000, -4)]
     assert rng.bit_generator.state == state
     assert (report.reps_run, report.primes, report.heavy_counts,
             report.aborted_rep, report.saw_heavy) == (1, [], [2], None, True)
@@ -253,15 +258,60 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
     assert z.is_zero and not report.saw_heavy
     assert (report.reps_run, report.heavy_counts, report.aborted_rep) == (
         1, [0], None)
-    # one pair more than L/2 folds, drawing its primes from [L/2, L]
+    # one pair more than L/2 folds, drawing its primes from [L/2, L] < N/2
     monkeypatch.undo()
-    x9 = embedded(n, [(j, j + 1) for j in range(9)])
-    w = make_sparse_vector(2 * n, cyclic_convolve_naive(x9, x9).to_pairs()[1:])
-    z, report = locate_with_report(x9, x9, w, 1, 0.1,
+    x7 = embedded(n, [(j, j + 1) for j in range(7)])
+    y23 = embedded(n, [(j, j + 2) for j in range(23)])
+    assert x7.l0 * y23.l0 == limit // 2 + 1
+    exact = cyclic_convolve_naive(x7, y23)
+    w = make_sparse_vector(2 * n, exact.to_pairs()[1:])
+    z, report = locate_with_report(x7, y23, w, 1, 0.1,
                                    np.random.default_rng(3))
-    assert z == subtract(cyclic_convolve_naive(x9, x9), w)
-    assert report.primes
-    assert all(limit // 2 <= p <= limit for p in report.primes)
+    assert z == subtract(exact, w)
+    assert len(report.primes) == report.reps_run == report.params.reps
+    assert all(limit // 2 <= p <= limit < n for p in report.primes)
+
+
+def test_locate_folds_once_at_n_when_every_prime_exceeds_half_of_it(
+        monkeypatch):
+    # N = 128 and budget 16 give L = 3584 >= N: a fold at N is no longer
+    # than one at any prime of [L/2, L], and it reads the residual exactly
+    n = 64
+    x = embedded(n, [(j, 1 + j % 7) for j in range(n)])  # 4096 pairs > L/2
+    exact = cyclic_convolve_naive(x, x)
+    w = make_sparse_vector(2 * n, exact.to_pairs()[5:] + [(127, 3)])
+    moduli = []
+    real = folding.heavy_residual_buckets
+
+    def recording(*args):
+        moduli.append(args[6])
+        return real(*args)
+
+    monkeypatch.setattr(folding, "heavy_residual_buckets", recording)
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    z, report = locate_with_report(x, x, w, 16, 0.1, rng)
+    assert x.l0 * x.l0 > prime_range_for(16, 2 * n) // 2 >= n
+    assert z == subtract(exact, w) and z.l0 == 6
+    assert moduli == [2 * n] and rng.bit_generator.state == state
+    assert (report.reps_run, report.primes, report.heavy_counts) == (
+        1, [], [6])
+    # N = 512, budget 1: primes from [144, 288], and the call folds at N
+    # in place of any of them at or above N/2 = 256, ending there exactly
+    n = 256
+    x = embedded(n, [(3 * j, 1 + j % 7) for j in range(64)])
+    exact = cyclic_convolve_naive(x, x)
+    w = make_sparse_vector(2 * n, exact.to_pairs()[1:])
+    ended_at_n = 0
+    for seed in range(20):
+        moduli.clear()
+        z, report = locate_with_report(x, x, w, 1, 0.5,
+                                       np.random.default_rng(seed))
+        assert moduli == [p if 2 * p < 2 * n else 2 * n
+                          for p in report.primes]
+        assert z == subtract(exact, w)
+        ended_at_n += moduli[-1] == 2 * n
+    assert 0 < ended_at_n < 20
 
 
 @pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
@@ -269,32 +319,31 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
     # Every repetition reports one heavy bucket that decodes cleanly to
     # 3 x^5. In bucket 5 mod p it is a candidate; in the next bucket it
     # cannot be an isolated term, so it is junk and yields nothing.
-    n = 64
-    reading = 3 * _unit_root_powers(np.array([5]), 2 * n)
+    x = spread(64)
+    reading = 3 * _unit_root_powers(np.array([5]), x.length)
 
     def one_bucket(jx, px, jy, py, jw, pw, m, threshold, workspace):
         return np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
-    x = full(n)                         # 4096 pairs > L/2 = 1792: folds
-    z, report = locate_with_report(x, x, zero_vector(2 * n), 16, 0.1,
+    z, report = locate_with_report(x, x, zero_vector(x.length), 16, 0.1,
                                    np.random.default_rng(6))
-    assert report.reps_run == report.params.reps
+    assert len(report.primes) == report.reps_run == report.params.reps
     assert z.to_pairs() == want
 
 
 def test_vote_groups_values_of_at_least_2_to_the_35():
-    # middle coefficients of x * y are -64 * 2^30 or close to it, too wide
-    # for the vote's packed int64 key, so the vote falls back to lexsort
-    n = 64
-    x = embedded(n, [(j, 1 << 15) for j in range(n)])
-    y = embedded(n, [(j, -(1 << 15)) for j in range(n)])
+    # coefficients 57 * 2^30 .. 64 * 2^30 of x * y are too wide for the
+    # vote's packed int64 key, so the vote falls back to lexsort
+    n = 1 << 13                         # N = 2^14, budget 16: L = 7168
+    x = embedded(n, [(j, 1 << 15) for j in range(64)])
+    y = embedded(n, [(j, -(1 << 15)) for j in range(64)])
     exact = cyclic_convolve_naive(x, y)
     w = make_sparse_vector(2 * n, [(j, c) for j, c in exact.to_pairs()
-                                   if not 50 <= j < 76])
-    z, report = locate_with_report(x, y, w, 32, 0.1,
+                                   if not 56 <= j < 64])
+    z, report = locate_with_report(x, y, w, 16, 0.1,
                                    np.random.default_rng(7))
-    assert x.l0 * y.l0 > prime_range_for(32, 2 * n) // 2      # folds
-    assert report.reps_run == report.params.reps
+    assert x.l0 * y.l0 > prime_range_for(16, 2 * n) // 2      # folds
+    assert len(report.primes) == report.reps_run == report.params.reps
     assert z == subtract(exact, w)
-    assert z.l0 == 26 and int(np.abs(z.coeffs).min()) >= 1 << 35
+    assert z.l0 == 8 and int(np.abs(z.coeffs).min()) >= 1 << 35
