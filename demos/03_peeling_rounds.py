@@ -6,13 +6,15 @@ bucket budget, runs the peeling recovery at that budget, fingerprints
 the accumulated vector, and on rejection doubles the budget, or jumps
 to the heavy-bucket count at which the peel's first locate call
 aborted, when that is larger: that call folds the product itself, so
-the count never exceeds the product's term count. The peel
-itself runs locate rounds with halving budgets, subtracting everything
-recovered so far, until a round sees no heavy bucket at all, aborts on
-more heavy buckets than its budget, or reads the residual exactly. Each locate call runs a fixed 5
-repetitions and keeps what 4 agree on: a term one call misses stays in
-the residual for the next round, and a peel that still ends wrong is
-rejected by the fingerprint, so the vote need not be reliable alone.
+the count never exceeds the product's term count. The peel itself runs
+locate rounds with halving budgets, subtracting everything recovered so
+far, until a round sees no heavy bucket at all, aborts on more heavy
+buckets than its budget, or reads the residual exactly (an exact
+reading is kept whatever its size). Otherwise a locate call folds at up
+to 5 random primes and keeps what 4 of them agree on: a term one call
+misses stays in the residual for the next round, and a peel that still
+ends wrong is rejected by the fingerprint, so the vote need not be
+reliable alone.
 
 This script replays that logic by hand on one instance, using the
 per-round trace that hash_and_iterate returns to show what each budget
@@ -43,8 +45,10 @@ verify_rng = substream(31, "verify")
 # Grow budgets the way the driver does, printing each verdict. A budget
 # below the number of occupied buckets makes the first locate call
 # abort, so the peel comes back empty and the fingerprint rejects it;
-# the heavy count that call saw sets the next budget. Once the budget
-# clears that bar, recovery is total and the fingerprint accepts.
+# the heavy count that call saw sets the next budget. Here that budget's
+# prime range already holds the operands' 36864 term pairs, so its first
+# locate call reads the whole product exactly, and the fingerprint
+# accepts.
 print(f"\n{'budget':>7}  {'1st heavy':>9}  {'recovered':>9}  "
       f"{'residual':>8}  fingerprint")
 r = 1
@@ -64,10 +68,9 @@ while True:
 
 # Now look inside the successful budget: the per-round trace. Budgets
 # halve per round because the residual shrinks at least that fast, and
-# a round that sees no heavy bucket ends the peel. Here the prime range
-# L already exceeds N, so round 0 folds once at N, where every index has
-# a bucket of its own: it reads the whole product exactly, and the peel
-# ends after it.
+# a round that sees no heavy bucket ends the peel. Here the term pairs
+# fit within L/2, so round 0 reads the whole product exactly from them,
+# draws no prime, and the peel ends after it.
 w, trace = hash_and_iterate(x, y, budget, substream(32, "multiply"))
 print(f"\nper-round trace at budget {budget}:")
 print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "

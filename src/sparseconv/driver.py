@@ -47,7 +47,9 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     Runs ceil(log2 B) locate rounds with halving budgets B, B/2, ...,
     accumulating recovered terms into w so later rounds only see the
     shrinking residual; stops at a round with no heavy bucket, an abort
-    or an exact reading (no prime drawn).
+    or an exact reading (no prime drawn), which only a peel's first call
+    can make: both its conditions (see locate_with_report) weaken as the
+    budget halves.
     Each call runs at LOCATE_DELTA, so it may miss a term, which stays in
     the residual for a later round, or misread one, which becomes a
     residual term that a later round recovers. With B >= 16 * l0(x * y)

@@ -10,7 +10,8 @@ is what lets short FFTs observe a length-N product. With wrap-around the
 factored form picks up a sign flip per wrapped pair, so
 heavy_residual_buckets must not be fed unembedded full-support operands.
 At m >= N nothing wraps and the transform needs length m, not 2m - 1:
-locate folds at N for any prime p >= N/2, and never longer.
+locate folds either at one drawn prime p < N/2 or, for an exact reading,
+once at N.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ def _convolve_padded(fa: np.ndarray, fb: np.ndarray, m: int) -> np.ndarray:
 
     fa and fb have the same length, at least 2m - 1 (m if no index sum of
     the folds reaches m), and hold zeros past m. Returns a view of fa[:m];
-    fb is left holding junk. Every step writes into fa or fb, so a caller
-    that keeps them across moduli page-faults them in once, not per modulus.
+    fb is left holding junk. Every step writes into fa or fb.
     """
     np.fft.fft(fa, out=fa)
     np.fft.fft(fb, out=fb)
@@ -119,26 +119,10 @@ def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
     return np.add.outer(jx, jy).ravel(), np.multiply.outer(px, py).ravel()
 
 
-class BucketWorkspace:
-    """The two FFT buffers heavy_residual_buckets keeps across the moduli
-    of one operand pair, grown to the largest length seen. One per locate
-    call, dropped when the call returns."""
-
-    def __init__(self):
-        self._spectra = np.empty((2, 0), dtype=np.complex128)
-
-    def spectra(self, length: int):
-        """Two complex buffers of the given length, contents undefined."""
-        if self._spectra.shape[1] < length:
-            del self._spectra           # release the shorter pair first
-            self._spectra = np.empty((2, length), dtype=np.complex128)
-        return self._spectra[0, :length], self._spectra[1, :length]
-
-
 def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
                            jy: np.ndarray, py: np.ndarray,
                            jw: np.ndarray, pw: np.ndarray,
-                           m: int, threshold: float, workspace=None):
+                           m: int, threshold: float):
     """Occupied residual buckets with |value| >= threshold, for one modulus.
 
     Inputs are index arrays and matching phase-weighted coefficient arrays
@@ -146,18 +130,13 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
     w separately and convolves the length-m folds of x and y with FFTs:
     O(terms + m log m), independent of the pair count.
 
-    workspace, a BucketWorkspace, carries the FFT buffers from one modulus
-    to the next: pass the same one for every modulus tried on one x and y.
-
     Returns (bucket_indices, bucket_values) of the heavy buckets only; all
     other buckets are zero up to fold rounding error, far below threshold.
-    Neither array shares memory with the workspace.
     """
-    if workspace is None:
-        workspace = BucketWorkspace()
     # Folds whose index sums stay below m (m >= N, embedded) never wrap.
     top = int(jx.max(initial=0)) + int(jy.max(initial=0))
-    fa, fb = workspace.spectra(_fast_fft_length(2 * m - 1 if top >= m else m))
+    fa, fb = np.empty((2, _fast_fft_length(2 * m - 1 if top >= m else m)),
+                      dtype=np.complex128)
     _fold_into(fa[:m], jx, px, m)
     _fold_into(fb[:m], jy, py, m)
     fa[m:] = 0

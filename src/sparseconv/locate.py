@@ -14,12 +14,12 @@ also ends, returning zero, at its first repetition with more heavy buckets
 than its budget (the residual is too large to separate) or with none at
 all (the residual is almost surely zero; see locate_with_report).
 
-A fold at m = N gives every index a bucket of its own, and its transform
-(length N) is no longer than a fold's at p >= N/2 (2p - 1). So a call
-folds at N instead once it draws such a p, and reads the residual
-exactly there, in one repetition; once L >= N it draws no prime at all.
-When l0(x) * l0(y) <= L/2 it reads the residual from its pairs instead,
-at no more cost than a fold, also as one repetition without a draw.
+A call reads the residual exactly instead, in one repetition and with no
+prime drawn, when l0(x) * l0(y) <= L/2, from its term pairs, or when
+2L >= N, from one fold at m = N: there every index has a bucket of its own,
+and the transform (length N) is no longer than a fold's at a prime near L.
+So every prime a call draws is below N/2, and an exact reading is returned
+whatever its size.
 """
 
 from __future__ import annotations
@@ -90,6 +90,12 @@ def prime_range_for(bucket_budget: int, dimension: int) -> int:
     """Prime range L = 2C * B * ceil(log2 N), at least 42 (L/2 >= 21)."""
     lg = max(1, int(dimension - 1).bit_length())
     return max(42, 2 * ISOLATION_CONSTANT * bucket_budget * lg)
+
+
+def _phased_terms(*vectors: SparseVector) -> tuple:
+    """(indices, phased_coeffs) of each vector in turn, in one flat tuple."""
+    return tuple(a for v in vectors for a in (v.indices,
+                                              folding.phased_coeffs(v)))
 
 
 def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, m: int):
@@ -171,20 +177,21 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     bucket, and a one-term residual never does. Let N = x.length and p be
     uniform over the primes in [L/2, L], L = prime_range_for(bucket_budget,
     N). An index difference 0 < d < N has fewer than ln N / ln(L/2) prime
-    factors of at least L/2, none once L/2 >= N, and [L/2, L] holds more
-    than 3(L/2) / (5 ln(L/2)) primes (Rosser & Schoenfeld 1962, L/2 >=
-    20.5). A fold at N in place of p separates every index. So two fixed
-    indices share a bucket with probability at most 10 ln N / (3L), and
-    one term of a k-term residual shares its bucket with probability at
-    most (k - 1) 10 ln N / (3L), below 10 ln 2 / 1536 < 0.0046 when k <=
-    bucket_budget / 16 (L >= 32 bucket_budget log2 N).
+    factors of at least L/2, and [L/2, L] holds more than 3(L/2) /
+    (5 ln(L/2)) primes (Rosser & Schoenfeld 1962, L/2 >= 20.5). So two
+    fixed indices share a bucket with probability at most 10 ln N / (3L),
+    and one term of a k-term residual shares its bucket with probability
+    at most (k - 1) 10 ln N / (3L), below 10 ln 2 / 1536 < 0.0046 when
+    k <= bucket_budget / 16 (L >= 32 bucket_budget log2 N).
     A repetition is quiet with at most that probability, and a call stops
     early with at most reps times it. Stopping early costs time, never
     correctness: the call returns zero, no wrong term, and the caller's
     peel ends with an incomplete w, which its fingerprint rejects.
 
-    A call that reads exactly from its pairs, or at N with L >= N, reports
-    one repetition and no prime; no exact reading errs.
+    A call that reads exactly, from its pairs when l0(x) * l0(y) <= L/2 or
+    from one fold at N when 2L >= N, returns the whole residual whatever its
+    size, never aborts, and reports one repetition, no prime and
+    heavy_counts = [l0(residual)]; no exact reading errs.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
@@ -193,32 +200,28 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     report = LocateReport(params=params)
     limit = prime_range_for(bucket_budget, n)
 
-    if x.l0 * y.l0 <= limit // 2:      # read from the pairs, in one repetition
-        residual = subtract(cyclic_convolve_naive(x, y), w)
+    pairs_fit = x.l0 * y.l0 <= limit // 2
+    if pairs_fit or 2 * limit >= n:     # read exactly, in one repetition
+        if pairs_fit:
+            residual = subtract(cyclic_convolve_naive(x, y), w)
+        else:                           # one index per bucket at m = N
+            ids, vals = folding.heavy_residual_buckets(
+                *_phased_terms(x, y, w), n, HEAVY_THRESHOLD)
+            residual = _canonical(n, *_decode_heavy(ids, vals, n, n))
         report.reps_run = 1
         report.heavy_counts.append(residual.l0)
-        if residual.l0 > bucket_budget:
-            report.aborted_rep = 0
-            return zero_vector(n), report
         report.saw_heavy = not residual.is_zero
         return residual, report
 
-    jx, px = x.indices, folding.phased_coeffs(x)
-    jy, py = y.indices, folding.phased_coeffs(y)
-    jw, pw = w.indices, folding.phased_coeffs(w)
-    workspace = folding.BucketWorkspace()
-
+    terms = _phased_terms(x, y, w)
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
     for rep in range(params.reps):
-        m = n               # exact, and no longer than a fold at p >= N/2
-        if limit < n:       # else every prime in [L/2, L] is: draw none
-            p = uniform_prime_below(limit, rng)
-            report.primes.append(p)
-            m = p if 2 * p < n else n
+        p = uniform_prime_below(limit, rng)     # p <= L < N/2
+        report.primes.append(p)
         report.reps_run = rep + 1
-        ids, vals = folding.heavy_residual_buckets(
-            jx, px, jy, py, jw, pw, m, HEAVY_THRESHOLD, workspace)
+        ids, vals = folding.heavy_residual_buckets(*terms, p,
+                                                   HEAVY_THRESHOLD)
         report.heavy_counts.append(int(ids.size))
         if ids.size > bucket_budget:
             # Residual support overflows the budget; this call cannot
@@ -228,9 +231,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         if ids.size == 0:
             return zero_vector(n), report
         report.saw_heavy = True
-        index, value = _decode_heavy(ids, vals, n, m)
-        if m == n:          # one index per bucket: the reading is exact
-            return _canonical(n, index, value), report
+        index, value = _decode_heavy(ids, vals, n, p)
         if index.size:
             got_i.append(index)
             got_v.append(value)
@@ -248,8 +249,10 @@ def locate(x: SparseVector, y: SparseVector, w: SparseVector,
 
     With bucket_budget exceeding 16 * l0(residual), the returned vector
     matches the residual except on at most a 5/16 fraction of its support,
-    with failure probability at most delta. Returns the zero vector as soon
-    as a repetition sees more than bucket_budget heavy buckets, or none.
+    with failure probability at most delta. A call that folds returns the
+    zero vector as soon as a repetition sees more than bucket_budget heavy
+    buckets, or none; an exact reading (see locate_with_report) is the
+    whole residual, whatever its size.
     """
     z, _ = locate_with_report(x, y, w, bucket_budget, delta, rng)
     return z

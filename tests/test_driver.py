@@ -27,9 +27,10 @@ def _telescoping_slots(seed, n=1 << 18, run=1 << 13, slots=8):
     """u: an all-ones run of length `run`; v: cancellers c (z^(s+1) - z^s)
     at random slots s, so u * v keeps at most 2 * slots terms.
 
-    131072 pairs against N = 2^19: at budgets 32 .. 256, L < N/2 and the
+    131072 pairs against N = 2^19: at budgets 32 .. 256, 2L < N and the
     pairs outnumber L/2, so locate draws primes below N/2, folds at them
-    and votes. Returns (u, v, u * v).
+    and votes; from budget 512 on 2L >= N, and locate reads the residual
+    exactly in one fold at N. Returns (u, v, u * v).
     """
     rng = np.random.default_rng(seed)
     u = from_arrays(n, np.arange(run), np.ones(run, dtype=np.int64))
@@ -206,7 +207,7 @@ def test_hash_and_iterate_recovers_with_generous_budget():
 
 
 def test_hash_and_iterate_residual_contracts_per_round():
-    u, v, exact = _telescoping_slots(21, slots=16)
+    u, v, exact = _telescoping_slots(21)      # budget 16 * 16 = 256
     x, y = embed_for_product(u, v)
     _, trace = hash_and_iterate(x, y, 16 * exact.l0,
                                 np.random.default_rng(8))
@@ -240,8 +241,9 @@ def test_hash_and_iterate_converged_exit():
 
 
 def _budget_overflow_operands():
-    """x, y over N = 2^16 with 165 * 156 pairs, more than L/2 = 16384 at
-    budget 64 (L <= N/2), and some 25 k product terms: (x, y, x * y)."""
+    """x, y over N = 2^16 with 165 * 156 pairs, more than L/2 = 8192 at
+    budget 32 (2L < N; from budget 64 on 2L >= N and locate reads
+    exactly), and some 25 k product terms: (x, y, x * y)."""
     n = 1 << 15
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, n, 199)])
     y = make_sparse_vector(2 * n, [(j, 1) for j in range(0, n, 211)])
@@ -263,7 +265,7 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
     # an aborted locate call returns zero and leaves more heavy buckets
     # than the budget; the halved budgets after it are not tried
     x, y, exact = _budget_overflow_operands()
-    w, trace = hash_and_iterate(x, y, 64, np.random.default_rng(10))
+    w, trace = hash_and_iterate(x, y, 32, np.random.default_rng(10))
     assert len(trace) == 1
     assert trace[0][1].aborted_rep is not None and trace[0][1].primes
     assert w != exact
@@ -341,6 +343,34 @@ def test_budget_jumps_to_the_heavy_count(monkeypatch, seed):
     got = sparse_multiply(u, v, np.random.default_rng(seed))
     assert got == poly_multiply_naive(u, v)
     assert len(budgets) <= 4, budgets
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_reading_above_the_budget_is_kept(monkeypatch, seed):
+    # some 60k product terms: the peel after the first abort reads the
+    # 65536 pairs exactly at a budget below the product's size and keeps
+    # that reading, so the pairs are multiplied once and fingerprinted
+    # twice (the aborted peel's empty w, then the product)
+    u, v = gen_instance(InstanceSpec(n=1 << 18, terms=256, coeff_bound=100,
+                                     cancel_fraction=0.0, seed=seed))
+    locate_module = importlib.import_module("sparseconv.locate")
+    real_naive = locate_module.cyclic_convolve_naive
+    real_test = driver.equality_test
+    calls = {"naive": 0, "fingerprint": 0}
+
+    def naive(x, y):
+        calls["naive"] += 1
+        return real_naive(x, y)
+
+    def fingerprint(*args):
+        calls["fingerprint"] += 1
+        return real_test(*args)
+
+    monkeypatch.setattr(locate_module, "cyclic_convolve_naive", naive)
+    monkeypatch.setattr(driver, "equality_test", fingerprint)
+    got = sparse_multiply(u, v, np.random.default_rng(seed))
+    assert got == poly_multiply_naive(u, v)
+    assert calls == {"naive": 1, "fingerprint": 2}
 
 
 class _Stop(Exception):

@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from sparseconv.folding import (BucketWorkspace, _fast_fft_length,
-                                _unit_root_powers, cyclic_fft_convolve, fold,
+from sparseconv import folding
+from sparseconv.folding import (_fast_fft_length, _unit_root_powers,
+                                cyclic_fft_convolve, fold,
                                 heavy_residual_buckets, phased_coeffs)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
@@ -220,9 +221,9 @@ def _heavy_reference(x, y, w, m, threshold):
     (8, 15),          # pairs = 225 > 8 buckets
     (4096, 6),        # pairs = 36, far fewer than buckets
     (4194319, 6),     # a prime above 2^22, far beyond the dimension 2^14
-    (1 << 14, 6),     # m = N, as locate folds for a prime p >= N
+    (1 << 14, 6),     # m = N, as an exact reading folds
 ])
-def test_heavy_buckets_match_reference(m, k):
+def test_heavy_buckets_match_reference(monkeypatch, m, k):
     rng = np.random.default_rng(m * 1000 + k)
     n = 1 << 14
     xi = rng.choice(n // 2, size=k, replace=False)
@@ -235,41 +236,21 @@ def test_heavy_buckets_match_reference(m, k):
     jy, py = _phases(y)
     jw, pw = _phases(w)
     want_ids, want_vals = _heavy_reference(x, y, w, m, 0.5)
-    for workspace in (None, BucketWorkspace()):
-        ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5,
-                                           workspace)
-        order = np.argsort(ids)
-        assert ids[order].tolist() == want_ids.tolist()
-        assert np.allclose(vals[order], want_vals, atol=1e-6)
+    lengths = []
+    real = folding._convolve_padded
+
+    def recording(fa, fb, size):
+        lengths.append(fa.size)
+        return real(fa, fb, size)
+
+    monkeypatch.setattr(folding, "_convolve_padded", recording)
+    ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5)
+    order = np.argsort(ids)
+    assert ids[order].tolist() == want_ids.tolist()
+    assert np.allclose(vals[order], want_vals, atol=1e-6)
     # from m >= N on no index sum reaches m: no padding to 2m - 1
-    assert (workspace._spectra.shape[1] < 2 * m - 1) == (m >= n)
-
-
-def test_workspace_reuse_matches_fresh_calls():
-    # moduli that shrink and then grow within one workspace, one of them
-    # (m = N) unpadded: a longer modulus must leave no stale tail behind
-    rng = np.random.default_rng(5)
-    n = 1 << 14
-    k = 60
-    x = from_arrays(n, rng.choice(n // 2, size=k, replace=False),
-                    rng.integers(-40, 41, size=k) | 1)
-    y = from_arrays(n, rng.choice(n // 2, size=k, replace=False),
-                    rng.integers(-40, 41, size=k) | 1)
-    exact = cyclic_convolve_naive(x, y)
-    w = make_sparse_vector(n, exact.to_pairs()[::3])
-    args = (*_phases(x), *_phases(y), *_phases(w))
-    workspace = BucketWorkspace()
-    for m in (1999, 1009, 1 << 14, 101, 7, 211, 3001, 2, 1499):
-        for threshold in (0.5, 0.0):
-            want_ids, want_vals = heavy_residual_buckets(*args, m, threshold)
-            ids, vals = heavy_residual_buckets(*args, m, threshold, workspace)
-            assert np.array_equal(ids, want_ids), m
-            assert np.array_equal(vals, want_vals), m
-    # what a call returns is its own: later calls do not overwrite it
-    ids, vals = heavy_residual_buckets(*args, 1009, 0.0, workspace)
-    kept = vals.copy()
-    heavy_residual_buckets(*args, 1999, 0.0, workspace)
-    assert np.array_equal(vals, kept)
+    assert len(lengths) == 1
+    assert (lengths[0] < 2 * m - 1) == (m >= n)
 
 
 def test_heavy_buckets_empty_inputs():

@@ -138,17 +138,20 @@ def test_locate_subtracts_recovered_part():
 
 
 def test_locate_budget_cutoff_aborts_whole_call():
-    # residual has 10 well-spread terms but the budget admits only 1 heavy
-    # bucket, so every repetition must trip the cutoff and return zero
+    # residual has 180 well-spread terms but the budget admits only 1 heavy
+    # bucket, so every repetition must trip the cutoff and return zero.
+    # N = 2048 at budget 1: L = 352, so 180 pairs > L/2 fold at a prime
+    # and 2L < N rules out the exact fold at N
     n = 1 << 10
-    pairs = [(101 * i + 7, 3) for i in range(10)]
-    x = embedded(n, pairs)
-    y = embedded(n, [(0, 1)])
+    x = embedded(n, [(101 * i + 7, 3) for i in range(10)])
+    y = embedded(n, [(j, 1) for j in range(18)])
+    limit = prime_range_for(1, 2 * n)
+    assert x.l0 * y.l0 > limit // 2 and 2 * limit < 2 * n
     z, report = locate_with_report(x, y, zero_vector(2 * n), 1, 0.25,
                                    np.random.default_rng(1))
     assert z.is_zero
     assert report.aborted_rep == 0
-    assert report.reps_run == 1  # gave up on the first repetition
+    assert report.reps_run == len(report.primes) == 1  # gave up at once
 
 
 def test_locate_output_size_is_budget_bounded():
@@ -239,20 +242,19 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     # two residual terms: one left out of w, one that w adds wrongly; at
-    # budget 1 the read fires at exactly L/2 pairs and aborts
+    # budget 1 the read fires at exactly L/2 pairs, and an exact reading
+    # is kept whatever its size
     z, report = locate_with_report(x, y, w, 1, 0.1, rng)
-    assert report.aborted_rep == 0 and report.heavy_counts == [2]
-    z, report = locate_with_report(x, y, w, 2, 0.1, rng)
     assert z == subtract(exact, w)
     assert z.to_pairs() == [drop, (1000, -4)]
     assert rng.bit_generator.state == state
     assert (report.reps_run, report.primes, report.heavy_counts,
             report.aborted_rep, report.saw_heavy) == (1, [], [2], None, True)
-    # above the budget: abort with the residual's exact size
+    # far above the budget: still the whole residual, with no abort
     z, report = locate_with_report(x, y, zero_vector(2 * n), 1, 0.1, rng)
-    assert z.is_zero
+    assert z == exact and exact.l0 > 1
     assert (report.reps_run, report.primes, report.heavy_counts,
-            report.aborted_rep) == (1, [], [exact.l0], 0)
+            report.aborted_rep) == (1, [], [exact.l0], None)
     # nothing left: quiet
     z, report = locate_with_report(x, y, exact, 1, 0.1, rng)
     assert z.is_zero and not report.saw_heavy
@@ -272,14 +274,12 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
     assert all(limit // 2 <= p <= limit < n for p in report.primes)
 
 
-def test_locate_folds_once_at_n_when_every_prime_exceeds_half_of_it(
+def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         monkeypatch):
-    # N = 128 and budget 16 give L = 3584 >= N: a fold at N is no longer
-    # than one at any prime of [L/2, L], and it reads the residual exactly
-    n = 64
-    x = embedded(n, [(j, 1 + j % 7) for j in range(n)])  # 4096 pairs > L/2
-    exact = cyclic_convolve_naive(x, x)
-    w = make_sparse_vector(2 * n, exact.to_pairs()[5:] + [(127, 3)])
+    # 2L >= N: a fold at N is no longer than one at a prime near L, and it
+    # reads the residual exactly, in one repetition and with no draw;
+    # N = 128 at budget 16 (L = 3584 >= N) and N = 2^14 at budget 32
+    # (L = 14336: N/2 <= L < N)
     moduli = []
     real = folding.heavy_residual_buckets
 
@@ -288,30 +288,42 @@ def test_locate_folds_once_at_n_when_every_prime_exceeds_half_of_it(
         return real(*args)
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", recording)
-    rng = np.random.default_rng(4)
-    state = rng.bit_generator.state
-    z, report = locate_with_report(x, x, w, 16, 0.1, rng)
-    assert x.l0 * x.l0 > prime_range_for(16, 2 * n) // 2 >= n
-    assert z == subtract(exact, w) and z.l0 == 6
-    assert moduli == [2 * n] and rng.bit_generator.state == state
-    assert (report.reps_run, report.primes, report.heavy_counts) == (
-        1, [], [6])
-    # N = 512, budget 1: primes from [144, 288], and the call folds at N
-    # in place of any of them at or above N/2 = 256, ending there exactly
-    n = 256
-    x = embedded(n, [(3 * j, 1 + j % 7) for j in range(64)])
-    exact = cyclic_convolve_naive(x, x)
-    w = make_sparse_vector(2 * n, exact.to_pairs()[1:])
-    ended_at_n = 0
-    for seed in range(20):
+    n = 64
+    small = embedded(n, [(j, 1 + j % 7) for j in range(n)])  # 4096 pairs
+    for x, budget in ((small, 16), (spread(128), 32)):
+        big_n = x.length
+        limit = prime_range_for(budget, big_n)
+        assert x.l0 * x.l0 > limit // 2 and 2 * limit >= big_n
+        exact = cyclic_convolve_naive(x, x)
+        w = make_sparse_vector(big_n, exact.to_pairs()[5:]
+                               + [(big_n - 1, 3)])
         moduli.clear()
-        z, report = locate_with_report(x, x, w, 1, 0.5,
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        z, report = locate_with_report(x, x, w, budget, 0.1, rng)
+        assert z == subtract(exact, w) and z.l0 == 6
+        assert moduli == [big_n] and rng.bit_generator.state == state
+        assert (report.reps_run, report.primes, report.heavy_counts,
+                report.aborted_rep) == (1, [], [6], None)
+        # the whole product, far above the budget, is kept: no abort
+        z, report = locate_with_report(x, x, zero_vector(big_n), budget,
+                                       0.1, rng)
+        assert z == exact and exact.l0 > budget
+        assert (report.heavy_counts, report.aborted_rep) == ([exact.l0], None)
+    # N = 2^14 at budget 18: L = 8064, so 2L is just below N and every
+    # modulus is a drawn prime of [L/2, L], below N/2
+    x = spread(128)
+    limit = prime_range_for(18, x.length)
+    assert 2 * limit < x.length <= 2 * limit + 256
+    exact = cyclic_convolve_naive(x, x)
+    w = make_sparse_vector(x.length, exact.to_pairs()[1:])
+    for seed in range(5):
+        moduli.clear()
+        z, report = locate_with_report(x, x, w, 18, 0.5,
                                        np.random.default_rng(seed))
-        assert moduli == [p if 2 * p < 2 * n else 2 * n
-                          for p in report.primes]
         assert z == subtract(exact, w)
-        ended_at_n += moduli[-1] == 2 * n
-    assert 0 < ended_at_n < 20
+        assert moduli == report.primes and len(moduli) == report.reps_run
+        assert all(limit // 2 <= p <= limit for p in moduli)
 
 
 @pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
@@ -322,7 +334,7 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
     x = spread(64)
     reading = 3 * _unit_root_powers(np.array([5]), x.length)
 
-    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, workspace):
+    def one_bucket(jx, px, jy, py, jw, pw, m, threshold):
         return np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
