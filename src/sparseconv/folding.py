@@ -119,10 +119,15 @@ def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
     return np.add.outer(jx, jy).ravel(), np.multiply.outer(px, py).ravel()
 
 
+def bucket_spectra(m: int) -> np.ndarray:
+    """Empty FFT rows for heavy_residual_buckets at any modulus <= m."""
+    return np.empty((2, _fast_fft_length(2 * m - 1)), dtype=np.complex128)
+
+
 def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
                            jy: np.ndarray, py: np.ndarray,
                            jw: np.ndarray, pw: np.ndarray,
-                           m: int, threshold: float):
+                           m: int, threshold: float, spectra=None):
     """Occupied residual buckets with |value| >= threshold, for one modulus.
 
     Inputs are index arrays and matching phase-weighted coefficient arrays
@@ -130,13 +135,17 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
     w separately and convolves the length-m folds of x and y with FFTs:
     O(terms + m log m), independent of the pair count.
 
+    spectra, from bucket_spectra(M >= m), holds the two FFT rows; one for all
+    moduli tried on one x and y faults its pages in once. None allocates here.
+
     Returns (bucket_indices, bucket_values) of the heavy buckets only; all
     other buckets are zero up to fold rounding error, far below threshold.
     """
     # Folds whose index sums stay below m (m >= N, embedded) never wrap.
     top = int(jx.max(initial=0)) + int(jy.max(initial=0))
-    fa, fb = np.empty((2, _fast_fft_length(2 * m - 1 if top >= m else m)),
-                      dtype=np.complex128)
+    length = _fast_fft_length(2 * m - 1 if top >= m else m)
+    fa, fb = (np.empty((2, length), dtype=np.complex128) if spectra is None
+              else spectra[:, :length])
     _fold_into(fa[:m], jx, px, m)
     _fold_into(fb[:m], jy, py, m)
     fa[m:] = 0

@@ -214,6 +214,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         return residual, report
 
     terms = _phased_terms(x, y, w)
+    spectra = folding.bucket_spectra(limit)     # one for every repetition
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
     for rep in range(params.reps):
@@ -221,7 +222,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         report.primes.append(p)
         report.reps_run = rep + 1
         ids, vals = folding.heavy_residual_buckets(*terms, p,
-                                                   HEAVY_THRESHOLD)
+                                                   HEAVY_THRESHOLD, spectra)
         report.heavy_counts.append(int(ids.size))
         if ids.size > bucket_budget:
             # Residual support overflows the budget; this call cannot

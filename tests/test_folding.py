@@ -6,7 +6,7 @@ import pytest
 
 from sparseconv import folding
 from sparseconv.folding import (_fast_fft_length, _unit_root_powers,
-                                cyclic_fft_convolve, fold,
+                                bucket_spectra, cyclic_fft_convolve, fold,
                                 heavy_residual_buckets, phased_coeffs)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
@@ -251,6 +251,33 @@ def test_heavy_buckets_match_reference(monkeypatch, m, k):
     # from m >= N on no index sum reaches m: no padding to 2m - 1
     assert len(lengths) == 1
     assert (lengths[0] < 2 * m - 1) == (m >= n)
+
+
+def test_workspace_reuse_matches_fresh_calls():
+    # moduli that shrink and then grow within one pair of spectra, one of
+    # them (m = N) unpadded: a longer modulus must leave no stale tail
+    rng = np.random.default_rng(5)
+    n = 1 << 14
+    k = 60
+    x = from_arrays(n, rng.choice(n // 2, size=k, replace=False),
+                    rng.integers(-40, 41, size=k) | 1)
+    y = from_arrays(n, rng.choice(n // 2, size=k, replace=False),
+                    rng.integers(-40, 41, size=k) | 1)
+    exact = cyclic_convolve_naive(x, y)
+    w = make_sparse_vector(n, exact.to_pairs()[::3])
+    args = (*_phases(x), *_phases(y), *_phases(w))
+    spectra = bucket_spectra(n)
+    for m in (1999, 1009, 1 << 14, 101, 7, 211, 3001, 2, 1499):
+        for threshold in (0.5, 0.0):
+            want_ids, want_vals = heavy_residual_buckets(*args, m, threshold)
+            ids, vals = heavy_residual_buckets(*args, m, threshold, spectra)
+            assert np.array_equal(ids, want_ids), m
+            assert np.array_equal(vals, want_vals), m
+    # what a call returns is its own: later calls do not overwrite it
+    ids, vals = heavy_residual_buckets(*args, 1009, 0.0, spectra)
+    kept = vals.copy()
+    heavy_residual_buckets(*args, 1999, 0.0, spectra)
+    assert np.array_equal(vals, kept)
 
 
 def test_heavy_buckets_empty_inputs():

@@ -280,11 +280,12 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
     # reads the residual exactly, in one repetition and with no draw;
     # N = 128 at budget 16 (L = 3584 >= N) and N = 2^14 at budget 32
     # (L = 14336: N/2 <= L < N)
-    moduli = []
+    moduli, spectra = [], []
     real = folding.heavy_residual_buckets
 
     def recording(*args):
         moduli.append(args[6])
+        spectra.append(id(args[8]) if len(args) > 8 else None)
         return real(*args)
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", recording)
@@ -319,11 +320,14 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
     w = make_sparse_vector(x.length, exact.to_pairs()[1:])
     for seed in range(5):
         moduli.clear()
+        spectra.clear()
         z, report = locate_with_report(x, x, w, 18, 0.5,
                                        np.random.default_rng(seed))
         assert z == subtract(exact, w)
         assert moduli == report.primes and len(moduli) == report.reps_run
         assert all(limit // 2 <= p <= limit for p in moduli)
+        # every repetition reuses the call's one pair of FFT rows
+        assert len(set(spectra)) == 1 and spectra[0] is not None
 
 
 @pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
@@ -334,7 +338,7 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
     x = spread(64)
     reading = 3 * _unit_root_powers(np.array([5]), x.length)
 
-    def one_bucket(jx, px, jy, py, jw, pw, m, threshold):
+    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, spectra=None):
         return np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
