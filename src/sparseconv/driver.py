@@ -104,15 +104,17 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     A call fails, or returns a wrong vector, with probability below 1/100.
     The fingerprint accepts an exact w always and an inexact one in round
     r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
-    c * pi^2 / 6 < 0.0042 over all rounds. Otherwise a call fails only if
-    no peel is exact. Let k = l0(x * y) and r0 the first round with
-    2^r0 >= k. A rejected round r goes next to round max(r + 1, r'), r'
-    the least with C * 2^r' >= h1, the heavy count at which the peel's
-    first locate call aborted (0 if it did not). That call folds x * y
-    itself (w = 0), where a bucket holding no product term reads zero up
-    to rounding, so h1 <= k and the jump never passes r0: rounds r0 ..
-    r0 + 2 all run (k < N) at budgets at least 16k, 32k and 64k, each
-    keeping its fingerprint budget c / r^2.
+    c * pi^2 / 6 < 0.0042 over all rounds. So a rounding error in the
+    dense reading at N (see locate_with_report) costs rejected rounds, or
+    MultiplicationFailed, never a wrong vector; the bound takes that
+    reading as exact. Otherwise a call fails only if no peel is exact.
+    Let k = l0(x * y) and r0 the first round with 2^r0 >= k. A rejected
+    round r goes next to round max(r + 1, r'), r' the least with
+    C * 2^r' >= h1, the heavy count at which the peel's first locate call
+    aborted (0 if it did not). That call folds x * y itself (w = 0), where
+    a bucket holding no product term reads zero up to rounding, so h1 <= k
+    and the jump never passes r0: rounds r0 .. r0 + 2 all run (k < N) at
+    budgets at least 16k, 32k and 64k, each with fingerprint budget c / r^2.
     Let h be a call's budget over 16 * l0(residual). As in the isolation
     analysis of locate_with_report, the mean fraction of residual terms
     that share a bucket, at most (l0 - 1) 10 ln N / (3L), is below

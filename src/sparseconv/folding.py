@@ -9,9 +9,6 @@ cyclic convolution factor through cyclic convolution of the folds, which
 is what lets short FFTs observe a length-N product. With wrap-around the
 factored form picks up a sign flip per wrapped pair, so
 heavy_residual_buckets must not be fed unembedded full-support operands.
-At m >= N nothing wraps and the transform needs length m, not 2m - 1:
-locate folds either at one drawn prime p < N/2 or, for an exact reading,
-once at N.
 """
 
 from __future__ import annotations
@@ -55,7 +52,11 @@ def _fold_into(out: np.ndarray, indices: np.ndarray, phased: np.ndarray,
 
 
 def _fast_fft_length(n: int) -> int:
-    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT handles fast."""
+    """Smallest 2^a * 3^b * 5^c >= n, a length numpy's FFT handles fast.
+
+    It is within a few percent of n, where the next power of two can be
+    nearly twice it.
+    """
     best = 1 << (n - 1).bit_length()
     p5 = 1
     while p5 < best:
@@ -67,37 +68,12 @@ def _fast_fft_length(n: int) -> int:
     return best
 
 
-def cyclic_fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cyclic convolution of two equal-length complex arrays.
-
-    Works at any length (prime lengths included) by zero-padding to a
-    5-smooth length >= 2m - 1, convolving linearly with FFTs, and folding
-    the tail back mod m. A smooth length is within a few percent of
-    2m - 1, where the next power of two can be nearly twice it.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("need two 1-d arrays of equal length")
-    m = a.size
-    if m == 0:
-        raise ValueError("empty input")
-    if m == 1:
-        return a * b
-    padded = _fast_fft_length(2 * m - 1)
-    fa = np.zeros(padded, dtype=np.complex128)
-    fb = np.zeros(padded, dtype=np.complex128)
-    fa[:m] = a
-    fb[:m] = b
-    return _convolve_padded(fa, fb, m).copy()
-
-
 def _convolve_padded(fa: np.ndarray, fb: np.ndarray, m: int) -> np.ndarray:
     """Cyclic length-m convolution of fa[:m] and fb[:m], in place.
 
-    fa and fb have the same length, at least 2m - 1 (m if no index sum of
-    the folds reaches m), and hold zeros past m. Returns a view of fa[:m];
-    fb is left holding junk. Every step writes into fa or fb.
+    fa and fb have the same length, at least 2m - 1, and hold zeros past
+    m. Returns a view of fa[:m]; fb is left holding junk. Every step
+    writes into fa or fb.
     """
     np.fft.fft(fa, out=fa)
     np.fft.fft(fb, out=fb)
@@ -127,7 +103,7 @@ def bucket_spectra(m: int) -> np.ndarray:
 def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
                            jy: np.ndarray, py: np.ndarray,
                            jw: np.ndarray, pw: np.ndarray,
-                           m: int, threshold: float, spectra=None):
+                           m: int, threshold: float, spectra: np.ndarray):
     """Occupied residual buckets with |value| >= threshold, for one modulus.
 
     Inputs are index arrays and matching phase-weighted coefficient arrays
@@ -136,16 +112,12 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
     O(terms + m log m), independent of the pair count.
 
     spectra, from bucket_spectra(M >= m), holds the two FFT rows; one for all
-    moduli tried on one x and y faults its pages in once. None allocates here.
+    moduli tried on one x and y faults its pages in once.
 
     Returns (bucket_indices, bucket_values) of the heavy buckets only; all
     other buckets are zero up to fold rounding error, far below threshold.
     """
-    # Folds whose index sums stay below m (m >= N, embedded) never wrap.
-    top = int(jx.max(initial=0)) + int(jy.max(initial=0))
-    length = _fast_fft_length(2 * m - 1 if top >= m else m)
-    fa, fb = (np.empty((2, length), dtype=np.complex128) if spectra is None
-              else spectra[:, :length])
+    fa, fb = spectra[:, :_fast_fft_length(2 * m - 1)]
     _fold_into(fa[:m], jx, px, m)
     _fold_into(fb[:m], jy, py, m)
     fa[m:] = 0

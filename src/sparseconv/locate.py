@@ -15,11 +15,10 @@ than its budget (the residual is too large to separate) or with none at
 all (the residual is almost surely zero; see locate_with_report).
 
 A call reads the residual exactly instead, in one repetition and with no
-prime drawn, when l0(x) * l0(y) <= L/2, from its term pairs, or when
-2L >= N, from one fold at m = N: there every index has a bucket of its own,
-and the transform (length N) is no longer than a fold's at a prime near L.
-So every prime a call draws is below N/2, and an exact reading is returned
-whatever its size.
+prime drawn: from its term pairs when l0(x) * l0(y) <= L/2, or from the
+dense real product when 2L >= N, where a real transform of length at most N
+is shorter than a fold's near L. So every prime a call draws is below N/2,
+and an exact reading is returned whatever its size.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ import numpy as np
 from . import folding
 from .primes import uniform_prime_below
 from .vectors import (SparseVector, _canonical, _empty_terms,
-                      cyclic_convolve_naive, subtract, zero_vector)
+                      _rounded_fft_product, cyclic_convolve_naive, subtract,
+                      zero_vector)
 
 ISOLATION_CONSTANT = 16          # prime range and bucket budget multiplier
 HEAVY_THRESHOLD = 0.5
@@ -90,12 +90,6 @@ def prime_range_for(bucket_budget: int, dimension: int) -> int:
     """Prime range L = 2C * B * ceil(log2 N), at least 42 (L/2 >= 21)."""
     lg = max(1, int(dimension - 1).bit_length())
     return max(42, 2 * ISOLATION_CONSTANT * bucket_budget * lg)
-
-
-def _phased_terms(*vectors: SparseVector) -> tuple:
-    """(indices, phased_coeffs) of each vector in turn, in one flat tuple."""
-    return tuple(a for v in vectors for a in (v.indices,
-                                              folding.phased_coeffs(v)))
 
 
 def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, m: int):
@@ -189,9 +183,10 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     peel ends with an incomplete w, which its fingerprint rejects.
 
     A call that reads exactly, from its pairs when l0(x) * l0(y) <= L/2 or
-    from one fold at N when 2L >= N, returns the whole residual whatever its
-    size, never aborts, and reports one repetition, no prime and
-    heavy_counts = [l0(residual)]; no exact reading errs.
+    from the dense real product when 2L >= N, returns the whole residual
+    whatever its size, never aborts, and reports one repetition, no prime
+    and heavy_counts = [l0(residual)]. The pair reading is integer-exact;
+    the dense one rounds floats unchecked, guarded by the caller's fingerprint.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
@@ -202,18 +197,16 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
 
     pairs_fit = x.l0 * y.l0 <= limit // 2
     if pairs_fit or 2 * limit >= n:     # read exactly, in one repetition
-        if pairs_fit:
-            residual = subtract(cyclic_convolve_naive(x, y), w)
-        else:                           # one index per bucket at m = N
-            ids, vals = folding.heavy_residual_buckets(
-                *_phased_terms(x, y, w), n, HEAVY_THRESHOLD)
-            residual = _canonical(n, *_decode_heavy(ids, vals, n, n))
+        product = (cyclic_convolve_naive(x, y) if pairs_fit
+                   else _rounded_fft_product(x, y)[0])
+        residual = subtract(product, w)
         report.reps_run = 1
         report.heavy_counts.append(residual.l0)
         report.saw_heavy = not residual.is_zero
         return residual, report
 
-    terms = _phased_terms(x, y, w)
+    terms = [a for v in (x, y, w) for a in (v.indices,
+                                            folding.phased_coeffs(v))]
     spectra = folding.bucket_spectra(limit)     # one for every repetition
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []

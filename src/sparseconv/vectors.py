@@ -218,15 +218,32 @@ def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:
     return 8.0 * np.finfo(np.float64).eps * lg * nx * ny
 
 
-def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
-    """Cyclic convolution through a dense real FFT.
+def _rounded_fft_product(x: SparseVector, y: SparseVector):
+    """(x * y rounded to integers, largest rounding residue) for nonzero x
+    and y, from one real FFT of length N, or of the power of two L < N above
+    the top product index if there is one: then nothing wraps, and L is
+    smooth where N = 2n may have large prime factors.
+    """
+    n = x.length
+    top = int(x.indices[-1]) + int(y.indices[-1])
+    size = min(n, 1 << top.bit_length())
+    a = np.zeros(size, dtype=np.float64)
+    b = np.zeros(size, dtype=np.float64)
+    a[x.indices] = x.coeffs
+    b[y.indices] = y.coeffs
+    conv = np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), size)
+    rounded = np.rint(conv)
+    residue = float(np.max(np.abs(conv - rounded)))
+    nz = np.flatnonzero(rounded)
+    product = _canonical(n, nz.astype(np.int64), rounded[nz].astype(np.int64))
+    return product, residue
 
-    The transform length is N, or the power of two L < N above the top
-    product index when there is one: then nothing wraps, so the length-L
-    cyclic convolution is the product, and L is smooth where N = 2n may
-    have large prime factors. Exact for envelope-conforming operands:
-    results are rounded to the nearest integer and the rounding residue is
-    checked against the floating-point error budget.
+
+def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
+    """Cyclic convolution through a dense real FFT (_rounded_fft_product).
+
+    Exact or EnvelopeError: the float error is bounded before the transform
+    and the rounding residue checked against that budget after it.
     """
     if x.length != y.length:
         raise ValueError("length mismatch")
@@ -238,18 +255,10 @@ def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
     if _fft_error_bound(x, y) >= 0.25:
         raise EnvelopeError(
             "coefficient mass too large for float64 FFT rounding budget")
-    top = int(x.indices[-1]) + int(y.indices[-1])
-    size = min(n, 1 << top.bit_length())
-    a = np.zeros(size, dtype=np.float64)
-    b = np.zeros(size, dtype=np.float64)
-    a[x.indices] = x.coeffs
-    b[y.indices] = y.coeffs
-    conv = np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), size)
-    rounded = np.rint(conv)
-    if float(np.max(np.abs(conv - rounded))) >= 0.25:
+    product, residue = _rounded_fft_product(x, y)
+    if residue >= 0.25:
         raise EnvelopeError("FFT rounding residue exceeded the error budget")
-    nz = np.flatnonzero(rounded)
-    return _canonical(n, nz.astype(np.int64), rounded[nz].astype(np.int64))
+    return product
 
 
 def embed_for_product(u: SparseVector, v: SparseVector) -> tuple[SparseVector, SparseVector]:

@@ -19,8 +19,8 @@ import pytest
 from sparseconv import cli
 from sparseconv.driver import MultiplicationFailed, sparse_multiply
 from sparseconv.fingerprint import equality_test
-from sparseconv.folding import (_unit_root_powers, cyclic_fft_convolve, fold,
-                                phased_coeffs)
+from sparseconv.folding import (_unit_root_powers, bucket_spectra,
+                                heavy_residual_buckets, phased_coeffs)
 from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
                                   gen_instance)
 from sparseconv.locate import decode_indices, locate, prime_range_for
@@ -141,9 +141,11 @@ def test_folded_convolution_identity(capsys):
         x, y = embed_for_product(u, v)
         exact = poly_multiply_naive(u, v)
         p = uniform_prime_below(10_000, rng)
-        fx, fy, fz = (fold(v.indices, phased_coeffs(v), p)
-                      for v in (x, y, exact))
-        err = float(np.max(np.abs(cyclic_fft_convolve(fx, fy) - fz)))
+        # threshold 0: every bucket of fold(x) (*) fold(y) - fold(exact)
+        phased = [a for t in (x, y, exact) for a in (t.indices,
+                                                     phased_coeffs(t))]
+        _, gap = heavy_residual_buckets(*phased, p, 0.0, bucket_spectra(p))
+        err = float(np.max(np.abs(gap)))
         worst = max(worst, err)
     good = worst <= 1e-4
     _verdict(capsys, "folded convolution identity",

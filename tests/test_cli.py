@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sparseconv import driver
@@ -41,6 +42,19 @@ def test_multiply_backends_agree(telescoping, tmp_path, algo, capsys):
     assert main(["multiply", a, b, "--algo", algo, "-o", str(out),
                  "--seed", "3"]) == 0
     assert parse_poly_file(out) == make_sparse_vector(8, [(0, -1), (4, 1)])
+    # one more input, which the sparse route reads at N: at n = 2^13 the
+    # first budget's prime range already reaches N/2, and each operand has
+    # one coefficient 2^20 among 200 of +-1
+    rng = np.random.default_rng(100)
+    c, d = (write_poly(tmp_path, f"{name}.poly", 1 << 13, zip(
+        rng.choice(1 << 13, size=201, replace=False).tolist(),
+        [1 << 20] + rng.choice([-1, 1], size=200).tolist())) for name in "cd")
+    assert main(["multiply", c, d, "--algo", algo, "-o", str(out),
+                 "--seed", "3"]) == 0
+    want = tmp_path / "want.poly"
+    write_poly_file(poly_multiply_naive(parse_poly_file(c),
+                                        parse_poly_file(d)), want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_multiply_same_seed_byte_identical(telescoping, tmp_path, capsys):

@@ -30,7 +30,7 @@ def _telescoping_slots(seed, n=1 << 18, run=1 << 13, slots=8):
     131072 pairs against N = 2^19: at budgets 32 .. 256, 2L < N and the
     pairs outnumber L/2, so locate draws primes below N/2, folds at them
     and votes; from budget 512 on 2L >= N, and locate reads the residual
-    exactly in one fold at N. Returns (u, v, u * v).
+    exactly from the dense real product. Returns (u, v, u * v).
     """
     rng = np.random.default_rng(seed)
     u = from_arrays(n, np.arange(run), np.ones(run, dtype=np.int64))

@@ -6,8 +6,8 @@ import pytest
 
 from sparseconv import folding
 from sparseconv.folding import (_fast_fft_length, _unit_root_powers,
-                                bucket_spectra, cyclic_fft_convolve, fold,
-                                heavy_residual_buckets, phased_coeffs)
+                                bucket_spectra, fold, heavy_residual_buckets,
+                                phased_coeffs)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
 
@@ -91,24 +91,6 @@ def test_fold_is_linear():
         assert np.allclose(both, summed, atol=1e-10)
 
 
-def cyclic_conv_quadratic(a, b):
-    m = len(a)
-    out = np.zeros(m, dtype=np.complex128)
-    for i in range(m):
-        for j in range(m):
-            out[(i + j) % m] += a[i] * b[j]
-    return out
-
-
-def test_fft_convolve_matches_quadratic_at_prime_length():
-    rng = np.random.default_rng(13)
-    for m in (1, 2, 5, 127):
-        a = rng.normal(size=m) + 1j * rng.normal(size=m)
-        b = rng.normal(size=m) + 1j * rng.normal(size=m)
-        got = cyclic_fft_convolve(a, b)
-        assert np.allclose(got, cyclic_conv_quadratic(a, b), atol=1e-9)
-
-
 def test_fast_fft_length_is_smallest_5_smooth_length():
     def smooth(k):
         for q in (2, 3, 5):
@@ -125,30 +107,20 @@ def test_fast_fft_length_is_smallest_5_smooth_length():
     assert _fast_fft_length(2 * 1000003 - 1) == 2025000    # 2^3 3^4 5^5
 
 
-def test_fft_convolve_bit_identical_to_padded_fft_and_leaves_inputs():
-    # reference: pad both to P, multiply the spectra, fold the tail mod m
-    rng = np.random.default_rng(31)
-    for m in (2, 3, 127, 1000):
-        a = rng.normal(size=m) + 1j * rng.normal(size=m)
-        b = rng.normal(size=m) + 1j * rng.normal(size=m)
-        a0, b0 = a.copy(), b.copy()
-        padded = _fast_fft_length(2 * m - 1)
-        linear = np.fft.ifft(np.fft.fft(a, padded) * np.fft.fft(b, padded))
-        want = linear[:m].copy()
-        want[:m - 1] += linear[m:2 * m - 1]
-        got = cyclic_fft_convolve(a, b)
-        assert np.array_equal(got.view(np.float64), want.view(np.float64))
-        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+def _phases(v):
+    return v.indices.copy(), phased_coeffs(v)
 
 
-def test_fft_convolve_rejects_mismatch():
-    with pytest.raises(ValueError):
-        cyclic_fft_convolve(np.ones(3), np.ones(4))
+def _residual_buckets(x, y, w, m, threshold):
+    return heavy_residual_buckets(*_phases(x), *_phases(y), *_phases(w), m,
+                                  threshold, bucket_spectra(m))
 
 
 def test_fold_commutes_with_convolution():
     # fold(x (*) y, m) == fold(x, m) (*) fold(y, m): the core identity,
-    # valid in the no-wrap regime (supports below N/2, as after embedding)
+    # valid in the no-wrap regime (supports below N/2, as after embedding);
+    # at threshold 0 the residual buckets are every bucket of
+    # fold(x) (*) fold(y) - fold(w), here with w = x (*) y
     rng = np.random.default_rng(21)
     n = 256
     for m in (7, 16, 61):
@@ -156,9 +128,10 @@ def test_fold_commutes_with_convolution():
         yi = rng.choice(n // 2, size=12, replace=False)
         x = from_arrays(n, xi, rng.integers(-50, 51, size=12))
         y = from_arrays(n, yi, rng.integers(-50, 51, size=12))
-        direct = fold_vec(cyclic_convolve_naive(x, y), m)
-        factored = cyclic_fft_convolve(fold_vec(x, m), fold_vec(y, m))
-        assert np.max(np.abs(direct - factored)) < 1e-8
+        ids, gap = _residual_buckets(x, y, cyclic_convolve_naive(x, y), m,
+                                     0.0)
+        assert ids.tolist() == list(range(m))
+        assert np.max(np.abs(gap)) < 1e-8
 
 
 def test_fold_factoring_fails_with_wraparound():
@@ -166,18 +139,8 @@ def test_fold_factoring_fails_with_wraparound():
     # the test above is actually exercising a nontrivial precondition
     n = 16
     x = make_sparse_vector(n, [(15, 1)])
-    direct = fold_vec(cyclic_convolve_naive(x, x), 3)
-    factored = cyclic_fft_convolve(fold_vec(x, 3), fold_vec(x, 3))
-    assert np.max(np.abs(direct - factored)) > 1.0
-
-
-def _phases(v):
-    return v.indices.copy(), phased_coeffs(v)
-
-
-def _residual_buckets(x, y, w, m, threshold):
-    return heavy_residual_buckets(*_phases(x), *_phases(y), *_phases(w), m,
-                                  threshold)
+    _, gap = _residual_buckets(x, x, cyclic_convolve_naive(x, x), 3, 0.0)
+    assert np.max(np.abs(gap)) > 1.0
 
 
 def test_folded_residual_matches_exact_residual():
@@ -221,7 +184,6 @@ def _heavy_reference(x, y, w, m, threshold):
     (8, 15),          # pairs = 225 > 8 buckets
     (4096, 6),        # pairs = 36, far fewer than buckets
     (4194319, 6),     # a prime above 2^22, far beyond the dimension 2^14
-    (1 << 14, 6),     # m = N, as an exact reading folds
 ])
 def test_heavy_buckets_match_reference(monkeypatch, m, k):
     rng = np.random.default_rng(m * 1000 + k)
@@ -244,18 +206,18 @@ def test_heavy_buckets_match_reference(monkeypatch, m, k):
         return real(fa, fb, size)
 
     monkeypatch.setattr(folding, "_convolve_padded", recording)
-    ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5)
+    ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5,
+                                       bucket_spectra(m))
     order = np.argsort(ids)
     assert ids[order].tolist() == want_ids.tolist()
     assert np.allclose(vals[order], want_vals, atol=1e-6)
-    # from m >= N on no index sum reaches m: no padding to 2m - 1
-    assert len(lengths) == 1
-    assert (lengths[0] < 2 * m - 1) == (m >= n)
+    # every modulus pads to the smooth length at or above 2m - 1
+    assert lengths == [_fast_fft_length(2 * m - 1)]
 
 
 def test_workspace_reuse_matches_fresh_calls():
-    # moduli that shrink and then grow within one pair of spectra, one of
-    # them (m = N) unpadded: a longer modulus must leave no stale tail
+    # moduli that shrink and then grow within one pair of spectra: a
+    # longer modulus must leave no stale tail
     rng = np.random.default_rng(5)
     n = 1 << 14
     k = 60
@@ -269,7 +231,8 @@ def test_workspace_reuse_matches_fresh_calls():
     spectra = bucket_spectra(n)
     for m in (1999, 1009, 1 << 14, 101, 7, 211, 3001, 2, 1499):
         for threshold in (0.5, 0.0):
-            want_ids, want_vals = heavy_residual_buckets(*args, m, threshold)
+            want_ids, want_vals = heavy_residual_buckets(
+                *args, m, threshold, bucket_spectra(m))
             ids, vals = heavy_residual_buckets(*args, m, threshold, spectra)
             assert np.array_equal(ids, want_ids), m
             assert np.array_equal(vals, want_vals), m
@@ -283,12 +246,14 @@ def test_workspace_reuse_matches_fresh_calls():
 def test_heavy_buckets_empty_inputs():
     e_i = np.empty(0, dtype=np.int64)
     e_v = np.empty(0, dtype=np.complex128)
-    ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, e_i, e_v, 64, 0.5)
+    ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, e_i, e_v, 64, 0.5,
+                                       bucket_spectra(64))
     assert ids.size == 0 and vals.size == 0
     # x empty but w nonzero: residual is -w
     v = make_sparse_vector(32, [(3, 7)])
     jw, pw = _phases(v)
-    ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, jw, pw, 5, 0.5)
+    ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, jw, pw, 5, 0.5,
+                                       bucket_spectra(5))
     assert ids.tolist() == [3]
     assert abs(vals[0] + 7 * root(3, 32)) < 1e-12
 

@@ -141,7 +141,7 @@ def test_locate_budget_cutoff_aborts_whole_call():
     # residual has 180 well-spread terms but the budget admits only 1 heavy
     # bucket, so every repetition must trip the cutoff and return zero.
     # N = 2048 at budget 1: L = 352, so 180 pairs > L/2 fold at a prime
-    # and 2L < N rules out the exact fold at N
+    # and 2L < N rules out the dense reading at N
     n = 1 << 10
     x = embedded(n, [(101 * i + 7, 3) for i in range(10)])
     y = embedded(n, [(j, 1) for j in range(18)])
@@ -276,16 +276,15 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
 
 def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         monkeypatch):
-    # 2L >= N: a fold at N is no longer than one at a prime near L, and it
-    # reads the residual exactly, in one repetition and with no draw;
-    # N = 128 at budget 16 (L = 3584 >= N) and N = 2^14 at budget 32
-    # (L = 14336: N/2 <= L < N)
+    # 2L >= N: the dense real product reads the residual exactly, in one
+    # repetition, with no fold and no draw; N = 128 at budget 16
+    # (L = 3584 >= N) and N = 2^14 at budget 32 (L = 14336: N/2 <= L < N)
     moduli, spectra = [], []
     real = folding.heavy_residual_buckets
 
     def recording(*args):
         moduli.append(args[6])
-        spectra.append(id(args[8]) if len(args) > 8 else None)
+        spectra.append(id(args[8]))
         return real(*args)
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", recording)
@@ -303,7 +302,7 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         state = rng.bit_generator.state
         z, report = locate_with_report(x, x, w, budget, 0.1, rng)
         assert z == subtract(exact, w) and z.l0 == 6
-        assert moduli == [big_n] and rng.bit_generator.state == state
+        assert moduli == [] and rng.bit_generator.state == state
         assert (report.reps_run, report.primes, report.heavy_counts,
                 report.aborted_rep) == (1, [], [6], None)
         # the whole product, far above the budget, is kept: no abort
@@ -311,6 +310,7 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
                                        0.1, rng)
         assert z == exact and exact.l0 > budget
         assert (report.heavy_counts, report.aborted_rep) == ([exact.l0], None)
+        assert moduli == [] and rng.bit_generator.state == state
     # N = 2^14 at budget 18: L = 8064, so 2L is just below N and every
     # modulus is a drawn prime of [L/2, L], below N/2
     x = spread(128)
@@ -327,7 +327,25 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         assert moduli == report.primes and len(moduli) == report.reps_run
         assert all(limit // 2 <= p <= limit for p in moduli)
         # every repetition reuses the call's one pair of FFT rows
-        assert len(set(spectra)) == 1 and spectra[0] is not None
+        assert len(set(spectra)) == 1
+
+
+def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
+    # N = 2^17 at budget 128: L = 69632, so 2L >= N and the 401^2 pairs
+    # outnumber L/2. Each operand has one coefficient 2^20 among 400 of
+    # +-1 (l1 mass product about 2^40, inside the envelope); the reading
+    # at N must return every term of the product, the small ones too.
+    n = 1 << 16
+    rng = np.random.default_rng(17)
+    x, y = (from_arrays(2 * n, rng.choice(n, size=401, replace=False),
+                        np.append(1 << 20, rng.choice([-1, 1], size=400)))
+            for _ in range(2))
+    limit = prime_range_for(128, 2 * n)
+    assert x.l0 * y.l0 > limit // 2 and 2 * limit >= 2 * n
+    z, report = locate_with_report(x, y, zero_vector(2 * n), 128, 0.5,
+                                   np.random.default_rng(0))
+    assert (report.reps_run, report.primes) == (1, [])
+    assert z == cyclic_convolve_naive(x, y)
 
 
 @pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
@@ -338,7 +356,7 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
     x = spread(64)
     reading = 3 * _unit_root_powers(np.array([5]), x.length)
 
-    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, spectra=None):
+    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, spectra):
         return np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
