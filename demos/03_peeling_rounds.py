@@ -77,7 +77,8 @@ print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
       f"{'recovered':>9}  {'residual':>8}")
 for r, (w_after, report) in enumerate(trace):
     heavy = max(report.heavy_counts) if report.heavy_counts else 0
-    print(f"{r:>5}  {report.params.bucket_budget:>7}  {heavy:>10}  "
+    round_budget = max(1, budget >> r)      # hash_and_iterate halves it
+    print(f"{r:>5}  {round_budget:>7}  {heavy:>10}  "
           f"{w_after.l0:>9}  {subtract(exact, w_after).l0:>8}")
 assert w == exact
 

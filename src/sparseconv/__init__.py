@@ -8,7 +8,7 @@ randomized fingerprint keeps the result Las Vegas correct.
 from .driver import MultiplicationFailed, sparse_multiply
 from .fingerprint import equality_test
 from .instances import InstanceSpec, blocked_telescoping_instance, gen_instance
-from .locate import locate, locate_with_report
+from .locate import locate_with_report
 from .polyfile import PolyFileError, parse_poly_file, write_poly_file
 from .primes import PrimeSamplingError, miller_rabin, random_prime_in_range
 from .seeding import resolve_seed, substream
@@ -32,7 +32,6 @@ __all__ = [
     "embed_for_product",
     "equality_test",
     "gen_instance",
-    "locate",
     "locate_with_report",
     "make_sparse_vector",
     "miller_rabin",

@@ -26,10 +26,6 @@ from .vectors import (SparseVector, EnvelopeError, add, check_operand,
 # vector passes with probability below c * pi^2 / 6 over all rounds.
 OUTER_FAILURE_CONSTANT = 1.0 / 400.0
 
-# Per-call delta of every locate call in a peel: 5 repetitions, vote >= 4.
-# A call that misses a term only costs time; see sparse_multiply.
-LOCATE_DELTA = 0.5
-
 # Phase-folded bucket values must stay resolvable in float64: their total
 # coefficient mass times accumulated rounding must sit far below the 0.5
 # heavy-bucket threshold.
@@ -50,9 +46,10 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     or an exact reading (no prime drawn), which only a peel's first call
     can make: both its conditions (see locate_with_report) weaken as the
     budget halves.
-    Each call runs at LOCATE_DELTA, so it may miss a term, which stays in
-    the residual for a later round, or misread one, which becomes a
-    residual term that a later round recovers. With B >= 16 * l0(x * y)
+    Each call keeps what locate.VOTE = 4 of its locate.REPS = 5
+    repetitions read, so it may miss a term, which stays in the residual
+    for a later round, or misread one, which becomes a residual term that
+    a later round recovers. With B >= 16 * l0(x * y)
     no round aborts, and w equals x * y except with the probability
     bounded in sparse_multiply; smaller budgets typically return a
     partial (often empty) w. The caller's fingerprint rejects every
@@ -71,7 +68,7 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     trace: list[tuple[SparseVector, LocateReport]] = []
     for r in range(rounds):
         budget = max(1, bucket_budget >> r)
-        z, report = locate_with_report(x, y, w, budget, LOCATE_DELTA, rng)
+        z, report = locate_with_report(x, y, w, budget, rng)
         w = add(w, z)
         trace.append((w, report))
         if (report.aborted_rep is not None or not report.saw_heavy
@@ -121,8 +118,8 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     0.0046 / h < gamma q / h with gamma = 1/16, q = 1/8; by Markov a
     repetition is bad (more than gamma of the terms shared) with
     probability at most q / h.
-    A locate call votes 4 of 5 (LOCATE_DELTA). If at most one repetition
-    is bad, it leaves at most 5 gamma of the residual: 4 gamma missed terms
+    A locate call votes VOTE = 4 of REPS = 5. If at most one repetition is
+    bad, it leaves at most 5 gamma of the residual: 4 gamma missed terms
     (shared in a good repetition) and 2 gamma / 3 junk ones (3 good votes
     from buckets of two or more terms). It cannot stop sooner: an abort
     needs more heavy buckets than the budget, so than residual terms, and

@@ -1,15 +1,15 @@
 """Recovery of heavy residual coordinates from phase-folded buckets.
 
-One locate call repeats the same experiment t times: draw a random prime
+One locate call repeats the same experiment REPS times: draw a random prime
 p from the dyadic range [L/2, L] of prime_range_for, fold the residual
 (x * y) - w into p buckets, and read every isolated heavy bucket as a
 (index, value) candidate; L is O(B log N) for a budget of B heavy
 buckets, and so is a fold's transform. An index that lands alone in its
 bucket reproduces value * w^index exactly, so the magnitude rounds to
-the coefficient and the phase decodes to the index. Candidates that
-persist across at least 3/4 of the repetitions are returned; buckets hit
-by collisions decode to junk that fails re-encoding, the bucket check (an
-isolated index sits in bucket index mod p) or the majority filter. A call
+the coefficient and the phase decodes to the index. Candidates read in
+at least VOTE of the repetitions are returned; buckets hit by collisions
+decode to junk that fails re-encoding, the bucket check (an isolated
+index sits in bucket index mod p) or the majority filter. A call
 also ends, returning zero, at its first repetition with more heavy buckets
 than its budget (the residual is too large to separate) or with none at
 all (the residual is almost surely zero; see locate_with_report).
@@ -23,7 +23,6 @@ and an exact reading is returned whatever its size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,34 +35,15 @@ from .vectors import (SparseVector, _canonical, _empty_terms,
 
 ISOLATION_CONSTANT = 16          # prime range and bucket budget multiplier
 HEAVY_THRESHOLD = 0.5
+REPS = 5                         # repetitions of a call that folds
+VOTE = 4                         # readings a candidate needs to be kept
 REENCODE_TOLERANCE = 0.1
-
-
-@dataclass(frozen=True)
-class LocateParams:
-    """Derived knobs for one locate call."""
-
-    bucket_budget: int
-    delta: float
-    reps: int
-    prune_threshold: int
-
-    @classmethod
-    def for_budget(cls, bucket_budget: int, delta: float) -> "LocateParams":
-        if bucket_budget < 1:
-            raise ValueError("bucket budget must be positive")
-        if not (0 < delta < 1):
-            raise ValueError("delta must be in (0, 1)")
-        reps = max(1, 5 * math.ceil(math.log2(1.0 / delta)))
-        return cls(bucket_budget=bucket_budget, delta=delta, reps=reps,
-                   prune_threshold=math.ceil(0.75 * reps))
 
 
 @dataclass
 class LocateReport:
-    """Diagnostics for one locate call (primarily for tests and tuning)."""
+    """Diagnostics for one locate call (primarily for tests)."""
 
-    params: LocateParams
     reps_run: int = 0
     aborted_rep: int | None = None   # repetition that tripped the budget cutoff
     saw_heavy: bool = False
@@ -118,23 +98,11 @@ def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, m: int):
     return index[ok], np.where(negative[ok], -signed, signed)
 
 
-def _group_candidates(idx_all: np.ndarray, val_all: np.ndarray):
-    """Unique (index, value) pairs with occurrence counts.
-
-    Fast path packs both into one int64 key so a plain value sort does the
-    grouping; applicable whenever index < 2^27 (any embedded product within
-    MAX_DIMENSION) and |value| < 2^35. Oversized values fall back to lexsort.
+def _prune(idx_all: np.ndarray, val_all: np.ndarray, n: int) -> SparseVector:
+    """Majority filter: keep the (index, value) pairs read in at least VOTE
+    repetitions. Each index has at most one reading per repetition and
+    2 * VOTE > REPS, so no index keeps two values.
     """
-    if (int(idx_all.max()) < (1 << 27)
-            and int(np.abs(val_all).max()) < (1 << 35)):
-        packed = np.sort((idx_all << 36) + (val_all + (1 << 35)))
-        starts = np.empty(packed.size, dtype=bool)
-        starts[0] = True
-        np.not_equal(packed[1:], packed[:-1], out=starts[1:])
-        start_pos = np.flatnonzero(starts)
-        counts = np.diff(np.append(start_pos, packed.size))
-        keys = packed[start_pos]
-        return keys >> 36, (keys & ((1 << 36) - 1)) - (1 << 35), counts
     order = np.lexsort((val_all, idx_all))
     si = idx_all[order]
     sv = val_all[order]
@@ -143,24 +111,18 @@ def _group_candidates(idx_all: np.ndarray, val_all: np.ndarray):
     np.logical_or(si[1:] != si[:-1], sv[1:] != sv[:-1], out=starts[1:])
     start_pos = np.flatnonzero(starts)
     counts = np.diff(np.append(start_pos, si.size))
-    return si[start_pos], sv[start_pos], counts
-
-
-def _prune(idx_all: np.ndarray, val_all: np.ndarray, n: int,
-           params: LocateParams) -> SparseVector:
-    """Majority filter: keep the (index, value) pairs read in at least
-    prune_threshold repetitions. Each index has at most one reading per
-    repetition and 2 * prune_threshold > reps, so no index keeps two values.
-    """
-    si, sv, counts = _group_candidates(idx_all, val_all)
-    keep = counts >= params.prune_threshold
+    keep = start_pos[counts >= VOTE]
     return _canonical(n, si[keep], sv[keep])
 
 
 def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
-                       bucket_budget: int, delta: float,
-                       rng: np.random.Generator):
-    """locate() plus a LocateReport of per-repetition diagnostics.
+                       bucket_budget: int, rng: np.random.Generator):
+    """(z, LocateReport): z estimates the residual (x * y) - w.
+
+    A call that folds keeps the terms read in VOTE of its REPS repetitions.
+    With bucket_budget above 16 * l0(residual), z misses or misreads at
+    most 5/16 of the residual unless two repetitions are bad (see
+    driver.sparse_multiply).
 
     The call returns the zero vector at its first repetition with no heavy
     bucket, reporting reps_run up to and including it and leaving
@@ -178,7 +140,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     at most (k - 1) 10 ln N / (3L), below 10 ln 2 / 1536 < 0.0046 when
     k <= bucket_budget / 16 (L >= 32 bucket_budget log2 N).
     A repetition is quiet with at most that probability, and a call stops
-    early with at most reps times it. Stopping early costs time, never
+    early with at most REPS times it. Stopping early costs time, never
     correctness: the call returns zero, no wrong term, and the caller's
     peel ends with an incomplete w, which its fingerprint rejects.
 
@@ -190,9 +152,10 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
+    if bucket_budget < 1:
+        raise ValueError("bucket budget must be positive")
     n = x.length
-    params = LocateParams.for_budget(bucket_budget, delta)
-    report = LocateReport(params=params)
+    report = LocateReport()
     limit = prime_range_for(bucket_budget, n)
 
     pairs_fit = x.l0 * y.l0 <= limit // 2
@@ -210,7 +173,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     spectra = folding.bucket_spectra(limit)     # one for every repetition
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
-    for rep in range(params.reps):
+    for rep in range(REPS):
         p = uniform_prime_below(limit, rng)     # p <= L < N/2
         report.primes.append(p)
         report.reps_run = rep + 1
@@ -232,21 +195,5 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
 
     if not got_i:
         return zero_vector(n), report
-    z = _prune(np.concatenate(got_i), np.concatenate(got_v), n, params)
+    z = _prune(np.concatenate(got_i), np.concatenate(got_v), n)
     return z, report
-
-
-def locate(x: SparseVector, y: SparseVector, w: SparseVector,
-           bucket_budget: int, delta: float,
-           rng: np.random.Generator) -> SparseVector:
-    """Estimate of the residual (x * y) - w, restricted to recoverable terms.
-
-    With bucket_budget exceeding 16 * l0(residual), the returned vector
-    matches the residual except on at most a 5/16 fraction of its support,
-    with failure probability at most delta. A call that folds returns the
-    zero vector as soon as a repetition sees more than bucket_budget heavy
-    buckets, or none; an exact reading (see locate_with_report) is the
-    whole residual, whatever its size.
-    """
-    z, _ = locate_with_report(x, y, w, bucket_budget, delta, rng)
-    return z

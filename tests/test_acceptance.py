@@ -23,7 +23,8 @@ from sparseconv.folding import (_unit_root_powers, bucket_spectra,
                                 heavy_residual_buckets, phased_coeffs)
 from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
                                   gen_instance)
-from sparseconv.locate import decode_indices, locate, prime_range_for
+from sparseconv.locate import (decode_indices, locate_with_report,
+                               prime_range_for)
 from sparseconv.primes import PrimeSamplingError, uniform_prime_below
 from sparseconv.seeding import substream
 from sparseconv.vectors import (embed_for_product, make_sparse_vector,
@@ -231,8 +232,8 @@ def test_locate_contract_single_round(capsys):
             exact.length,
             [exact.to_pairs()[j] for j in sorted(drop.tolist())])
         w = subtract(exact, residual)
-        z = locate(x, y, w, bucket_budget=2048, delta=0.1,
-                   rng=substream(8800 + i, "multiply"))
+        z, _ = locate_with_report(x, y, w, bucket_budget=2048,
+                                  rng=substream(8800 + i, "multiply"))
         missed = subtract(z, residual).l0
         passed += missed <= gamma5 * residual_size
     good = passed >= 90

@@ -11,11 +11,10 @@ import pytest
 
 import sparseconv
 from sparseconv import driver, primes
-from sparseconv.driver import (LOCATE_DELTA, OUTER_FAILURE_CONSTANT,
-                               MultiplicationFailed, hash_and_iterate,
-                               sparse_multiply)
+from sparseconv.driver import (OUTER_FAILURE_CONSTANT, MultiplicationFailed,
+                               hash_and_iterate, sparse_multiply)
 from sparseconv.instances import InstanceSpec, gen_instance
-from sparseconv.locate import ISOLATION_CONSTANT, LocateParams, LocateReport
+from sparseconv.locate import ISOLATION_CONSTANT, REPS, VOTE, LocateReport
 from sparseconv.primes import PrimeSamplingError
 from sparseconv.vectors import (EnvelopeError, cyclic_convolve_naive,
                                 embed_for_product, from_arrays,
@@ -65,11 +64,10 @@ def test_params_relations_enforced():
     q = 1.0 / 8.0
     gamma = 2.0 / (ISOLATION_CONSTANT ** 2 * q)
     assert math.isclose(gamma, 1.0 / 16.0)
-    # a locate call at LOCATE_DELTA votes thr of t repetitions; with at
-    # most t - thr bad repetitions its missed plus junk terms stay within
-    # 5 gamma of the residual
-    params = LocateParams.for_budget(16, LOCATE_DELTA)
-    t, thr = params.reps, params.prune_threshold
+    # a locate call votes thr of t repetitions; with at most t - thr bad
+    # repetitions its missed plus junk terms stay within 5 gamma of the
+    # residual
+    t, thr = REPS, VOTE
     assert (t, thr) == (5, 4)
     for bad in range(t - thr + 1):
         missed = (t - bad) * gamma / (t - thr + 1 - bad)
@@ -273,19 +271,22 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
 
 @pytest.mark.parametrize("budget", [16, 1 << 16])
 def test_hash_and_iterate_votes_over_five_repetitions(budget):
-    # every locate call of a peel runs at LOCATE_DELTA, whatever the
-    # budget: 5 repetitions and a vote of 4
-    n = 256
-    rng_inst = np.random.default_rng(22)
-    x = from_arrays(2 * n, rng_inst.choice(n, size=10, replace=False),
-                    rng_inst.integers(1, 30, size=10))
-    y = from_arrays(2 * n, rng_inst.choice(n, size=10, replace=False),
-                    rng_inst.integers(1, 30, size=10))
-    _, trace = hash_and_iterate(x, y, budget, np.random.default_rng(11))
-    assert trace
+    # every locate call of a peel that folds draws REPS = 5 primes,
+    # whatever the budget, unless it aborts or a repetition is quiet. The
+    # telescoping operands fold at budget 16; at 2^16, 2L >= N and the
+    # first call reads the product exactly, in one repetition
+    u, v, exact = _telescoping_slots(22)
+    x, y = embed_for_product(u, v)
+    w, trace = hash_and_iterate(x, y, budget, np.random.default_rng(11))
+    assert w == exact
+    assert len(trace[0][1].primes) == (REPS if budget == 16 else 0)
     for _, report in trace:
-        assert report.params.reps == 5
-        assert report.params.prune_threshold == 4
+        if not report.primes:
+            assert report.reps_run == 1
+            continue
+        assert len(report.primes) == report.reps_run
+        assert (report.reps_run == REPS or report.aborted_rep is not None
+                or report.heavy_counts[-1] == 0)
 
 
 def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
@@ -304,14 +305,14 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
         assert budget != lossy_budget or w != exact
         return w, trace
 
-    def lossy_locate(x, y, w, budget, delta, rng):
-        z, report = real_locate(x, y, w, budget, delta, rng)
+    def lossy_locate(x, y, w, budget, rng):
+        z, report = real_locate(x, y, w, budget, rng)
         if peels[-1] == lossy_budget and z.l0:
             z = from_arrays(z.length, z.indices[1:], z.coeffs[1:])
         return z, report
 
-    def drawing_locate(x, y, w, budget, delta, rng):
-        z, report = lossy_locate(x, y, w, budget, delta, rng)
+    def drawing_locate(x, y, w, budget, rng):
+        z, report = lossy_locate(x, y, w, budget, rng)
         drew.append(bool(report.primes))
         return z, report
 
@@ -396,8 +397,8 @@ def test_budget_after_an_abort(monkeypatch, heavy, want):
         if len(budgets) > len(heavy):
             raise _Stop
         h = heavy[len(budgets) - 1]
-        report = LocateReport(LocateParams.for_budget(budget, LOCATE_DELTA),
-                              reps_run=1, aborted_rep=None if h is None else 0,
+        report = LocateReport(reps_run=1,
+                              aborted_rep=None if h is None else 0,
                               heavy_counts=[0 if h is None else h])
         w = zero_vector(x.length)
         return w, [(w, report)]
@@ -470,6 +471,16 @@ def test_imports_and_multiplies_without_float128():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[(0, 1), (3, -4), (6, 4)]"
+
+
+def test_every_exported_name_resolves():
+    # a stale entry in __all__ would surface only as an ImportError in a
+    # caller's `from sparseconv import *`
+    missing = [name for name in sparseconv.__all__
+               if not hasattr(sparseconv, name)]
+    assert missing == []
+    assert "locate" not in sparseconv.__all__
+    assert sparseconv.locate is importlib.import_module("sparseconv.locate")
 
 
 def test_memory_bound_at_8192_terms_per_operand():

@@ -8,22 +8,10 @@ import pytest
 
 from sparseconv import folding
 from sparseconv.folding import _unit_root_powers
-from sparseconv.locate import (LocateParams, decode_indices, locate,
-                               locate_with_report, prime_range_for)
+from sparseconv.locate import (REPS, decode_indices, locate_with_report,
+                               prime_range_for)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
-
-
-def test_params_from_budget():
-    p = LocateParams.for_budget(64, 0.1)
-    # reps = 5 * ceil(log2(10)) = 20, prune at ceil(0.75 * 20) = 15
-    assert p.reps == 20
-    assert p.prune_threshold == 15
-    assert LocateParams.for_budget(1, 0.5).reps == 5
-    with pytest.raises(ValueError):
-        LocateParams.for_budget(0, 0.1)
-    with pytest.raises(ValueError):
-        LocateParams.for_budget(4, 1.5)
 
 
 def test_sieve_limit_formula():
@@ -108,7 +96,7 @@ def test_locate_recovers_simple_residual():
     w = zero_vector(2 * n)
     want = cyclic_convolve_naive(x, y)
     rng = np.random.default_rng(5)
-    z = locate(x, y, w, bucket_budget=64, delta=0.1, rng=rng)
+    z, _ = locate_with_report(x, y, w, bucket_budget=64, rng=rng)
     assert z == want
 
 
@@ -118,7 +106,7 @@ def test_locate_recovers_negative_only_residual():
     x = embedded(n, [(0, -3), (7, -2)])
     y = embedded(n, [(0, 1)])
     rng = np.random.default_rng(11)
-    z = locate(x, y, zero_vector(2 * n), 64, 0.1, rng)
+    z, _ = locate_with_report(x, y, zero_vector(2 * n), 64, rng)
     assert z == cyclic_convolve_naive(x, y)
     assert z.to_pairs() == [(0, -3), (7, -2)]
 
@@ -133,7 +121,7 @@ def test_locate_subtracts_recovered_part():
     exact = cyclic_convolve_naive(x, y)
     w = make_sparse_vector(2 * n, exact.to_pairs()[: exact.l0 // 2])
     residual = subtract(exact, w)
-    z = locate(x, y, w, 256, 0.05, np.random.default_rng(9))
+    z, _ = locate_with_report(x, y, w, 256, np.random.default_rng(9))
     assert z == residual
 
 
@@ -147,11 +135,14 @@ def test_locate_budget_cutoff_aborts_whole_call():
     y = embedded(n, [(j, 1) for j in range(18)])
     limit = prime_range_for(1, 2 * n)
     assert x.l0 * y.l0 > limit // 2 and 2 * limit < 2 * n
-    z, report = locate_with_report(x, y, zero_vector(2 * n), 1, 0.25,
+    z, report = locate_with_report(x, y, zero_vector(2 * n), 1,
                                    np.random.default_rng(1))
     assert z.is_zero
     assert report.aborted_rep == 0
     assert report.reps_run == len(report.primes) == 1  # gave up at once
+    with pytest.raises(ValueError):     # no budget at all is refused
+        locate_with_report(x, y, zero_vector(2 * n), 0,
+                           np.random.default_rng(1))
 
 
 def test_locate_output_size_is_budget_bounded():
@@ -162,9 +153,9 @@ def test_locate_output_size_is_budget_bounded():
     x = from_arrays(2 * n, xi, np.ones(16, dtype=np.int64))
     y = embedded(n, [(0, 1), (1, 1)])
     budget = 8
-    z, report = locate_with_report(x, y, zero_vector(2 * n), budget, 0.2,
+    z, report = locate_with_report(x, y, zero_vector(2 * n), budget,
                                    np.random.default_rng(3))
-    assert z.l0 <= budget * report.params.reps
+    assert z.l0 <= budget * REPS
     assert np.unique(z.indices).size == z.l0  # no duplicate indices
 
 
@@ -173,7 +164,7 @@ def test_locate_empty_residual_reports_quiet():
     x = embedded(n, [(2, 3)])
     y = embedded(n, [(4, -7)])
     w = cyclic_convolve_naive(x, y)
-    z, report = locate_with_report(x, y, w, 32, 0.1, np.random.default_rng(8))
+    z, report = locate_with_report(x, y, w, 32, np.random.default_rng(8))
     assert z.is_zero
     assert not report.saw_heavy
     assert report.aborted_rep is None
@@ -183,8 +174,8 @@ def test_locate_empty_residual_reports_quiet():
 
 
 def test_locate_zero_times_zero():
-    z = locate(zero_vector(16), zero_vector(16), zero_vector(16), 4, 0.1,
-               np.random.default_rng(0))
+    z, _ = locate_with_report(zero_vector(16), zero_vector(16),
+                              zero_vector(16), 4, np.random.default_rng(0))
     assert z.is_zero
 
 
@@ -203,12 +194,11 @@ def test_locate_primes_within_sieve_range():
     x = spread(64)
     exact = cyclic_convolve_naive(x, x)
     w = make_sparse_vector(x.length, exact.to_pairs()[2:])
-    z, report = locate_with_report(x, x, w, 16, 0.1,
-                                   np.random.default_rng(12))
+    z, report = locate_with_report(x, x, w, 16, np.random.default_rng(12))
     limit = prime_range_for(16, x.length)
     assert limit // 2 < x.l0 * x.l0 and 2 * limit < x.length
     assert all(limit // 2 <= p <= limit for p in report.primes)
-    assert len(report.primes) == report.params.reps
+    assert len(report.primes) == REPS
     assert z == subtract(exact, w)
 
 
@@ -217,8 +207,8 @@ def test_locate_is_deterministic_given_rng_state():
     x = embedded(n, [(0, 2), (5, -3), (17, 9)])
     y = embedded(n, [(1, 4), (9, 1)])
     w = zero_vector(2 * n)
-    a = locate(x, y, w, 64, 0.1, np.random.default_rng(42))
-    b = locate(x, y, w, 64, 0.1, np.random.default_rng(42))
+    a, _ = locate_with_report(x, y, w, 64, np.random.default_rng(42))
+    b, _ = locate_with_report(x, y, w, 64, np.random.default_rng(42))
     assert a == b
 
 
@@ -244,19 +234,19 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
     # two residual terms: one left out of w, one that w adds wrongly; at
     # budget 1 the read fires at exactly L/2 pairs, and an exact reading
     # is kept whatever its size
-    z, report = locate_with_report(x, y, w, 1, 0.1, rng)
+    z, report = locate_with_report(x, y, w, 1, rng)
     assert z == subtract(exact, w)
     assert z.to_pairs() == [drop, (1000, -4)]
     assert rng.bit_generator.state == state
     assert (report.reps_run, report.primes, report.heavy_counts,
             report.aborted_rep, report.saw_heavy) == (1, [], [2], None, True)
     # far above the budget: still the whole residual, with no abort
-    z, report = locate_with_report(x, y, zero_vector(2 * n), 1, 0.1, rng)
+    z, report = locate_with_report(x, y, zero_vector(2 * n), 1, rng)
     assert z == exact and exact.l0 > 1
     assert (report.reps_run, report.primes, report.heavy_counts,
             report.aborted_rep) == (1, [], [exact.l0], None)
     # nothing left: quiet
-    z, report = locate_with_report(x, y, exact, 1, 0.1, rng)
+    z, report = locate_with_report(x, y, exact, 1, rng)
     assert z.is_zero and not report.saw_heavy
     assert (report.reps_run, report.heavy_counts, report.aborted_rep) == (
         1, [0], None)
@@ -267,10 +257,9 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
     assert x7.l0 * y23.l0 == limit // 2 + 1
     exact = cyclic_convolve_naive(x7, y23)
     w = make_sparse_vector(2 * n, exact.to_pairs()[1:])
-    z, report = locate_with_report(x7, y23, w, 1, 0.1,
-                                   np.random.default_rng(3))
+    z, report = locate_with_report(x7, y23, w, 1, np.random.default_rng(3))
     assert z == subtract(exact, w)
-    assert len(report.primes) == report.reps_run == report.params.reps
+    assert len(report.primes) == report.reps_run == REPS
     assert all(limit // 2 <= p <= limit < n for p in report.primes)
 
 
@@ -300,14 +289,13 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         moduli.clear()
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        z, report = locate_with_report(x, x, w, budget, 0.1, rng)
+        z, report = locate_with_report(x, x, w, budget, rng)
         assert z == subtract(exact, w) and z.l0 == 6
         assert moduli == [] and rng.bit_generator.state == state
         assert (report.reps_run, report.primes, report.heavy_counts,
                 report.aborted_rep) == (1, [], [6], None)
         # the whole product, far above the budget, is kept: no abort
-        z, report = locate_with_report(x, x, zero_vector(big_n), budget,
-                                       0.1, rng)
+        z, report = locate_with_report(x, x, zero_vector(big_n), budget, rng)
         assert z == exact and exact.l0 > budget
         assert (report.heavy_counts, report.aborted_rep) == ([exact.l0], None)
         assert moduli == [] and rng.bit_generator.state == state
@@ -321,7 +309,7 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
     for seed in range(5):
         moduli.clear()
         spectra.clear()
-        z, report = locate_with_report(x, x, w, 18, 0.5,
+        z, report = locate_with_report(x, x, w, 18,
                                        np.random.default_rng(seed))
         assert z == subtract(exact, w)
         assert moduli == report.primes and len(moduli) == report.reps_run
@@ -342,7 +330,7 @@ def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
             for _ in range(2))
     limit = prime_range_for(128, 2 * n)
     assert x.l0 * y.l0 > limit // 2 and 2 * limit >= 2 * n
-    z, report = locate_with_report(x, y, zero_vector(2 * n), 128, 0.5,
+    z, report = locate_with_report(x, y, zero_vector(2 * n), 128,
                                    np.random.default_rng(0))
     assert (report.reps_run, report.primes) == (1, [])
     assert z == cyclic_convolve_naive(x, y)
@@ -360,24 +348,23 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
         return np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
-    z, report = locate_with_report(x, x, zero_vector(x.length), 16, 0.1,
+    z, report = locate_with_report(x, x, zero_vector(x.length), 16,
                                    np.random.default_rng(6))
-    assert len(report.primes) == report.reps_run == report.params.reps
+    assert len(report.primes) == report.reps_run == REPS
     assert z.to_pairs() == want
 
 
 def test_vote_groups_values_of_at_least_2_to_the_35():
-    # coefficients 57 * 2^30 .. 64 * 2^30 of x * y are too wide for the
-    # vote's packed int64 key, so the vote falls back to lexsort
+    # coefficients 57 * 2^30 .. 64 * 2^30 of x * y: the vote groups
+    # (index, value) pairs of any int64 width
     n = 1 << 13                         # N = 2^14, budget 16: L = 7168
     x = embedded(n, [(j, 1 << 15) for j in range(64)])
     y = embedded(n, [(j, -(1 << 15)) for j in range(64)])
     exact = cyclic_convolve_naive(x, y)
     w = make_sparse_vector(2 * n, [(j, c) for j, c in exact.to_pairs()
                                    if not 56 <= j < 64])
-    z, report = locate_with_report(x, y, w, 16, 0.1,
-                                   np.random.default_rng(7))
+    z, report = locate_with_report(x, y, w, 16, np.random.default_rng(7))
     assert x.l0 * y.l0 > prime_range_for(16, 2 * n) // 2      # folds
-    assert len(report.primes) == report.reps_run == report.params.reps
+    assert len(report.primes) == report.reps_run == REPS
     assert z == subtract(exact, w)
     assert z.l0 == 8 and int(np.abs(z.coeffs).min()) >= 1 << 35
