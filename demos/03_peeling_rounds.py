@@ -69,8 +69,9 @@ while True:
 # Now look inside the successful budget: the per-round trace. Budgets
 # halve per round because the residual shrinks at least that fast, and
 # a round that sees no heavy bucket ends the peel. Here the term pairs
-# fit within L/2, so round 0 reads the whole product exactly from them,
-# draws no prime, and the peel ends after it.
+# fit within the exact-read limit 16 * B * ceil(log2 N), so round 0 reads
+# the whole product exactly from them, draws no prime, and the peel ends
+# after it.
 w, trace = hash_and_iterate(x, y, budget, substream(32, "multiply"))
 print(f"\nper-round trace at budget {budget}:")
 print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "

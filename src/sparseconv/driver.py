@@ -110,30 +110,34 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     C * 2^r' >= h1, the heavy count at which the peel's first locate call
     aborted (0 if it did not). That call folds x * y itself (w = 0), where
     a bucket holding no product term reads zero up to rounding, so h1 <= k
-    and the jump never passes r0: rounds r0 .. r0 + 2 all run (k < N) at
-    budgets at least 16k, 32k and 64k, each with fingerprint budget c / r^2.
+    and the jump never passes r0: from r0 on, rounds run one after another
+    at budgets at least 16k 2^(r - r0). A round reads the product exactly,
+    and passes, once 4 E >= N (E = locate.exact_read_limit(C * 2^r, N)),
+    at the latest at round max(1, ceil(log2 N) - 10), below max_rounds.
     Let h be a call's budget over 16 * l0(residual). As in the isolation
     analysis of locate_with_report, the mean fraction of residual terms
-    that share a bucket, at most (l0 - 1) 10 ln N / (3L), is below
-    0.0046 / h < gamma q / h with gamma = 1/16, q = 1/8; by Markov a
+    that share a bucket, at most (l0 - 1) 10 ln N / (3L) with L = 128 B,
+    is below (10 ln N / 6144) / h = gamma q / h' with gamma = 1/16,
+    q = 1/8 and h' = h / c, c = 5 ln N / 24 < 4 for N <= 2^26; by Markov a
     repetition is bad (more than gamma of the terms shared) with
-    probability at most q / h.
+    probability at most q / h'.
     A locate call votes VOTE = 4 of REPS = 5. If at most one repetition is
     bad, it leaves at most 5 gamma of the residual: 4 gamma missed terms
     (shared in a good repetition) and 2 gamma / 3 junk ones (3 good votes
     from buckets of two or more terms). It cannot stop sooner: an abort
     needs more heavy buckets than the budget, so than residual terms, and
     a quiet repetition on a nonzero residual needs every term shared
-    (probability at most gamma q / h). So a call fails with probability
-    at most 10 (q/h)^2 + 5 gamma q / h, and a success multiplies the next
-    call's h by (1/2) / (5 gamma) = 8/5; the peel's ceil(log2 B) calls
-    outnumber the successes that empty the residual. Summed, a peel
-    starting at h is inexact with probability at most P(h) = (640/39)
-    (q/h)^2 + (40/3) gamma q / h, P(1) < 0.361. Doubling the budget
-    doubles L and so halves the sharing bound, so rounds r0 .. r0 + 2
-    count as h >= 1, 2, 4. They draw independently, so all three peels
-    are inexact with probability at most P(1) P(2) P(4), below
-    P(1) P(1.8) P(3.2) < 0.003.
+    (probability at most gamma q / h'). So a call fails with probability
+    at most 10 (q/h')^2 + 5 gamma q / h', and a success multiplies the
+    next call's h' by (1/2) / (5 gamma) = 8/5; the peel's ceil(log2 B)
+    calls outnumber the successes that empty the residual. Summed, a peel
+    starting at h' is inexact with probability at most P(h') = (640/39)
+    (q/h')^2 + (40/3) gamma q / h', P(1) < 0.361. Doubling the budget
+    doubles L and so halves the sharing bound: round r0 + j has h' >=
+    2^j / c > 2^(j - 2), so the ln N in c costs about log2 ln N extra
+    doublings, and rounds r0 + 2 .. r0 + 4 count as h' >= 1, 2, 4 unless
+    one of them reads exactly. They draw independently, so all three
+    peels are inexact with probability at most P(1) P(2) P(4) < 0.002.
     """
     check_operand(u, "u")
     check_operand(v, "v")

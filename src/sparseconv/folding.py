@@ -103,8 +103,9 @@ def bucket_spectra(m: int) -> np.ndarray:
 def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
                            jy: np.ndarray, py: np.ndarray,
                            jw: np.ndarray, pw: np.ndarray,
-                           m: int, threshold: float, spectra: np.ndarray):
-    """Occupied residual buckets with |value| >= threshold, for one modulus.
+                           m: int, threshold: float, budget: int,
+                           spectra: np.ndarray):
+    """Residual buckets with |value| >= threshold (heavy), for one modulus.
 
     Inputs are index arrays and matching phase-weighted coefficient arrays
     (see phased_coeffs) for x, y, and the recovered part w. Folds x, y and
@@ -114,8 +115,10 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
     spectra, from bucket_spectra(M >= m), holds the two FFT rows; one for all
     moduli tried on one x and y faults its pages in once.
 
-    Returns (bucket_indices, bucket_values) of the heavy buckets only; all
-    other buckets are zero up to fold rounding error, far below threshold.
+    Returns (count, bucket_indices, bucket_values) of the heavy buckets;
+    all other buckets are zero up to fold rounding error, far below
+    threshold. When more than budget buckets are heavy, only their count is
+    returned, with None for the arrays, so an overflow builds neither.
     """
     fa, fb = spectra[:, :_fast_fft_length(2 * m - 1)]
     _fold_into(fa[:m], jx, px, m)
@@ -128,5 +131,9 @@ def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
         _fold_into(fb[:m], jw, pw, m)
         conv -= fb[:m]
     magnitude = np.abs(conv, out=fb.view(np.float64)[:m])
-    heavy = np.flatnonzero(magnitude >= threshold)
-    return heavy.astype(np.int64), conv[heavy]
+    heavy = magnitude >= threshold
+    count = int(np.count_nonzero(heavy))
+    if count > budget:
+        return count, None, None
+    ids = np.flatnonzero(heavy)
+    return count, ids, conv[ids]

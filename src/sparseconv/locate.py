@@ -3,22 +3,23 @@
 One locate call repeats the same experiment REPS times: draw a random prime
 p from the dyadic range [L/2, L] of prime_range_for, fold the residual
 (x * y) - w into p buckets, and read every isolated heavy bucket as a
-(index, value) candidate; L is O(B log N) for a budget of B heavy
-buckets, and so is a fold's transform. An index that lands alone in its
-bucket reproduces value * w^index exactly, so the magnitude rounds to
-the coefficient and the phase decodes to the index. Candidates read in
-at least VOTE of the repetitions are returned; buckets hit by collisions
-decode to junk that fails re-encoding, the bucket check (an isolated
-index sits in bucket index mod p) or the majority filter. A call
-also ends, returning zero, at its first repetition with more heavy buckets
-than its budget (the residual is too large to separate) or with none at
-all (the residual is almost surely zero; see locate_with_report).
+(index, value) candidate; L = 128 B for a budget of B heavy buckets, so a
+fold's transform is O(B) long whatever the dimension N. An index that
+lands alone in its bucket reproduces value * w^index exactly, so the
+magnitude rounds to the coefficient and the phase decodes to the index.
+Candidates read in at least VOTE of the repetitions are returned; buckets
+hit by collisions decode to junk that fails re-encoding, the bucket check
+(an isolated index sits in bucket index mod p) or the majority filter. A
+call also ends, returning zero, at its first repetition with more heavy
+buckets than its budget (the residual is too large to separate) or with
+none at all (the residual is almost surely zero; see locate_with_report).
 
 A call reads the residual exactly instead, in one repetition and with no
-prime drawn: from its term pairs when l0(x) * l0(y) <= L/2, or from the
-dense real product when 2L >= N, where a real transform of length at most N
-is shorter than a fold's near L. So every prime a call draws is below N/2,
-and an exact reading is returned whatever its size.
+prime drawn, by a rule of its own (exact_read_limit, E = 16 B ceil(log2 N)):
+from its term pairs when l0(x) * l0(y) <= E, or from the dense real product
+when 4E >= N, where one real transform of length at most N costs about what
+the folds would. A call that folds has N > 4E >= 256 B = 2L, so every prime
+it draws is below N/2; an exact reading is returned whatever its size.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .vectors import (SparseVector, _canonical, _empty_terms,
                       _rounded_fft_product, cyclic_convolve_naive, subtract,
                       zero_vector)
 
-ISOLATION_CONSTANT = 16          # prime range and bucket budget multiplier
+ISOLATION_CONSTANT = 16          # bucket budget per residual term
 HEAVY_THRESHOLD = 0.5
 REPS = 5                         # repetitions of a call that folds
 VOTE = 4                         # readings a candidate needs to be kept
@@ -66,10 +67,17 @@ def decode_indices(values: np.ndarray, half_order: int) -> np.ndarray:
     return j
 
 
-def prime_range_for(bucket_budget: int, dimension: int) -> int:
-    """Prime range L = 2C * B * ceil(log2 N), at least 42 (L/2 >= 21)."""
+def prime_range_for(bucket_budget: int) -> int:
+    """Prime range L = 8C * B = 128 B: at least 128, so L/2 >= 20.5 as the
+    prime count bound in locate_with_report needs."""
+    return 8 * ISOLATION_CONSTANT * bucket_budget
+
+
+def exact_read_limit(bucket_budget: int, dimension: int) -> int:
+    """E = C * B * ceil(log2 N): a call reads its term pairs when they number
+    at most E, and the dense real product at N when 4E >= N."""
     lg = max(1, int(dimension - 1).bit_length())
-    return max(42, 2 * ISOLATION_CONSTANT * bucket_budget * lg)
+    return ISOLATION_CONSTANT * bucket_budget * lg
 
 
 def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, m: int):
@@ -131,24 +139,25 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     alone in its bucket leaves |c| >= 1 there, above HEAVY_THRESHOLD, so a
     nonzero residual looks quiet only if every one of its terms shares a
     bucket, and a one-term residual never does. Let N = x.length and p be
-    uniform over the primes in [L/2, L], L = prime_range_for(bucket_budget,
-    N). An index difference 0 < d < N has fewer than ln N / ln(L/2) prime
+    uniform over the primes in [L/2, L], L = prime_range_for(bucket_budget).
+    An index difference 0 < d < N has fewer than ln N / ln(L/2) prime
     factors of at least L/2, and [L/2, L] holds more than 3(L/2) /
     (5 ln(L/2)) primes (Rosser & Schoenfeld 1962, L/2 >= 20.5). So two
     fixed indices share a bucket with probability at most 10 ln N / (3L),
     and one term of a k-term residual shares its bucket with probability
-    at most (k - 1) 10 ln N / (3L), below 10 ln 2 / 1536 < 0.0046 when
-    k <= bucket_budget / 16 (L >= 32 bucket_budget log2 N).
+    at most (k - 1) 10 ln N / (3L), below 10 ln N / 6144 < 0.03 when
+    k <= bucket_budget / 16 (L = 128 bucket_budget, N <= 2^26).
     A repetition is quiet with at most that probability, and a call stops
     early with at most REPS times it. Stopping early costs time, never
     correctness: the call returns zero, no wrong term, and the caller's
     peel ends with an incomplete w, which its fingerprint rejects.
 
-    A call that reads exactly, from its pairs when l0(x) * l0(y) <= L/2 or
-    from the dense real product when 2L >= N, returns the whole residual
-    whatever its size, never aborts, and reports one repetition, no prime
-    and heavy_counts = [l0(residual)]. The pair reading is integer-exact;
-    the dense one rounds floats unchecked, guarded by the caller's fingerprint.
+    A call that reads exactly, from its pairs when l0(x) * l0(y) <= E or
+    from the dense real product when 4E >= N (E = exact_read_limit(
+    bucket_budget, N)), returns the whole residual whatever its size, never
+    aborts, and reports one repetition, no prime and heavy_counts =
+    [l0(residual)]. The pair reading is integer-exact; the dense one rounds
+    floats unchecked, guarded by the caller's fingerprint.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
@@ -156,10 +165,10 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         raise ValueError("bucket budget must be positive")
     n = x.length
     report = LocateReport()
-    limit = prime_range_for(bucket_budget, n)
+    exact = exact_read_limit(bucket_budget, n)
 
-    pairs_fit = x.l0 * y.l0 <= limit // 2
-    if pairs_fit or 2 * limit >= n:     # read exactly, in one repetition
+    pairs_fit = x.l0 * y.l0 <= exact
+    if pairs_fit or 4 * exact >= n:     # read exactly, in one repetition
         product = (cyclic_convolve_naive(x, y) if pairs_fit
                    else _rounded_fft_product(x, y)[0])
         residual = subtract(product, w)
@@ -170,6 +179,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
 
     terms = [a for v in (x, y, w) for a in (v.indices,
                                             folding.phased_coeffs(v))]
+    limit = prime_range_for(bucket_budget)
     spectra = folding.bucket_spectra(limit)     # one for every repetition
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
@@ -177,15 +187,15 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         p = uniform_prime_below(limit, rng)     # p <= L < N/2
         report.primes.append(p)
         report.reps_run = rep + 1
-        ids, vals = folding.heavy_residual_buckets(*terms, p,
-                                                   HEAVY_THRESHOLD, spectra)
-        report.heavy_counts.append(int(ids.size))
-        if ids.size > bucket_budget:
+        count, ids, vals = folding.heavy_residual_buckets(
+            *terms, p, HEAVY_THRESHOLD, bucket_budget, spectra)
+        report.heavy_counts.append(count)
+        if count > bucket_budget:
             # Residual support overflows the budget; this call cannot
             # separate it, so give up immediately rather than vote on junk.
             report.aborted_rep = rep
             return zero_vector(n), report
-        if ids.size == 0:
+        if count == 0:
             return zero_vector(n), report
         report.saw_heavy = True
         index, value = _decode_heavy(ids, vals, n, p)

@@ -144,6 +144,8 @@ def _canonical(length: int, idx: np.ndarray, val: np.ndarray) -> SparseVector:
 def add(x: SparseVector, y: SparseVector) -> SparseVector:
     if x.length != y.length:
         raise ValueError("length mismatch")
+    if x.is_zero or y.is_zero:          # already canonical: no sort
+        return y if x.is_zero else x
     idx = np.concatenate([x.indices, y.indices])
     val = np.concatenate([x.coeffs, y.coeffs])
     return _canonical(x.length, *_reduce_terms(idx, val))
@@ -152,6 +154,8 @@ def add(x: SparseVector, y: SparseVector) -> SparseVector:
 def subtract(x: SparseVector, y: SparseVector) -> SparseVector:
     if x.length != y.length:
         raise ValueError("length mismatch")
+    if y.is_zero:                       # already canonical: no sort
+        return x
     idx = np.concatenate([x.indices, y.indices])
     val = np.concatenate([x.coeffs, -y.coeffs])
     return _canonical(x.length, *_reduce_terms(idx, val))

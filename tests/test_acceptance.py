@@ -27,9 +27,9 @@ from sparseconv.locate import (decode_indices, locate_with_report,
                                prime_range_for)
 from sparseconv.primes import PrimeSamplingError, uniform_prime_below
 from sparseconv.seeding import substream
-from sparseconv.vectors import (embed_for_product, make_sparse_vector,
-                                poly_multiply_dense, poly_multiply_naive,
-                                subtract)
+from sparseconv.vectors import (embed_for_product, from_arrays,
+                                make_sparse_vector, poly_multiply_dense,
+                                poly_multiply_naive, subtract)
 
 
 def _verdict(capsys, name: str, ok: bool, detail: str) -> None:
@@ -145,7 +145,8 @@ def test_folded_convolution_identity(capsys):
         # threshold 0: every bucket of fold(x) (*) fold(y) - fold(exact)
         phased = [a for t in (x, y, exact) for a in (t.indices,
                                                      phased_coeffs(t))]
-        _, gap = heavy_residual_buckets(*phased, p, 0.0, bucket_spectra(p))
+        _, _, gap = heavy_residual_buckets(*phased, p, 0.0, p,
+                                           bucket_spectra(p))
         err = float(np.max(np.abs(gap)))
         worst = max(worst, err)
     good = worst <= 1e-4
@@ -158,7 +159,7 @@ def test_folded_convolution_identity(capsys):
 
 def test_isolation_statistics(capsys):
     budget = 16 * 128
-    limit = prime_range_for(budget, 1 << 16)
+    limit = prime_range_for(budget)
     rng = np.random.default_rng(55)
     passed = 0
     for _ in range(200):
@@ -217,23 +218,27 @@ def test_fingerprint_one_sided_and_sound(capsys):
 # --- 7. one locate round recovers all but a 5/16 fraction ------------------
 
 def test_locate_contract_single_round(capsys):
+    # 300 x 300 pairs at N = 2^20 and budget 256 outnumber the exact-read
+    # limit (81920), and 4 * 81920 < N: every round folds at primes of
+    # [L/2, L] = [16384, 32768] and votes, on a residual of budget / 16 terms
     gamma5 = 5.0 / 16.0
-    residual_size = 100
+    budget = 256
+    residual_size = budget // 16
     passed = 0
     for i in range(100):
-        u, v = gen_instance(InstanceSpec(n=1 << 12, terms=64, coeff_bound=100,
+        u, v = gen_instance(InstanceSpec(n=1 << 19, terms=300, coeff_bound=100,
                                          cancel_fraction=0.0, seed=8800 + i))
         x, y = embed_for_product(u, v)
         exact = poly_multiply_naive(u, v)
         assert exact.l0 >= residual_size
         rng = np.random.default_rng(8800 + i)
-        drop = rng.choice(exact.l0, size=residual_size, replace=False)
-        residual = make_sparse_vector(
-            exact.length,
-            [exact.to_pairs()[j] for j in sorted(drop.tolist())])
+        drop = np.sort(rng.choice(exact.l0, size=residual_size, replace=False))
+        residual = from_arrays(exact.length, exact.indices[drop],
+                               exact.coeffs[drop])
         w = subtract(exact, residual)
-        z, _ = locate_with_report(x, y, w, bucket_budget=2048,
-                                  rng=substream(8800 + i, "multiply"))
+        z, report = locate_with_report(x, y, w, bucket_budget=budget,
+                                       rng=substream(8800 + i, "multiply"))
+        assert report.primes, "the round read exactly instead of folding"
         missed = subtract(z, residual).l0
         passed += missed <= gamma5 * residual_size
     good = passed >= 90

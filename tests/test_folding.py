@@ -112,8 +112,11 @@ def _phases(v):
 
 
 def _residual_buckets(x, y, w, m, threshold):
-    return heavy_residual_buckets(*_phases(x), *_phases(y), *_phases(w), m,
-                                  threshold, bucket_spectra(m))
+    count, ids, vals = heavy_residual_buckets(
+        *_phases(x), *_phases(y), *_phases(w), m, threshold, m,
+        bucket_spectra(m))
+    assert count == ids.size
+    return ids, vals
 
 
 def test_fold_commutes_with_convolution():
@@ -206,13 +209,17 @@ def test_heavy_buckets_match_reference(monkeypatch, m, k):
         return real(fa, fb, size)
 
     monkeypatch.setattr(folding, "_convolve_padded", recording)
-    ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5,
-                                       bucket_spectra(m))
+    count, ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m,
+                                              0.5, m, bucket_spectra(m))
+    assert count == ids.size
     order = np.argsort(ids)
     assert ids[order].tolist() == want_ids.tolist()
     assert np.allclose(vals[order], want_vals, atol=1e-6)
     # every modulus pads to the smooth length at or above 2m - 1
     assert lengths == [_fast_fft_length(2 * m - 1)]
+    # one heavy bucket over the budget: the count alone, no arrays
+    assert heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5, count - 1,
+                                  bucket_spectra(m)) == (count, None, None)
 
 
 def test_workspace_reuse_matches_fresh_calls():
@@ -231,30 +238,31 @@ def test_workspace_reuse_matches_fresh_calls():
     spectra = bucket_spectra(n)
     for m in (1999, 1009, 1 << 14, 101, 7, 211, 3001, 2, 1499):
         for threshold in (0.5, 0.0):
-            want_ids, want_vals = heavy_residual_buckets(
-                *args, m, threshold, bucket_spectra(m))
-            ids, vals = heavy_residual_buckets(*args, m, threshold, spectra)
+            _, want_ids, want_vals = heavy_residual_buckets(
+                *args, m, threshold, m, bucket_spectra(m))
+            _, ids, vals = heavy_residual_buckets(*args, m, threshold, m,
+                                                  spectra)
             assert np.array_equal(ids, want_ids), m
             assert np.array_equal(vals, want_vals), m
     # what a call returns is its own: later calls do not overwrite it
-    ids, vals = heavy_residual_buckets(*args, 1009, 0.0, spectra)
+    _, ids, vals = heavy_residual_buckets(*args, 1009, 0.0, 1009, spectra)
     kept = vals.copy()
-    heavy_residual_buckets(*args, 1999, 0.0, spectra)
+    heavy_residual_buckets(*args, 1999, 0.0, 1999, spectra)
     assert np.array_equal(vals, kept)
 
 
 def test_heavy_buckets_empty_inputs():
     e_i = np.empty(0, dtype=np.int64)
     e_v = np.empty(0, dtype=np.complex128)
-    ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, e_i, e_v, 64, 0.5,
-                                       bucket_spectra(64))
-    assert ids.size == 0 and vals.size == 0
+    count, ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, e_i, e_v,
+                                              64, 0.5, 0, bucket_spectra(64))
+    assert count == ids.size == vals.size == 0
     # x empty but w nonzero: residual is -w
     v = make_sparse_vector(32, [(3, 7)])
     jw, pw = _phases(v)
-    ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, jw, pw, 5, 0.5,
-                                       bucket_spectra(5))
-    assert ids.tolist() == [3]
+    count, ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, jw, pw, 5,
+                                              0.5, 1, bucket_spectra(5))
+    assert count == 1 and ids.tolist() == [3]
     assert abs(vals[0] + 7 * root(3, 32)) < 1e-12
 
 

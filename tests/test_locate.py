@@ -8,18 +8,23 @@ import pytest
 
 from sparseconv import folding
 from sparseconv.folding import _unit_root_powers
-from sparseconv.locate import (REPS, decode_indices, locate_with_report,
-                               prime_range_for)
+from sparseconv.locate import (REPS, decode_indices, exact_read_limit,
+                               locate_with_report, prime_range_for)
+from sparseconv.primes import uniform_prime_below
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
 
 
 def test_sieve_limit_formula():
-    # 2C * B * ceil(log2 N) with C = 16, never below 42 (L/2 >= 21)
-    assert prime_range_for(128, 1 << 16) == 32 * 128 * 16
-    assert prime_range_for(3, 1000) == 32 * 3 * 10
-    assert prime_range_for(1, 2) == 42
-    assert prime_range_for(1, 3) == 64
+    # the prime range is 8C * B = 128 B with C = 16, whatever the dimension;
+    # the exact reading keeps its own limit C * B * ceil(log2 N)
+    assert prime_range_for(1) == 128
+    assert prime_range_for(3) == 128 * 3
+    assert prime_range_for(2048) == 128 * 2048
+    assert exact_read_limit(128, 1 << 16) == 16 * 128 * 16
+    assert exact_read_limit(3, 1000) == 16 * 3 * 10
+    assert exact_read_limit(1, 2) == 16
+    assert exact_read_limit(1, 3) == 32
 
 
 def decode_roots(js, n):
@@ -89,52 +94,87 @@ def embedded(n, pairs):
     return make_sparse_vector(2 * n, pairs)
 
 
+def run_of_ones(length, n=1 << 13):
+    """1 + z + ... + z^(length - 1), embedded at N = 2n = 2^14."""
+    return embedded(n, [(j, 1) for j in range(length)])
+
+
+def folds(x, y, budget):
+    """The pairs of x * y outnumber the exact-read limit, and the dense
+    reading at N does not apply: a call at this budget folds and votes."""
+    limit = exact_read_limit(budget, x.length)
+    return x.l0 * y.l0 > limit and 4 * limit < x.length
+
+
+def spread(count, n=1 << 13):
+    """count terms evenly spaced over [0, n), embedded at N = 2n = 2^14.
+
+    64 of them make 4096 pairs with themselves, more than the exact-read
+    limit E = 3584 at budget 16, while 4E = 14336 < N: every repetition
+    draws a prime from [L/2, L] = [1024, 2048] and folds at it, so a call
+    runs its vote.
+    """
+    return embedded(n, [(j * (n // count), 1 + j % 7) for j in range(count)])
+
+
 def test_locate_recovers_simple_residual():
-    n = 64
-    x = embedded(n, [(0, 1), (3, 2), (10, -4)])
-    y = embedded(n, [(1, 5)])
-    w = zero_vector(2 * n)
+    # y = (z - 1)(1 + 2z^3 - 4z^10), so 1200 * 6 pairs give the six terms
+    # of (z^1200 - 1)(1 + 2z^3 - 4z^10)
+    x = run_of_ones(1200)
+    y = embedded(1 << 13, [(0, -1), (1, 1), (3, -2), (4, 2), (10, 4),
+                           (11, -4)])
+    w = zero_vector(x.length)
     want = cyclic_convolve_naive(x, y)
+    assert want.l0 == 6 and folds(x, y, 16)
     rng = np.random.default_rng(5)
-    z, _ = locate_with_report(x, y, w, bucket_budget=64, rng=rng)
+    z, report = locate_with_report(x, y, w, bucket_budget=16, rng=rng)
     assert z == want
+    assert report.primes
 
 
 def test_locate_recovers_negative_only_residual():
-    # exercises the w^(j + N) sign path, including index 0
-    n = 32
-    x = embedded(n, [(0, -3), (7, -2)])
-    y = embedded(n, [(0, 1)])
+    # exercises the w^(j + N) sign path, including index 0: x * y =
+    # (z^1200 - 1)(3 + 2z^7), and w holds its two positive terms
+    x = run_of_ones(1200)
+    y = embedded(1 << 13, [(0, -3), (1, 3), (7, -2), (8, 2)])
+    assert folds(x, y, 16)
+    w = make_sparse_vector(x.length, [(1200, 3), (1207, 2)])
     rng = np.random.default_rng(11)
-    z, _ = locate_with_report(x, y, zero_vector(2 * n), 64, rng)
-    assert z == cyclic_convolve_naive(x, y)
+    z, report = locate_with_report(x, y, w, 16, rng)
+    assert z == subtract(cyclic_convolve_naive(x, y), w)
     assert z.to_pairs() == [(0, -3), (7, -2)]
+    assert report.primes
 
 
 def test_locate_subtracts_recovered_part():
-    n = 128
+    # 64 x 64 random terms; w holds all of the product but four terms and
+    # one wrong coefficient, so the residual has five terms
+    n = 1 << 13
     rng_inst = np.random.default_rng(2)
-    xi = rng_inst.choice(n, size=8, replace=False)
-    yi = rng_inst.choice(n, size=8, replace=False)
-    x = from_arrays(2 * n, xi, rng_inst.integers(1, 50, size=8))
-    y = from_arrays(2 * n, yi, rng_inst.integers(1, 50, size=8))
+    xi = rng_inst.choice(n, size=64, replace=False)
+    yi = rng_inst.choice(n, size=64, replace=False)
+    x = from_arrays(2 * n, xi, rng_inst.integers(1, 50, size=64))
+    y = from_arrays(2 * n, yi, rng_inst.integers(1, 50, size=64))
+    assert folds(x, y, 16)
     exact = cyclic_convolve_naive(x, y)
-    w = make_sparse_vector(2 * n, exact.to_pairs()[: exact.l0 // 2])
+    pairs = exact.to_pairs()
+    w = make_sparse_vector(2 * n, pairs[4:] + [(pairs[-1][0], 1)])
     residual = subtract(exact, w)
-    z, _ = locate_with_report(x, y, w, 256, np.random.default_rng(9))
+    assert residual.l0 == 5
+    z, report = locate_with_report(x, y, w, 16, np.random.default_rng(9))
     assert z == residual
+    assert report.primes
 
 
 def test_locate_budget_cutoff_aborts_whole_call():
     # residual has 180 well-spread terms but the budget admits only 1 heavy
     # bucket, so every repetition must trip the cutoff and return zero.
-    # N = 2048 at budget 1: L = 352, so 180 pairs > L/2 fold at a prime
-    # and 2L < N rules out the dense reading at N
+    # N = 2048 at budget 1: E = 176, so 180 pairs > E fold at a prime
+    # and 4E < N rules out the dense reading at N
     n = 1 << 10
     x = embedded(n, [(101 * i + 7, 3) for i in range(10)])
     y = embedded(n, [(j, 1) for j in range(18)])
-    limit = prime_range_for(1, 2 * n)
-    assert x.l0 * y.l0 > limit // 2 and 2 * limit < 2 * n
+    assert folds(x, y, 1)
     z, report = locate_with_report(x, y, zero_vector(2 * n), 1,
                                    np.random.default_rng(1))
     assert z.is_zero
@@ -146,30 +186,34 @@ def test_locate_budget_cutoff_aborts_whole_call():
 
 
 def test_locate_output_size_is_budget_bounded():
-    # l0(z) can never exceed budget * reps even on adversarial inputs
-    n = 256
+    # l0(z) can never exceed budget * reps even on adversarial inputs: here
+    # a residual as large as the budget, at N = 2^13 (E = 1664, L = 1024)
+    n = 1 << 12
     rng_inst = np.random.default_rng(4)
-    xi = rng_inst.choice(n, size=16, replace=False)
-    x = from_arrays(2 * n, xi, np.ones(16, dtype=np.int64))
-    y = embedded(n, [(0, 1), (1, 1)])
+    xi = rng_inst.choice(n, size=130, replace=False)
+    x = from_arrays(2 * n, xi, np.ones(130, dtype=np.int64))
+    y = embedded(n, [(j, 1) for j in range(16)])
     budget = 8
-    z, report = locate_with_report(x, y, zero_vector(2 * n), budget,
+    assert folds(x, y, budget)
+    exact = cyclic_convolve_naive(x, y)
+    w = make_sparse_vector(2 * n, exact.to_pairs()[budget:])
+    z, report = locate_with_report(x, y, w, budget,
                                    np.random.default_rng(3))
+    assert report.primes
     assert z.l0 <= budget * REPS
     assert np.unique(z.indices).size == z.l0  # no duplicate indices
 
 
 def test_locate_empty_residual_reports_quiet():
-    n = 64
-    x = embedded(n, [(2, 3)])
-    y = embedded(n, [(4, -7)])
-    w = cyclic_convolve_naive(x, y)
-    z, report = locate_with_report(x, y, w, 32, np.random.default_rng(8))
+    x = spread(64)
+    w = cyclic_convolve_naive(x, x)
+    assert folds(x, x, 16)
+    z, report = locate_with_report(x, x, w, 16, np.random.default_rng(8))
     assert z.is_zero
     assert not report.saw_heavy
     assert report.aborted_rep is None
     # the first quiet repetition ends the call
-    assert report.reps_run == 1
+    assert report.reps_run == len(report.primes) == 1
     assert report.heavy_counts == [0]
 
 
@@ -179,47 +223,37 @@ def test_locate_zero_times_zero():
     assert z.is_zero
 
 
-def spread(count, n=1 << 13):
-    """count terms evenly spaced over [0, n), embedded at N = 2n = 2^14.
-
-    64 of them make 4096 pairs with themselves, more than L/2 = 3584 at
-    budget 16, while L = 7168 < N/2: every repetition draws a prime below
-    N/2 and folds at it, so a call runs its vote.
-    """
-    return embedded(n, [(j * (n // count), 1 + j % 7) for j in range(count)])
-
-
 def test_locate_primes_within_sieve_range():
     # a two-term residual keeps every repetition heavy, so all of them run
     x = spread(64)
     exact = cyclic_convolve_naive(x, x)
     w = make_sparse_vector(x.length, exact.to_pairs()[2:])
     z, report = locate_with_report(x, x, w, 16, np.random.default_rng(12))
-    limit = prime_range_for(16, x.length)
-    assert limit // 2 < x.l0 * x.l0 and 2 * limit < x.length
+    limit = prime_range_for(16)
+    assert folds(x, x, 16) and 2 * limit < x.length
     assert all(limit // 2 <= p <= limit for p in report.primes)
     assert len(report.primes) == REPS
     assert z == subtract(exact, w)
 
 
 def test_locate_is_deterministic_given_rng_state():
-    n = 128
-    x = embedded(n, [(0, 2), (5, -3), (17, 9)])
-    y = embedded(n, [(1, 4), (9, 1)])
-    w = zero_vector(2 * n)
-    a, _ = locate_with_report(x, y, w, 64, np.random.default_rng(42))
-    b, _ = locate_with_report(x, y, w, 64, np.random.default_rng(42))
+    x = spread(64)
+    exact = cyclic_convolve_naive(x, x)
+    w = make_sparse_vector(x.length, exact.to_pairs()[3:])
+    a, report_a = locate_with_report(x, x, w, 16, np.random.default_rng(42))
+    b, report_b = locate_with_report(x, x, w, 16, np.random.default_rng(42))
     assert a == b
+    assert report_a.primes and report_a.primes == report_b.primes
 
 
 def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
-    n = 512                             # N = 1024, budget 1: L = 320
-    limit = prime_range_for(1, 2 * n)
-    assert limit // 2 == 160 == 10 * 16 and limit // 2 + 1 == 7 * 23
+    n = 512                             # N = 1024, budget 1: E = 160
+    limit = exact_read_limit(1, 2 * n)
+    assert limit == 160 == 10 * 16 and limit + 1 == 7 * 23
     x = embedded(n, [(j, 2 * j - 7) for j in range(10)])  # 10 * 16 pairs
     y = embedded(n, [(3 * j, 9 - 2 * j) for j in range(16)])
     exact = cyclic_convolve_naive(x, y)
-    assert x.l0 * y.l0 == limit // 2
+    assert x.l0 * y.l0 == limit
     drop = exact.to_pairs()[3]
     w = make_sparse_vector(2 * n, exact.to_pairs()[:3] + exact.to_pairs()[4:]
                            + [(1000, 4)])
@@ -232,7 +266,7 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
     # two residual terms: one left out of w, one that w adds wrongly; at
-    # budget 1 the read fires at exactly L/2 pairs, and an exact reading
+    # budget 1 the read fires at exactly E pairs, and an exact reading
     # is kept whatever its size
     z, report = locate_with_report(x, y, w, 1, rng)
     assert z == subtract(exact, w)
@@ -250,30 +284,31 @@ def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
     assert z.is_zero and not report.saw_heavy
     assert (report.reps_run, report.heavy_counts, report.aborted_rep) == (
         1, [0], None)
-    # one pair more than L/2 folds, drawing its primes from [L/2, L] < N/2
+    # one pair more than E folds, drawing its primes from the range
+    # [L/2, L] = [64, 128] of the budget, below N/2
     monkeypatch.undo()
     x7 = embedded(n, [(j, j + 1) for j in range(7)])
     y23 = embedded(n, [(j, j + 2) for j in range(23)])
-    assert x7.l0 * y23.l0 == limit // 2 + 1
+    assert x7.l0 * y23.l0 == limit + 1 and folds(x7, y23, 1)
     exact = cyclic_convolve_naive(x7, y23)
     w = make_sparse_vector(2 * n, exact.to_pairs()[1:])
     z, report = locate_with_report(x7, y23, w, 1, np.random.default_rng(3))
     assert z == subtract(exact, w)
     assert len(report.primes) == report.reps_run == REPS
-    assert all(limit // 2 <= p <= limit < n for p in report.primes)
+    assert all(64 <= p <= prime_range_for(1) == 128 for p in report.primes)
 
 
 def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         monkeypatch):
-    # 2L >= N: the dense real product reads the residual exactly, in one
+    # 4E >= N: the dense real product reads the residual exactly, in one
     # repetition, with no fold and no draw; N = 128 at budget 16
-    # (L = 3584 >= N) and N = 2^14 at budget 32 (L = 14336: N/2 <= L < N)
+    # (E = 1792 >= N) and N = 2^14 at budget 32 (E = 7168: N/4 <= E < N)
     moduli, spectra = [], []
     real = folding.heavy_residual_buckets
 
     def recording(*args):
         moduli.append(args[6])
-        spectra.append(id(args[8]))
+        spectra.append(id(args[9]))
         return real(*args)
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", recording)
@@ -281,8 +316,8 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
     small = embedded(n, [(j, 1 + j % 7) for j in range(n)])  # 4096 pairs
     for x, budget in ((small, 16), (spread(128), 32)):
         big_n = x.length
-        limit = prime_range_for(budget, big_n)
-        assert x.l0 * x.l0 > limit // 2 and 2 * limit >= big_n
+        limit = exact_read_limit(budget, big_n)
+        assert x.l0 * x.l0 > limit and 4 * limit >= big_n
         exact = cyclic_convolve_naive(x, x)
         w = make_sparse_vector(big_n, exact.to_pairs()[5:]
                                + [(big_n - 1, 3)])
@@ -299,11 +334,12 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         assert z == exact and exact.l0 > budget
         assert (report.heavy_counts, report.aborted_rep) == ([exact.l0], None)
         assert moduli == [] and rng.bit_generator.state == state
-    # N = 2^14 at budget 18: L = 8064, so 2L is just below N and every
-    # modulus is a drawn prime of [L/2, L], below N/2
+    # N = 2^14 at budget 18: E = 4032, so 4E is just below N and every
+    # modulus is a drawn prime of [L/2, L] = [1152, 2304], below N/2
     x = spread(128)
-    limit = prime_range_for(18, x.length)
-    assert 2 * limit < x.length <= 2 * limit + 256
+    assert folds(x, x, 18)
+    assert x.length <= 4 * exact_read_limit(18, x.length) + 256
+    limit = prime_range_for(18)
     exact = cyclic_convolve_naive(x, x)
     w = make_sparse_vector(x.length, exact.to_pairs()[1:])
     for seed in range(5):
@@ -319,8 +355,8 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
 
 
 def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
-    # N = 2^17 at budget 128: L = 69632, so 2L >= N and the 401^2 pairs
-    # outnumber L/2. Each operand has one coefficient 2^20 among 400 of
+    # N = 2^17 at budget 128: E = 34816, so 4E >= N and the 401^2 pairs
+    # outnumber E. Each operand has one coefficient 2^20 among 400 of
     # +-1 (l1 mass product about 2^40, inside the envelope); the reading
     # at N must return every term of the product, the small ones too.
     n = 1 << 16
@@ -328,8 +364,8 @@ def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
     x, y = (from_arrays(2 * n, rng.choice(n, size=401, replace=False),
                         np.append(1 << 20, rng.choice([-1, 1], size=400)))
             for _ in range(2))
-    limit = prime_range_for(128, 2 * n)
-    assert x.l0 * y.l0 > limit // 2 and 2 * limit >= 2 * n
+    limit = exact_read_limit(128, 2 * n)
+    assert x.l0 * y.l0 > limit and 4 * limit >= 2 * n
     z, report = locate_with_report(x, y, zero_vector(2 * n), 128,
                                    np.random.default_rng(0))
     assert (report.reps_run, report.primes) == (1, [])
@@ -344,8 +380,8 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
     x = spread(64)
     reading = 3 * _unit_root_powers(np.array([5]), x.length)
 
-    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, spectra):
-        return np.array([(5 + shift) % m]), reading
+    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, budget, spectra):
+        return 1, np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
     z, report = locate_with_report(x, x, zero_vector(x.length), 16,
@@ -357,14 +393,33 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
 def test_vote_groups_values_of_at_least_2_to_the_35():
     # coefficients 57 * 2^30 .. 64 * 2^30 of x * y: the vote groups
     # (index, value) pairs of any int64 width
-    n = 1 << 13                         # N = 2^14, budget 16: L = 7168
+    n = 1 << 13                         # N = 2^14, budget 16: E = 3584
     x = embedded(n, [(j, 1 << 15) for j in range(64)])
     y = embedded(n, [(j, -(1 << 15)) for j in range(64)])
     exact = cyclic_convolve_naive(x, y)
     w = make_sparse_vector(2 * n, [(j, c) for j, c in exact.to_pairs()
                                    if not 56 <= j < 64])
     z, report = locate_with_report(x, y, w, 16, np.random.default_rng(7))
-    assert x.l0 * y.l0 > prime_range_for(16, 2 * n) // 2      # folds
+    assert folds(x, y, 16)
     assert len(report.primes) == report.reps_run == REPS
     assert z == subtract(exact, w)
     assert z.l0 == 8 and int(np.abs(z.coeffs).min()) >= 1 << 35
+
+
+def test_isolation_rate_with_the_range_below_the_dimension():
+    # acceptance check 5 draws its primes above N = 2^16, where no two
+    # indices can share a bucket; here N = 2^22 and budget 2048 give
+    # L = 2^18 < N/2. The mean share of a 100-term support that shares a
+    # bucket stays below the bound 99 * 10 ln N / (3L) of locate_with_report.
+    n, budget, k = 1 << 22, 2048, 100
+    limit = prime_range_for(budget)
+    assert 2 * limit < n
+    rng = np.random.default_rng(56)
+    shared = []
+    for _ in range(200):
+        support = rng.choice(n, size=k, replace=False)
+        p = uniform_prime_below(limit, rng)
+        hits = np.bincount(support % p, minlength=p)
+        shared.append(np.count_nonzero(hits[support % p] > 1) / k)
+    assert np.mean(shared) <= (k - 1) * 10 * np.log(n) / (3 * limit)
+    assert sum(s <= 1 / 16 for s in shared) >= 170

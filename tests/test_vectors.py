@@ -103,6 +103,15 @@ def test_add_subtract_roundtrip():
     y = vec(8, {0: -3, 2: 7})
     assert add(x, y) == vec(8, {2: 7, 5: -2})
     assert subtract(add(x, y), y) == x
+    # a zero operand returns the other one as it is, with no re-sort
+    zero = vec(8, {})
+    assert add(x, zero) is x and add(zero, y) is y
+    assert subtract(x, zero) is x
+    assert subtract(zero, y) == vec(8, {0: 3, 2: -7})
+    with pytest.raises(ValueError):
+        add(x, vec(16, {}))
+    with pytest.raises(ValueError):
+        subtract(vec(16, {}), zero)
 
 
 def test_embed_doubles_dimension():
