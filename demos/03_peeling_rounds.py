@@ -6,15 +6,16 @@ bucket budget, runs the peeling recovery at that budget, fingerprints
 the accumulated vector, and on rejection doubles the budget, or jumps
 to the heavy-bucket count at which the peel's first locate call
 aborted, when that is larger: that call folds the product itself, so
-the count never exceeds the product's term count. The peel itself runs
-locate rounds with halving budgets, subtracting everything recovered so
-far, until a round sees no heavy bucket at all, aborts on more heavy
-buckets than its budget, or reads the residual exactly (an exact
-reading is kept whatever its size). Otherwise a locate call folds at up
-to 5 random primes and keeps what 4 of them agree on: a term one call
-misses stays in the residual for the next round, and a peel that still
-ends wrong is rejected by the fingerprint, so the vote need not be
-reliable alone.
+the count never exceeds the product's term count. At a budget whose
+exact-read limit covers the term pairs, or a dense transform at N, the
+peel reads the product exactly and calls no locate at all (an exact
+reading is kept whatever its size). Otherwise it runs locate rounds
+with halving budgets, subtracting everything recovered so far, until a
+round sees no heavy bucket at all or aborts on more heavy buckets than
+its budget. A locate call folds at up to 5 random primes and keeps what
+4 of them agree on: a term one call misses stays in the residual for
+the next round, and a peel that still ends wrong is rejected by the
+fingerprint, so the vote need not be reliable alone.
 
 This script replays that logic by hand on one instance, using the
 per-round trace that hash_and_iterate returns to show what each budget
@@ -46,9 +47,8 @@ verify_rng = substream(31, "verify")
 # below the number of occupied buckets makes the first locate call
 # abort, so the peel comes back empty and the fingerprint rejects it;
 # the heavy count that call saw sets the next budget. Here that budget's
-# prime range already holds the operands' 36864 term pairs, so its first
-# locate call reads the whole product exactly, and the fingerprint
-# accepts.
+# exact-read limit already holds the operands' 36864 term pairs, so the
+# peel reads the whole product exactly, and the fingerprint accepts.
 print(f"\n{'budget':>7}  {'1st heavy':>9}  {'recovered':>9}  "
       f"{'residual':>8}  fingerprint")
 r = 1
@@ -56,8 +56,8 @@ while True:
     budget = ISOLATION_CONSTANT << r
     w, trace = hash_and_iterate(x, y, budget, rng)
     ok = equality_test(x, y, w, 0.01, verify_rng)
-    first = trace[0][1]
-    heavy = first.heavy_counts[-1] if first.aborted_rep is not None else 0
+    aborted = trace and trace[0][1].aborted_rep is not None
+    heavy = trace[0][1].heavy_counts[-1] if aborted else 0
     print(f"{budget:>7}  {heavy:>9}  {w.l0:>9}  "
           f"{subtract(exact, w).l0:>8}  {'accept' if ok else 'reject'}")
     if ok:
@@ -69,13 +69,16 @@ while True:
 # Now look inside the successful budget: the per-round trace. Budgets
 # halve per round because the residual shrinks at least that fast, and
 # a round that sees no heavy bucket ends the peel. Here the term pairs
-# fit within the exact-read limit 16 * B * ceil(log2 N), so round 0 reads
-# the whole product exactly from them, draws no prime, and the peel ends
-# after it.
+# fit within the exact-read limit 16 * B * ceil(log2 N), so the peel
+# reads the whole product exactly from them, calls no locate, and its
+# trace is empty.
 w, trace = hash_and_iterate(x, y, budget, substream(32, "multiply"))
 print(f"\nper-round trace at budget {budget}:")
-print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
-      f"{'recovered':>9}  {'residual':>8}")
+if not trace:
+    print("exact reading, no locate call")
+else:
+    print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
+          f"{'recovered':>9}  {'residual':>8}")
 for r, (w_after, report) in enumerate(trace):
     heavy = max(report.heavy_counts) if report.heavy_counts else 0
     round_budget = max(1, budget >> r)      # hash_and_iterate halves it

@@ -1,26 +1,27 @@
 """Output-sensitive sparse multiplication driver.
 
 The core loop guesses the product sparsity with a growing bucket budget.
-For each guess it peels the product out of phase-folded buckets over a
-logarithmic number of halving rounds (each round recovers most of what is
-still missing, so the residual support contracts geometrically), then
-fingerprints the accumulated result against the operands. The first
-verified accumulation is returned; nothing unverified ever escapes. On
-rejection the budget doubles, or jumps to the heavy count of the peel's
-first locate call if larger: a lower bound on the product sparsity.
+For each guess it reads the product exactly when the budget covers its
+term pairs or a dense transform at N, and otherwise peels the product out
+of phase-folded buckets over a logarithmic number of halving rounds (each
+round recovers most of what is still missing, so the residual support
+contracts geometrically), then fingerprints the result against the
+operands. The first verified result is returned; nothing unverified ever
+escapes. On rejection the budget doubles, or jumps to the heavy count of
+the peel's first locate call if larger: a lower bound on the product
+sparsity.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .fingerprint import equality_test
 from .locate import ISOLATION_CONSTANT, LocateReport, locate_with_report
 from .primes import PrimeSamplingError
-from .vectors import (SparseVector, EnvelopeError, add, check_operand,
-                      embed_for_product, zero_vector)
+from .vectors import (SparseVector, EnvelopeError, _rounded_fft_product, add,
+                      check_operand, cyclic_convolve_naive, embed_for_product,
+                      zero_vector)
 
 # Round r gives its fingerprint a false-accept budget c / r^2, so a wrong
 # vector passes with probability below c * pi^2 / 6 over all rounds.
@@ -36,16 +37,32 @@ class MultiplicationFailed(RuntimeError):
     """Every outer round was exhausted without a verified product."""
 
 
+def exact_read_limit(bucket_budget: int, dimension: int) -> int:
+    """E = C * B * ceil(log2 N): a peel reads the term pairs when they number
+    at most E, and the dense real product at N when 4E >= N."""
+    lg = max(1, int(dimension - 1).bit_length())
+    return ISOLATION_CONSTANT * bucket_budget * lg
+
+
 def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
                      rng: np.random.Generator):
     """Peeling recovery of x * y at a fixed sparsity budget.
 
-    Runs ceil(log2 B) locate rounds with halving budgets B, B/2, ...,
-    accumulating recovered terms into w so later rounds only see the
-    shrinking residual; stops at a round with no heavy bucket, an abort
-    or an exact reading (no prime drawn), which only a peel's first call
-    can make: both its conditions (see locate_with_report) weaken as the
-    budget halves.
+    First it decides whether to read the product exactly instead, with
+    E = exact_read_limit(B, N): from the term pairs (the structural
+    enumeration of Arnold & Roche) when l0(x) * l0(y) <= E, or from the
+    dense real product when 4E >= N, where one real transform of length
+    at most N costs about what the folds would. An exact reading calls no
+    locate, draws nothing and is returned whatever its size; the pair
+    reading is integer-exact, and the dense one rounds floats unchecked,
+    guarded by the caller's fingerprint. Otherwise N > 4E >= 2L, L =
+    locate.prime_range_for(B), so every prime a locate call draws is
+    below N/2.
+
+    The peel runs ceil(log2 B) locate rounds with halving budgets B, B/2,
+    ..., accumulating recovered terms into w so later rounds only see the
+    shrinking residual; it stops at a round whose first repetition sees
+    no heavy bucket, or at an abort.
     Each call keeps what locate.VOTE = 4 of its locate.REPS = 5
     repetitions read, so it may miss a term, which stays in the residual
     for a later round, or misread one, which becomes a residual term that
@@ -59,23 +76,26 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     the closing round costs one repetition; a nonzero residual looks
     quiet only if all its terms share buckets (see locate_with_report),
     which ends the peel with an incomplete w.
-    Returns (w, trace), trace holding (w so far, LocateReport) per round.
+    Returns (w, trace), trace holding (w so far, LocateReport) per locate
+    round: empty for an exact reading.
     """
     if bucket_budget < 1:
         raise ValueError("bucket budget must be positive")
-    rounds = max(1, math.ceil(math.log2(bucket_budget))) if bucket_budget > 1 else 1
+    exact = exact_read_limit(bucket_budget, x.length)
+    if x.l0 * y.l0 <= exact:
+        return cyclic_convolve_naive(x, y), []
+    if 4 * exact >= x.length:
+        return _rounded_fft_product(x, y)[0], []
     w = zero_vector(x.length)
     trace: list[tuple[SparseVector, LocateReport]] = []
-    for r in range(rounds):
-        budget = max(1, bucket_budget >> r)
-        z, report = locate_with_report(x, y, w, budget, rng)
+    for r in range(max(1, (bucket_budget - 1).bit_length())):
+        z, report = locate_with_report(x, y, w, bucket_budget >> r, rng)
         w = add(w, z)
         trace.append((w, report))
-        if (report.aborted_rep is not None or not report.saw_heavy
-                or not report.primes):
-            # No heavy bucket or an exact reading: later rounds are no-ops.
-            # An abort leaves more heavy buckets than the halved budgets
-            # can take: leave w to the caller's fingerprint.
+        if report.aborted_rep is not None or report.heavy_counts[0] == 0:
+            # A quiet first repetition: later rounds are no-ops. An abort
+            # leaves more heavy buckets than the halved budgets can take:
+            # leave w to the caller's fingerprint.
             break
     return w, trace
 
@@ -102,7 +122,7 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     The fingerprint accepts an exact w always and an inexact one in round
     r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
     c * pi^2 / 6 < 0.0042 over all rounds. So a rounding error in the
-    dense reading at N (see locate_with_report) costs rejected rounds, or
+    dense reading at N (see hash_and_iterate) costs rejected rounds, or
     MultiplicationFailed, never a wrong vector; the bound takes that
     reading as exact. Otherwise a call fails only if no peel is exact.
     Let k = l0(x * y) and r0 the first round with 2^r0 >= k. A rejected
@@ -112,7 +132,7 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     a bucket holding no product term reads zero up to rounding, so h1 <= k
     and the jump never passes r0: from r0 on, rounds run one after another
     at budgets at least 16k 2^(r - r0). A round reads the product exactly,
-    and passes, once 4 E >= N (E = locate.exact_read_limit(C * 2^r, N)),
+    and passes, once 4 E >= N (E = exact_read_limit(C * 2^r, N)),
     at the latest at round max(1, ceil(log2 N) - 10), below max_rounds.
     Let h be a call's budget over 16 * l0(residual). As in the isolation
     analysis of locate_with_report, the mean fraction of residual terms
@@ -155,9 +175,9 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
             if equality_test(x, y, w, OUTER_FAILURE_CONSTANT / (r * r),
                              fingerprint_rng):
                 return w
-            first = trace[0][1]
-            if first.aborted_rep is not None:   # jump to C * 2^r >= heavy
-                cells = -(-first.heavy_counts[-1] // ISOLATION_CONSTANT)
+            if trace and trace[0][1].aborted_rep is not None:
+                # jump to C * 2^r >= heavy
+                cells = -(-trace[0][1].heavy_counts[-1] // ISOLATION_CONSTANT)
                 r = max(r, (cells - 1).bit_length() - 1)
             r += 1
     except PrimeSamplingError as err:

@@ -13,13 +13,9 @@ hit by collisions decode to junk that fails re-encoding, the bucket check
 call also ends, returning zero, at its first repetition with more heavy
 buckets than its budget (the residual is too large to separate) or with
 none at all (the residual is almost surely zero; see locate_with_report).
-
-A call reads the residual exactly instead, in one repetition and with no
-prime drawn, by a rule of its own (exact_read_limit, E = 16 B ceil(log2 N)):
-from its term pairs when l0(x) * l0(y) <= E, or from the dense real product
-when 4E >= N, where one real transform of length at most N costs about what
-the folds would. A call that folds has N > 4E >= 256 B = 2L, so every prime
-it draws is below N/2; an exact reading is returned whatever its size.
+A call always folds: the peel in driver.hash_and_iterate reads the product
+exactly instead of calling locate wherever the folds would not pay, and
+calls it only when N > 2L, so every prime drawn is below N/2.
 """
 
 from __future__ import annotations
@@ -30,13 +26,11 @@ import numpy as np
 
 from . import folding
 from .primes import uniform_prime_below
-from .vectors import (SparseVector, _canonical, _empty_terms,
-                      _rounded_fft_product, cyclic_convolve_naive, subtract,
-                      zero_vector)
+from .vectors import SparseVector, _canonical, _empty_terms, zero_vector
 
 ISOLATION_CONSTANT = 16          # bucket budget per residual term
 HEAVY_THRESHOLD = 0.5
-REPS = 5                         # repetitions of a call that folds
+REPS = 5                         # repetitions of a call
 VOTE = 4                         # readings a candidate needs to be kept
 REENCODE_TOLERANCE = 0.1
 
@@ -47,7 +41,6 @@ class LocateReport:
 
     reps_run: int = 0
     aborted_rep: int | None = None   # repetition that tripped the budget cutoff
-    saw_heavy: bool = False
     heavy_counts: list[int] = field(default_factory=list)
     primes: list[int] = field(default_factory=list)
 
@@ -71,13 +64,6 @@ def prime_range_for(bucket_budget: int) -> int:
     """Prime range L = 8C * B = 128 B: at least 128, so L/2 >= 20.5 as the
     prime count bound in locate_with_report needs."""
     return 8 * ISOLATION_CONSTANT * bucket_budget
-
-
-def exact_read_limit(bucket_budget: int, dimension: int) -> int:
-    """E = C * B * ceil(log2 N): a call reads its term pairs when they number
-    at most E, and the dense real product at N when 4E >= N."""
-    lg = max(1, int(dimension - 1).bit_length())
-    return ISOLATION_CONSTANT * bucket_budget * lg
 
 
 def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, m: int):
@@ -127,18 +113,17 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
                        bucket_budget: int, rng: np.random.Generator):
     """(z, LocateReport): z estimates the residual (x * y) - w.
 
-    A call that folds keeps the terms read in VOTE of its REPS repetitions.
+    A call keeps the terms read in VOTE of its REPS repetitions.
     With bucket_budget above 16 * l0(residual), z misses or misreads at
     most 5/16 of the residual unless two repetitions are bad (see
     driver.sparse_multiply).
 
     The call returns the zero vector at its first repetition with no heavy
-    bucket, reporting reps_run up to and including it and leaving
-    saw_heavy as the earlier repetitions set it. A quiet repetition means
-    the residual is zero, except with small probability: a residual term
-    alone in its bucket leaves |c| >= 1 there, above HEAVY_THRESHOLD, so a
-    nonzero residual looks quiet only if every one of its terms shares a
-    bucket, and a one-term residual never does. Let N = x.length and p be
+    bucket, reporting reps_run up to and including it. A quiet repetition
+    means the residual is zero, except with small probability: a residual
+    term alone in its bucket leaves |c| >= 1 there, above HEAVY_THRESHOLD,
+    so a nonzero residual looks quiet only if every one of its terms shares
+    a bucket, and a one-term residual never does. Let N = x.length and p be
     uniform over the primes in [L/2, L], L = prime_range_for(bucket_budget).
     An index difference 0 < d < N has fewer than ln N / ln(L/2) prime
     factors of at least L/2, and [L/2, L] holds more than 3(L/2) /
@@ -151,13 +136,6 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     early with at most REPS times it. Stopping early costs time, never
     correctness: the call returns zero, no wrong term, and the caller's
     peel ends with an incomplete w, which its fingerprint rejects.
-
-    A call that reads exactly, from its pairs when l0(x) * l0(y) <= E or
-    from the dense real product when 4E >= N (E = exact_read_limit(
-    bucket_budget, N)), returns the whole residual whatever its size, never
-    aborts, and reports one repetition, no prime and heavy_counts =
-    [l0(residual)]. The pair reading is integer-exact; the dense one rounds
-    floats unchecked, guarded by the caller's fingerprint.
     """
     if not (x.length == y.length == w.length):
         raise ValueError("length mismatch")
@@ -165,18 +143,6 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         raise ValueError("bucket budget must be positive")
     n = x.length
     report = LocateReport()
-    exact = exact_read_limit(bucket_budget, n)
-
-    pairs_fit = x.l0 * y.l0 <= exact
-    if pairs_fit or 4 * exact >= n:     # read exactly, in one repetition
-        product = (cyclic_convolve_naive(x, y) if pairs_fit
-                   else _rounded_fft_product(x, y)[0])
-        residual = subtract(product, w)
-        report.reps_run = 1
-        report.heavy_counts.append(residual.l0)
-        report.saw_heavy = not residual.is_zero
-        return residual, report
-
     terms = [a for v in (x, y, w) for a in (v.indices,
                                             folding.phased_coeffs(v))]
     limit = prime_range_for(bucket_budget)
@@ -184,7 +150,7 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     got_i: list[np.ndarray] = []
     got_v: list[np.ndarray] = []
     for rep in range(REPS):
-        p = uniform_prime_below(limit, rng)     # p <= L < N/2
+        p = uniform_prime_below(limit, rng)
         report.primes.append(p)
         report.reps_run = rep + 1
         count, ids, vals = folding.heavy_residual_buckets(
@@ -197,7 +163,6 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
             return zero_vector(n), report
         if count == 0:
             return zero_vector(n), report
-        report.saw_heavy = True
         index, value = _decode_heavy(ids, vals, n, p)
         if index.size:
             got_i.append(index)

@@ -12,7 +12,8 @@ import pytest
 import sparseconv
 from sparseconv import driver, primes
 from sparseconv.driver import (OUTER_FAILURE_CONSTANT, MultiplicationFailed,
-                               hash_and_iterate, sparse_multiply)
+                               exact_read_limit, hash_and_iterate,
+                               sparse_multiply)
 from sparseconv.instances import InstanceSpec, gen_instance
 from sparseconv.locate import ISOLATION_CONSTANT, REPS, VOTE, LocateReport
 from sparseconv.primes import PrimeSamplingError
@@ -26,10 +27,11 @@ def _telescoping_slots(seed, n=1 << 18, run=1 << 13, slots=8):
     """u: an all-ones run of length `run`; v: cancellers c (z^(s+1) - z^s)
     at random slots s, so u * v keeps at most 2 * slots terms.
 
-    131072 pairs against N = 2^19: at budgets 32 .. 256, 2L < N and the
-    pairs outnumber L/2, so locate draws primes below N/2, folds at them
-    and votes; from budget 512 on 2L >= N, and locate reads the residual
-    exactly from the dense real product. Returns (u, v, u * v).
+    131072 pairs against N = 2^19: at budgets 32 .. 256, 4E < N and the
+    pairs outnumber E (E = exact_read_limit(B, N)), so the peel calls
+    locate, which draws primes below N/2, folds at them and votes; from
+    budget 512 on 4E >= N, and the peel reads the product exactly from
+    the dense real product. Returns (u, v, u * v).
     """
     rng = np.random.default_rng(seed)
     u = from_arrays(n, np.arange(run), np.ones(run, dtype=np.int64))
@@ -227,20 +229,20 @@ def test_hash_and_iterate_converged_exit():
     assert w == cyclic_convolve_naive(x, y)
     assert 1 < len(trace) < 5 and trace[0][1].primes
     last_report = trace[-1][1]
-    assert not last_report.saw_heavy and last_report.aborted_rep is None
+    assert last_report.heavy_counts == [0] and last_report.aborted_rep is None
     # the closing quiet call stops at its first repetition
     assert last_report.reps_run == 1
-    # an exact reading from the pairs draws no prime and ends the peel
+    # an exact reading from the pairs calls no locate: the trace is empty
     x = make_sparse_vector(32, [(1, 2)])
     y = make_sparse_vector(32, [(3, 4)])
     w, trace = hash_and_iterate(x, y, 256, np.random.default_rng(9))
     assert w == cyclic_convolve_naive(x, y)
-    assert len(trace) == 1 and not trace[0][1].primes
+    assert trace == []
 
 
 def _budget_overflow_operands():
-    """x, y over N = 2^16 with 165 * 156 pairs, more than L/2 = 8192 at
-    budget 32 (2L < N; from budget 64 on 2L >= N and locate reads
+    """x, y over N = 2^16 with 165 * 156 pairs, more than E = 8192 at
+    budget 32 (4E < N; from budget 64 on 4E >= N and the peel reads
     exactly), and some 25 k product terms: (x, y, x * y)."""
     n = 1 << 15
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(0, n, 199)])
@@ -273,17 +275,17 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
 def test_hash_and_iterate_votes_over_five_repetitions(budget):
     # every locate call of a peel that folds draws REPS = 5 primes,
     # whatever the budget, unless it aborts or a repetition is quiet. The
-    # telescoping operands fold at budget 16; at 2^16, 2L >= N and the
-    # first call reads the product exactly, in one repetition
+    # telescoping operands fold at budget 16; at 2^16, 4E >= N and the
+    # peel reads the product exactly, with no locate call
     u, v, exact = _telescoping_slots(22)
     x, y = embed_for_product(u, v)
     w, trace = hash_and_iterate(x, y, budget, np.random.default_rng(11))
     assert w == exact
-    assert len(trace[0][1].primes) == (REPS if budget == 16 else 0)
+    if budget != 16:
+        assert trace == []
+        return
+    assert len(trace[0][1].primes) == REPS
     for _, report in trace:
-        if not report.primes:
-            assert report.reps_run == 1
-            continue
         assert len(report.primes) == report.reps_run
         assert (report.reps_run == REPS or report.aborted_rep is not None
                 or report.heavy_counts[-1] == 0)
@@ -297,11 +299,13 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
     u, v, exact = _telescoping_slots(23)
     real_peel, real_locate = driver.hash_and_iterate, driver.locate_with_report
     peels = []
+    folded = []
     lossy_budget = None
 
     def peel(x, y, budget, rng):
         peels.append(budget)
         w, trace = real_peel(x, y, budget, rng)
+        folded.append(bool(trace))
         assert budget != lossy_budget or w != exact
         return w, trace
 
@@ -311,20 +315,15 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
             z = from_arrays(z.length, z.indices[1:], z.coeffs[1:])
         return z, report
 
-    def drawing_locate(x, y, w, budget, rng):
-        z, report = lossy_locate(x, y, w, budget, rng)
-        drew.append(bool(report.primes))
-        return z, report
-
-    drew = []
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
-    monkeypatch.setattr(driver, "locate_with_report", drawing_locate)
+    monkeypatch.setattr(driver, "locate_with_report", lossy_locate)
     assert sparse_multiply(u, v, np.random.default_rng(12)) == exact
     lossy_budget = peels[-1]
     peels.clear()
+    folded.clear()
     assert sparse_multiply(u, v, np.random.default_rng(12)) == exact
     assert lossy_budget in peels and peels[-1] > lossy_budget
-    assert all(drew)
+    assert all(folded)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -354,8 +353,7 @@ def test_exact_reading_above_the_budget_is_kept(monkeypatch, seed):
     # twice (the aborted peel's empty w, then the product)
     u, v = gen_instance(InstanceSpec(n=1 << 18, terms=256, coeff_bound=100,
                                      cancel_fraction=0.0, seed=seed))
-    locate_module = importlib.import_module("sparseconv.locate")
-    real_naive = locate_module.cyclic_convolve_naive
+    real_naive = driver.cyclic_convolve_naive
     real_test = driver.equality_test
     calls = {"naive": 0, "fingerprint": 0}
 
@@ -367,11 +365,79 @@ def test_exact_reading_above_the_budget_is_kept(monkeypatch, seed):
         calls["fingerprint"] += 1
         return real_test(*args)
 
-    monkeypatch.setattr(locate_module, "cyclic_convolve_naive", naive)
+    monkeypatch.setattr(driver, "cyclic_convolve_naive", naive)
     monkeypatch.setattr(driver, "equality_test", fingerprint)
     got = sparse_multiply(u, v, np.random.default_rng(seed))
     assert got == poly_multiply_naive(u, v)
     assert calls == {"naive": 1, "fingerprint": 2}
+
+
+def test_exact_read_limit_formula():
+    # E = C * B * ceil(log2 N) with C = 16
+    assert exact_read_limit(128, 1 << 16) == 16 * 128 * 16
+    assert exact_read_limit(3, 1000) == 16 * 3 * 10
+    assert exact_read_limit(1, 2) == 16
+    assert exact_read_limit(1, 3) == 32
+
+
+def _no_locate(*args):
+    raise AssertionError("an exact reading calls no locate")
+
+
+def test_peel_reads_exactly_when_pairs_fit_the_limit(monkeypatch):
+    # at budget 1 the pair reading fires at exactly E pairs and keeps the
+    # whole product, though it is above the budget; one pair more folds
+    n = 512                             # N = 1024, budget 1: E = 160
+    x = make_sparse_vector(2 * n, [(j, 2 * j - 7) for j in range(10)])
+    y = make_sparse_vector(2 * n, [(3 * j, 9 - 2 * j) for j in range(16)])
+    assert x.l0 * y.l0 == exact_read_limit(1, 2 * n) == 160
+    monkeypatch.setattr(driver, "locate_with_report", _no_locate)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    w, trace = hash_and_iterate(x, y, 1, rng)
+    assert w == cyclic_convolve_naive(x, y) and w.l0 > 1
+    assert trace == [] and rng.bit_generator.state == state
+    monkeypatch.undo()
+    x7 = make_sparse_vector(2 * n, [(j, j + 1) for j in range(7)])
+    y23 = make_sparse_vector(2 * n, [(j, j + 2) for j in range(23)])
+    assert x7.l0 * y23.l0 == 161
+    _, trace = hash_and_iterate(x7, y23, 1, rng)
+    assert trace and trace[0][1].primes
+
+
+def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
+    # 4E >= N: the dense real product reads the whole product, with no
+    # fold and no draw, and keeps it whatever its size; N = 128 at budget
+    # 16 (E = 1792 >= N) and N = 2^14 at budget 32 (E = 7168: N/4 <= E < N)
+    monkeypatch.setattr(driver, "locate_with_report", _no_locate)
+    small = make_sparse_vector(128, [(j, 1 + j % 7) for j in range(64)])
+    spread = make_sparse_vector(1 << 14, [(64 * j, 1 + j % 7)
+                                          for j in range(128)])
+    for x, budget in ((small, 16), (spread, 32)):
+        limit = exact_read_limit(budget, x.length)
+        assert x.l0 * x.l0 > limit and 4 * limit >= x.length
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        w, trace = hash_and_iterate(x, x, budget, rng)
+        assert w == cyclic_convolve_naive(x, x) and w.l0 > budget
+        assert trace == [] and rng.bit_generator.state == state
+
+
+def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
+    # N = 2^17 at budget 128: E = 34816, so 4E >= N and the 401^2 pairs
+    # outnumber E. Each operand has one coefficient 2^20 among 400 of
+    # +-1 (l1 mass product about 2^40, inside the envelope); the reading
+    # at N must return every term of the product, the small ones too.
+    n = 1 << 16
+    rng = np.random.default_rng(17)
+    x, y = (from_arrays(2 * n, rng.choice(n, size=401, replace=False),
+                        np.append(1 << 20, rng.choice([-1, 1], size=400)))
+            for _ in range(2))
+    limit = exact_read_limit(128, 2 * n)
+    assert x.l0 * y.l0 > limit and 4 * limit >= 2 * n
+    w, trace = hash_and_iterate(x, y, 128, np.random.default_rng(0))
+    assert trace == []
+    assert w == cyclic_convolve_naive(x, y)
 
 
 class _Stop(Exception):
@@ -429,7 +495,7 @@ def test_multiply_never_sieves(monkeypatch):
     u, v, want = _telescoping_slots(7)
     peels.clear()
     assert sparse_multiply(u, v, np.random.default_rng(7)) == want
-    assert all(report.primes for _, report in peels[-1][1])
+    assert peels[-1][1] and all(report.primes for _, report in peels[-1][1])
 
 
 @pytest.mark.parametrize("site", ["locate.uniform_prime_below",

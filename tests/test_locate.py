@@ -1,30 +1,24 @@
 """Heavy-coordinate recovery: decoding, validation, majority pruning."""
 
-import importlib
-
 import mpmath
 import numpy as np
 import pytest
 
 from sparseconv import folding
+from sparseconv.driver import exact_read_limit
 from sparseconv.folding import _unit_root_powers
-from sparseconv.locate import (REPS, decode_indices, exact_read_limit,
-                               locate_with_report, prime_range_for)
+from sparseconv.locate import (REPS, decode_indices, locate_with_report,
+                               prime_range_for)
 from sparseconv.primes import uniform_prime_below
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
 
 
-def test_sieve_limit_formula():
-    # the prime range is 8C * B = 128 B with C = 16, whatever the dimension;
-    # the exact reading keeps its own limit C * B * ceil(log2 N)
+def test_prime_range_formula():
+    # the prime range is 8C * B = 128 B with C = 16, whatever the dimension
     assert prime_range_for(1) == 128
     assert prime_range_for(3) == 128 * 3
     assert prime_range_for(2048) == 128 * 2048
-    assert exact_read_limit(128, 1 << 16) == 16 * 128 * 16
-    assert exact_read_limit(3, 1000) == 16 * 3 * 10
-    assert exact_read_limit(1, 2) == 16
-    assert exact_read_limit(1, 3) == 32
 
 
 def decode_roots(js, n):
@@ -101,7 +95,7 @@ def run_of_ones(length, n=1 << 13):
 
 def folds(x, y, budget):
     """The pairs of x * y outnumber the exact-read limit, and the dense
-    reading at N does not apply: a call at this budget folds and votes."""
+    reading at N does not apply: a peel at this budget calls locate."""
     limit = exact_read_limit(budget, x.length)
     return x.l0 * y.l0 > limit and 4 * limit < x.length
 
@@ -210,7 +204,6 @@ def test_locate_empty_residual_reports_quiet():
     assert folds(x, x, 16)
     z, report = locate_with_report(x, x, w, 16, np.random.default_rng(8))
     assert z.is_zero
-    assert not report.saw_heavy
     assert report.aborted_rep is None
     # the first quiet repetition ends the call
     assert report.reps_run == len(report.primes) == 1
@@ -246,63 +239,32 @@ def test_locate_is_deterministic_given_rng_state():
     assert report_a.primes and report_a.primes == report_b.primes
 
 
-def test_locate_reads_exactly_when_pairs_fit_the_prime_range(monkeypatch):
+def test_locate_folds_whatever_the_pair_count():
+    # a call always folds and votes: at exactly E pairs, where a peel
+    # would read the product exactly, as at E + 1, drawing its primes
+    # from the range [L/2, L] = [64, 128] of budget 1, below N/2
     n = 512                             # N = 1024, budget 1: E = 160
     limit = exact_read_limit(1, 2 * n)
     assert limit == 160 == 10 * 16 and limit + 1 == 7 * 23
     x = embedded(n, [(j, 2 * j - 7) for j in range(10)])  # 10 * 16 pairs
     y = embedded(n, [(3 * j, 9 - 2 * j) for j in range(16)])
-    exact = cyclic_convolve_naive(x, y)
-    assert x.l0 * y.l0 == limit
-    drop = exact.to_pairs()[3]
-    w = make_sparse_vector(2 * n, exact.to_pairs()[:3] + exact.to_pairs()[4:]
-                           + [(1000, 4)])
-
-    def no_draw(*args):
-        raise AssertionError("the exact read draws no prime")
-
-    monkeypatch.setattr(importlib.import_module("sparseconv.locate"),
-                        "uniform_prime_below", no_draw)
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
-    # two residual terms: one left out of w, one that w adds wrongly; at
-    # budget 1 the read fires at exactly E pairs, and an exact reading
-    # is kept whatever its size
-    z, report = locate_with_report(x, y, w, 1, rng)
-    assert z == subtract(exact, w)
-    assert z.to_pairs() == [drop, (1000, -4)]
-    assert rng.bit_generator.state == state
-    assert (report.reps_run, report.primes, report.heavy_counts,
-            report.aborted_rep, report.saw_heavy) == (1, [], [2], None, True)
-    # far above the budget: still the whole residual, with no abort
-    z, report = locate_with_report(x, y, zero_vector(2 * n), 1, rng)
-    assert z == exact and exact.l0 > 1
-    assert (report.reps_run, report.primes, report.heavy_counts,
-            report.aborted_rep) == (1, [], [exact.l0], None)
-    # nothing left: quiet
-    z, report = locate_with_report(x, y, exact, 1, rng)
-    assert z.is_zero and not report.saw_heavy
-    assert (report.reps_run, report.heavy_counts, report.aborted_rep) == (
-        1, [0], None)
-    # one pair more than E folds, drawing its primes from the range
-    # [L/2, L] = [64, 128] of the budget, below N/2
-    monkeypatch.undo()
     x7 = embedded(n, [(j, j + 1) for j in range(7)])
     y23 = embedded(n, [(j, j + 2) for j in range(23)])
-    assert x7.l0 * y23.l0 == limit + 1 and folds(x7, y23, 1)
-    exact = cyclic_convolve_naive(x7, y23)
-    w = make_sparse_vector(2 * n, exact.to_pairs()[1:])
-    z, report = locate_with_report(x7, y23, w, 1, np.random.default_rng(3))
-    assert z == subtract(exact, w)
-    assert len(report.primes) == report.reps_run == REPS
-    assert all(64 <= p <= prime_range_for(1) == 128 for p in report.primes)
+    assert not folds(x, y, 1) and folds(x7, y23, 1)
+    for a, b, pairs in ((x, y, limit), (x7, y23, limit + 1)):
+        assert a.l0 * b.l0 == pairs
+        exact = cyclic_convolve_naive(a, b)
+        w = make_sparse_vector(2 * n, exact.to_pairs()[1:])
+        z, report = locate_with_report(a, b, w, 1, np.random.default_rng(3))
+        assert z == subtract(exact, w) and z.l0 == 1
+        assert len(report.primes) == report.reps_run == REPS
+        assert all(64 <= p <= prime_range_for(1) == 128
+                   for p in report.primes)
 
 
-def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
-        monkeypatch):
-    # 4E >= N: the dense real product reads the residual exactly, in one
-    # repetition, with no fold and no draw; N = 128 at budget 16
-    # (E = 1792 >= N) and N = 2^14 at budget 32 (E = 7168: N/4 <= E < N)
+def test_locate_repetitions_share_one_pair_of_fft_rows(monkeypatch):
+    # N = 2^14 at budget 18: E = 4032, so 4E is just below N and every
+    # modulus is a drawn prime of [L/2, L] = [1152, 2304], below N/2
     moduli, spectra = [], []
     real = folding.heavy_residual_buckets
 
@@ -312,30 +274,6 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         return real(*args)
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", recording)
-    n = 64
-    small = embedded(n, [(j, 1 + j % 7) for j in range(n)])  # 4096 pairs
-    for x, budget in ((small, 16), (spread(128), 32)):
-        big_n = x.length
-        limit = exact_read_limit(budget, big_n)
-        assert x.l0 * x.l0 > limit and 4 * limit >= big_n
-        exact = cyclic_convolve_naive(x, x)
-        w = make_sparse_vector(big_n, exact.to_pairs()[5:]
-                               + [(big_n - 1, 3)])
-        moduli.clear()
-        rng = np.random.default_rng(4)
-        state = rng.bit_generator.state
-        z, report = locate_with_report(x, x, w, budget, rng)
-        assert z == subtract(exact, w) and z.l0 == 6
-        assert moduli == [] and rng.bit_generator.state == state
-        assert (report.reps_run, report.primes, report.heavy_counts,
-                report.aborted_rep) == (1, [], [6], None)
-        # the whole product, far above the budget, is kept: no abort
-        z, report = locate_with_report(x, x, zero_vector(big_n), budget, rng)
-        assert z == exact and exact.l0 > budget
-        assert (report.heavy_counts, report.aborted_rep) == ([exact.l0], None)
-        assert moduli == [] and rng.bit_generator.state == state
-    # N = 2^14 at budget 18: E = 4032, so 4E is just below N and every
-    # modulus is a drawn prime of [L/2, L] = [1152, 2304], below N/2
     x = spread(128)
     assert folds(x, x, 18)
     assert x.length <= 4 * exact_read_limit(18, x.length) + 256
@@ -352,24 +290,6 @@ def test_locate_folds_once_at_n_when_the_prime_range_reaches_half_of_it(
         assert all(limit // 2 <= p <= limit for p in moduli)
         # every repetition reuses the call's one pair of FFT rows
         assert len(set(spectra)) == 1
-
-
-def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
-    # N = 2^17 at budget 128: E = 34816, so 4E >= N and the 401^2 pairs
-    # outnumber E. Each operand has one coefficient 2^20 among 400 of
-    # +-1 (l1 mass product about 2^40, inside the envelope); the reading
-    # at N must return every term of the product, the small ones too.
-    n = 1 << 16
-    rng = np.random.default_rng(17)
-    x, y = (from_arrays(2 * n, rng.choice(n, size=401, replace=False),
-                        np.append(1 << 20, rng.choice([-1, 1], size=400)))
-            for _ in range(2))
-    limit = exact_read_limit(128, 2 * n)
-    assert x.l0 * y.l0 > limit and 4 * limit >= 2 * n
-    z, report = locate_with_report(x, y, zero_vector(2 * n), 128,
-                                   np.random.default_rng(0))
-    assert (report.reps_run, report.primes) == (1, [])
-    assert z == cyclic_convolve_naive(x, y)
 
 
 @pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
