@@ -3,13 +3,17 @@
 
 sparse_multiply never knows the product sparsity up front. It guesses a
 bucket budget, runs the peeling recovery at that budget, fingerprints
-the accumulated vector, and on rejection doubles the budget, or jumps
+the accumulated vector unless the peel read it from the term pairs, and
+on rejection doubles the budget, or jumps
 to the heavy-bucket count at which the peel's first locate call
 aborted, when that is larger: that call folds the product itself, so
 the count never exceeds the product's term count. At a budget whose
 exact-read limit covers the term pairs, or a dense transform at N, the
 peel reads the product exactly and calls no locate at all (an exact
-reading is kept whatever its size). Otherwise it runs locate rounds
+reading is kept whatever its size). A reading from the term pairs is
+integer-exact, so it is proven and returned with no fingerprint; a
+reading from the dense transform rounds floats, so it is fingerprinted
+like every folded peel. Otherwise it runs locate rounds
 with halving budgets, subtracting everything recovered so far, until a
 round sees no heavy bucket at all or aborts on more heavy buckets than
 its budget. A locate call folds at up to 5 random primes and keeps what
@@ -48,18 +52,21 @@ verify_rng = substream(31, "verify")
 # abort, so the peel comes back empty and the fingerprint rejects it;
 # the heavy count that call saw sets the next budget. Here that budget's
 # exact-read limit already holds the operands' 36864 term pairs, so the
-# peel reads the whole product exactly, and the fingerprint accepts.
+# peel reads the whole product exactly from them: that reading is proven,
+# and the driver returns it without a fingerprint.
 print(f"\n{'budget':>7}  {'1st heavy':>9}  {'recovered':>9}  "
-      f"{'residual':>8}  fingerprint")
+      f"{'residual':>8}  verdict")
 r = 1
 while True:
     budget = ISOLATION_CONSTANT << r
-    w, trace = hash_and_iterate(x, y, budget, rng)
-    ok = equality_test(x, y, w, 0.01, verify_rng)
+    w, trace, proven = hash_and_iterate(x, y, budget, rng)
+    ok = proven or equality_test(x, y, w, 0.01, verify_rng)
     aborted = trace and trace[0][1].aborted_rep is not None
     heavy = trace[0][1].heavy_counts[-1] if aborted else 0
+    verdict = ("proven, no fingerprint" if proven
+               else "fingerprint accepts" if ok else "fingerprint rejects")
     print(f"{budget:>7}  {heavy:>9}  {w.l0:>9}  "
-          f"{subtract(exact, w).l0:>8}  {'accept' if ok else 'reject'}")
+          f"{subtract(exact, w).l0:>8}  {verdict}")
     if ok:
         assert w == exact
         break
@@ -72,10 +79,13 @@ while True:
 # fit within the exact-read limit 16 * B * ceil(log2 N), so the peel
 # reads the whole product exactly from them, calls no locate, and its
 # trace is empty.
-w, trace = hash_and_iterate(x, y, budget, substream(32, "multiply"))
+w, trace, proven = hash_and_iterate(x, y, budget, substream(32, "multiply"))
 print(f"\nper-round trace at budget {budget}:")
-if not trace:
-    print("exact reading, no locate call")
+if proven:
+    print("pair reading, no locate call: integer-exact, so it is returned "
+          "without a fingerprint")
+elif not trace:
+    print("dense reading at N, no locate call: the fingerprint checks it")
 else:
     print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
           f"{'recovered':>9}  {'residual':>8}")
@@ -91,4 +101,5 @@ assert w == exact
 # peel stops with it, so undersized budgets cost little, and the heavy
 # count of the abort lets the driver skip the budgets in between.
 print("\nundersized budgets abort instead of decoding garbage; the "
-      "fingerprint gate is what lets the driver trust a success")
+      "fingerprint gate is what lets the driver trust every success it "
+      "did not read from the term pairs")

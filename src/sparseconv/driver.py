@@ -5,11 +5,12 @@ For each guess it reads the product exactly when the budget covers its
 term pairs or a dense transform at N, and otherwise peels the product out
 of phase-folded buckets over a logarithmic number of halving rounds (each
 round recovers most of what is still missing, so the residual support
-contracts geometrically), then fingerprints the result against the
-operands. The first verified result is returned; nothing unverified ever
-escapes. On rejection the budget doubles, or jumps to the heavy count of
-the peel's first locate call if larger: a lower bound on the product
-sparsity.
+contracts geometrically). A reading from the term pairs is integer-exact
+and returned as it is; every other result, the dense reading at N too, is
+fingerprinted against the operands, and the first that verifies is
+returned. Nothing unproven and unverified ever escapes. On rejection the
+budget doubles, or jumps to the heavy count of the peel's first locate
+call if larger: a lower bound on the product sparsity.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     enumeration of Arnold & Roche) when l0(x) * l0(y) <= E, or from the
     dense real product when 4E >= N, where one real transform of length
     at most N costs about what the folds would. An exact reading calls no
-    locate, draws nothing and is returned whatever its size; the pair
-    reading is integer-exact, and the dense one rounds floats unchecked,
-    guarded by the caller's fingerprint. Otherwise N > 4E >= 2L, L =
+    locate, draws nothing and is returned whatever its size. The pair
+    reading is integer-exact under the int64 envelope, so it is proven:
+    the caller returns it with no fingerprint. The dense one rounds floats
+    unchecked, so the caller fingerprints it. Otherwise N > 4E >= 2L, L =
     locate.prime_range_for(B), so every prime a locate call draws is
     below N/2.
 
@@ -76,16 +78,17 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     the closing round costs one repetition; a nonzero residual looks
     quiet only if all its terms share buckets (see locate_with_report),
     which ends the peel with an incomplete w.
-    Returns (w, trace), trace holding (w so far, LocateReport) per locate
-    round: empty for an exact reading.
+    Returns (w, trace, proven): trace holds (w so far, LocateReport) per
+    locate round, empty for an exact reading; proven is True only for the
+    pair reading, and every w with proven False needs a fingerprint.
     """
     if bucket_budget < 1:
         raise ValueError("bucket budget must be positive")
     exact = exact_read_limit(bucket_budget, x.length)
     if x.l0 * y.l0 <= exact:
-        return cyclic_convolve_naive(x, y), []
+        return cyclic_convolve_naive(x, y), [], True
     if 4 * exact >= x.length:
-        return _rounded_fft_product(x, y)[0], []
+        return _rounded_fft_product(x, y)[0], [], False
     w = zero_vector(x.length)
     trace: list[tuple[SparseVector, LocateReport]] = []
     for r in range(max(1, (bucket_budget - 1).bit_length())):
@@ -97,7 +100,7 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
             # leaves more heavy buckets than the halved budgets can take:
             # leave w to the caller's fingerprint.
             break
-    return w, trace
+    return w, trace, False
 
 
 def _check_float_budget(u: SparseVector, v: SparseVector) -> None:
@@ -119,6 +122,9 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     too, with the sampler's message and its PrimeSamplingError as the cause.
 
     A call fails, or returns a wrong vector, with probability below 1/100.
+    A pair reading (see hash_and_iterate) is returned unfingerprinted: the
+    envelope keeps its int64 sums exact (MAX_TERMS * MAX_COEFF_ABS^2 <=
+    2^60), so it adds no failure term and the bound below is unchanged.
     The fingerprint accepts an exact w always and an inexact one in round
     r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
     c * pi^2 / 6 < 0.0042 over all rounds. So a rounding error in the
@@ -171,9 +177,9 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     try:
         while r <= max_rounds:
             budget = ISOLATION_CONSTANT << r                 # C * 2^r
-            w, trace = hash_and_iterate(x, y, budget, locate_rng)
-            if equality_test(x, y, w, OUTER_FAILURE_CONSTANT / (r * r),
-                             fingerprint_rng):
+            w, trace, proven = hash_and_iterate(x, y, budget, locate_rng)
+            delta = OUTER_FAILURE_CONSTANT / (r * r)
+            if proven or equality_test(x, y, w, delta, fingerprint_rng):
                 return w
             if trace and trace[0][1].aborted_rep is not None:
                 # jump to C * 2^r >= heavy

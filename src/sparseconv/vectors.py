@@ -210,6 +210,8 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
     if dense:
         nz = np.flatnonzero(acc)
         return _canonical(n, nz.astype(np.int64), acc[nz])
+    if len(blocks) == 1:                # already reduced: no second sort
+        return _canonical(n, *blocks[0])
     idx, val = (np.concatenate(part) for part in zip(*blocks))
     return _canonical(n, *_reduce_terms(idx, val))
 

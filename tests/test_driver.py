@@ -17,7 +17,7 @@ from sparseconv.driver import (OUTER_FAILURE_CONSTANT, MultiplicationFailed,
 from sparseconv.instances import InstanceSpec, gen_instance
 from sparseconv.locate import ISOLATION_CONSTANT, REPS, VOTE, LocateReport
 from sparseconv.primes import PrimeSamplingError
-from sparseconv.vectors import (EnvelopeError, cyclic_convolve_naive,
+from sparseconv.vectors import (EnvelopeError, add, cyclic_convolve_naive,
                                 embed_for_product, from_arrays,
                                 make_sparse_vector,
                                 poly_multiply_naive, subtract, zero_vector)
@@ -47,12 +47,25 @@ def _record_peels(monkeypatch):
     peels = []
 
     def peel(x, y, budget, rng):
-        w, trace = real_peel(x, y, budget, rng)
+        w, trace, proven = real_peel(x, y, budget, rng)
         peels.append((budget, trace))
-        return w, trace
+        return w, trace, proven
 
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
     return peels
+
+
+def _count_fingerprints(monkeypatch):
+    """Patch the driver to record each fingerprint's (w, verdict)."""
+    real_test = driver.equality_test
+    verdicts = []
+
+    def fingerprint(x, y, w, delta, rng):
+        verdicts.append((w, real_test(x, y, w, delta, rng)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(driver, "equality_test", fingerprint)
+    return verdicts
 
 
 def _drew_primes(peels):
@@ -200,17 +213,17 @@ def test_float_mass_guard():
 def test_hash_and_iterate_recovers_with_generous_budget():
     u, v, want = _telescoping_slots(12)
     x, y = embed_for_product(u, v)
-    w, trace = hash_and_iterate(x, y, 16 * want.l0,
-                                np.random.default_rng(7))
-    assert w == want
+    w, trace, proven = hash_and_iterate(x, y, 16 * want.l0,
+                                        np.random.default_rng(7))
+    assert w == want and not proven
     assert trace[0][1].reps_run == len(trace[0][1].primes) == 5
 
 
 def test_hash_and_iterate_residual_contracts_per_round():
     u, v, exact = _telescoping_slots(21)      # budget 16 * 16 = 256
     x, y = embed_for_product(u, v)
-    _, trace = hash_and_iterate(x, y, 16 * exact.l0,
-                                np.random.default_rng(8))
+    _, trace, _ = hash_and_iterate(x, y, 16 * exact.l0,
+                                   np.random.default_rng(8))
     residuals = [subtract(exact, w).l0 for w, _ in trace]
     assert residuals[-1] == 0
     assert all(a >= b for a, b in zip(residuals, residuals[1:]))
@@ -225,19 +238,20 @@ def test_hash_and_iterate_converged_exit():
     n = 1 << 14
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(n)])
     y = make_sparse_vector(2 * n, [(0, -1), (1, 1)])
-    w, trace = hash_and_iterate(x, y, 32, np.random.default_rng(9))
-    assert w == cyclic_convolve_naive(x, y)
+    w, trace, proven = hash_and_iterate(x, y, 32, np.random.default_rng(9))
+    assert w == cyclic_convolve_naive(x, y) and not proven
     assert 1 < len(trace) < 5 and trace[0][1].primes
     last_report = trace[-1][1]
     assert last_report.heavy_counts == [0] and last_report.aborted_rep is None
     # the closing quiet call stops at its first repetition
     assert last_report.reps_run == 1
-    # an exact reading from the pairs calls no locate: the trace is empty
+    # an exact reading from the pairs calls no locate: the trace is empty,
+    # and the reading is proven
     x = make_sparse_vector(32, [(1, 2)])
     y = make_sparse_vector(32, [(3, 4)])
-    w, trace = hash_and_iterate(x, y, 256, np.random.default_rng(9))
+    w, trace, proven = hash_and_iterate(x, y, 256, np.random.default_rng(9))
     assert w == cyclic_convolve_naive(x, y)
-    assert trace == []
+    assert trace == [] and proven
 
 
 def _budget_overflow_operands():
@@ -255,8 +269,8 @@ def test_hash_and_iterate_budget_too_small_yields_rejectable_w():
     # and the accumulated w stays incomplete; the driver's verification
     # must then reject it (here: compare directly)
     x, y, exact = _budget_overflow_operands()
-    w, trace = hash_and_iterate(x, y, 2, np.random.default_rng(10))
-    assert w != exact
+    w, trace, proven = hash_and_iterate(x, y, 2, np.random.default_rng(10))
+    assert w != exact and not proven
     assert w.l0 < exact.l0
     assert trace[0][1].primes
 
@@ -265,7 +279,7 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
     # an aborted locate call returns zero and leaves more heavy buckets
     # than the budget; the halved budgets after it are not tried
     x, y, exact = _budget_overflow_operands()
-    w, trace = hash_and_iterate(x, y, 32, np.random.default_rng(10))
+    w, trace, _ = hash_and_iterate(x, y, 32, np.random.default_rng(10))
     assert len(trace) == 1
     assert trace[0][1].aborted_rep is not None and trace[0][1].primes
     assert w != exact
@@ -275,12 +289,14 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
 def test_hash_and_iterate_votes_over_five_repetitions(budget):
     # every locate call of a peel that folds draws REPS = 5 primes,
     # whatever the budget, unless it aborts or a repetition is quiet. The
-    # telescoping operands fold at budget 16; at 2^16, 4E >= N and the
-    # peel reads the product exactly, with no locate call
+    # telescoping operands fold at budget 16; at 2^16 their pairs fit E
+    # and the peel reads the product exactly from them, with no locate
+    # call, and proven
     u, v, exact = _telescoping_slots(22)
     x, y = embed_for_product(u, v)
-    w, trace = hash_and_iterate(x, y, budget, np.random.default_rng(11))
-    assert w == exact
+    w, trace, proven = hash_and_iterate(x, y, budget,
+                                        np.random.default_rng(11))
+    assert w == exact and proven == (budget != 16)
     if budget != 16:
         assert trace == []
         return
@@ -304,10 +320,10 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
 
     def peel(x, y, budget, rng):
         peels.append(budget)
-        w, trace = real_peel(x, y, budget, rng)
+        w, trace, proven = real_peel(x, y, budget, rng)
         folded.append(bool(trace))
         assert budget != lossy_budget or w != exact
-        return w, trace
+        return w, trace, proven
 
     def lossy_locate(x, y, w, budget, rng):
         z, report = real_locate(x, y, w, budget, rng)
@@ -349,27 +365,72 @@ def test_budget_jumps_to_the_heavy_count(monkeypatch, seed):
 def test_exact_reading_above_the_budget_is_kept(monkeypatch, seed):
     # some 60k product terms: the peel after the first abort reads the
     # 65536 pairs exactly at a budget below the product's size and keeps
-    # that reading, so the pairs are multiplied once and fingerprinted
-    # twice (the aborted peel's empty w, then the product)
+    # that reading, so the pairs are multiplied once; only the aborted
+    # peel's empty w is fingerprinted, as the pair reading is proven
     u, v = gen_instance(InstanceSpec(n=1 << 18, terms=256, coeff_bound=100,
                                      cancel_fraction=0.0, seed=seed))
     real_naive = driver.cyclic_convolve_naive
-    real_test = driver.equality_test
-    calls = {"naive": 0, "fingerprint": 0}
+    naive_calls = []
 
     def naive(x, y):
-        calls["naive"] += 1
-        return real_naive(x, y)
-
-    def fingerprint(*args):
-        calls["fingerprint"] += 1
-        return real_test(*args)
+        naive_calls.append(real_naive(x, y))
+        return naive_calls[-1]
 
     monkeypatch.setattr(driver, "cyclic_convolve_naive", naive)
-    monkeypatch.setattr(driver, "equality_test", fingerprint)
+    verdicts = _count_fingerprints(monkeypatch)
     got = sparse_multiply(u, v, np.random.default_rng(seed))
     assert got == poly_multiply_naive(u, v)
-    assert calls == {"naive": 1, "fingerprint": 2}
+    assert naive_calls == [got]
+    assert len(verdicts) == 1 and verdicts[0][0].is_zero
+
+
+def test_pairs_within_the_first_budget_make_no_fingerprint(monkeypatch):
+    # 64 * 64 pairs fit E = 8192 at the first budget, 32, at N = 2^16:
+    # the first peel reads them exactly and sparse_multiply returns that
+    # reading with no fingerprint
+    verdicts = _count_fingerprints(monkeypatch)
+    u, v = gen_instance(InstanceSpec(n=1 << 15, terms=64, coeff_bound=100,
+                                     cancel_fraction=0.0, seed=5))
+    assert u.l0 * v.l0 <= exact_read_limit(ISOLATION_CONSTANT << 1, 1 << 16)
+    got = sparse_multiply(u, v, np.random.default_rng(5))
+    assert got == poly_multiply_naive(u, v)
+    assert verdicts == []
+
+
+def test_folded_product_is_fingerprinted(monkeypatch):
+    # the telescoping slots' verified peel folds at drawn primes: its w is
+    # returned only after the fingerprint accepts it, and every peel before
+    # it is fingerprinted too
+    peels = _record_peels(monkeypatch)
+    verdicts = _count_fingerprints(monkeypatch)
+    u, v, want = _telescoping_slots(7)
+    assert sparse_multiply(u, v, np.random.default_rng(7)) == want
+    assert peels[-1][1] and len(verdicts) == len(peels)
+    assert verdicts[-1][0] == want and verdicts[-1][1]
+
+
+def test_dense_reading_at_n_is_fingerprinted(monkeypatch):
+    # 128 * 128 pairs at N = 2^14: at budgets 32 and 64 they outnumber E
+    # and 4E >= N, so those peels read the dense real product, here
+    # corrupted by one unit; the fingerprint rejects both, and the peel at
+    # budget 128, whose E covers the pairs, returns the product
+    real_product = driver._rounded_fft_product
+    corrupted = []
+
+    def off_by_one(x, y):
+        product, residue = real_product(x, y)
+        corrupted.append(add(product, make_sparse_vector(x.length, [(0, 1)])))
+        return corrupted[-1], residue
+
+    monkeypatch.setattr(driver, "_rounded_fft_product", off_by_one)
+    verdicts = _count_fingerprints(monkeypatch)
+    u = make_sparse_vector(1 << 13, [(32 * j, 1 + j % 7) for j in range(128)])
+    limit = exact_read_limit(ISOLATION_CONSTANT << 1, 1 << 14)
+    assert u.l0 * u.l0 > limit and 4 * limit >= 1 << 14
+    got = sparse_multiply(u, u, np.random.default_rng(6))
+    assert got == poly_multiply_naive(u, u)
+    assert len(corrupted) == 2
+    assert verdicts == [(w, False) for w in corrupted]
 
 
 def test_exact_read_limit_formula():
@@ -394,20 +455,21 @@ def test_peel_reads_exactly_when_pairs_fit_the_limit(monkeypatch):
     monkeypatch.setattr(driver, "locate_with_report", _no_locate)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    w, trace = hash_and_iterate(x, y, 1, rng)
-    assert w == cyclic_convolve_naive(x, y) and w.l0 > 1
+    w, trace, proven = hash_and_iterate(x, y, 1, rng)
+    assert w == cyclic_convolve_naive(x, y) and w.l0 > 1 and proven
     assert trace == [] and rng.bit_generator.state == state
     monkeypatch.undo()
     x7 = make_sparse_vector(2 * n, [(j, j + 1) for j in range(7)])
     y23 = make_sparse_vector(2 * n, [(j, j + 2) for j in range(23)])
     assert x7.l0 * y23.l0 == 161
-    _, trace = hash_and_iterate(x7, y23, 1, rng)
-    assert trace and trace[0][1].primes
+    _, trace, proven = hash_and_iterate(x7, y23, 1, rng)
+    assert trace and trace[0][1].primes and not proven
 
 
 def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
     # 4E >= N: the dense real product reads the whole product, with no
-    # fold and no draw, and keeps it whatever its size; N = 128 at budget
+    # fold and no draw, and keeps it whatever its size, unproven, for the
+    # caller's fingerprint; N = 128 at budget
     # 16 (E = 1792 >= N) and N = 2^14 at budget 32 (E = 7168: N/4 <= E < N)
     monkeypatch.setattr(driver, "locate_with_report", _no_locate)
     small = make_sparse_vector(128, [(j, 1 + j % 7) for j in range(64)])
@@ -418,9 +480,10 @@ def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
         assert x.l0 * x.l0 > limit and 4 * limit >= x.length
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        w, trace = hash_and_iterate(x, x, budget, rng)
+        w, trace, proven = hash_and_iterate(x, x, budget, rng)
         assert w == cyclic_convolve_naive(x, x) and w.l0 > budget
-        assert trace == [] and rng.bit_generator.state == state
+        assert trace == [] and not proven
+        assert rng.bit_generator.state == state
 
 
 def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
@@ -435,7 +498,7 @@ def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
             for _ in range(2))
     limit = exact_read_limit(128, 2 * n)
     assert x.l0 * y.l0 > limit and 4 * limit >= 2 * n
-    w, trace = hash_and_iterate(x, y, 128, np.random.default_rng(0))
+    w, trace, _ = hash_and_iterate(x, y, 128, np.random.default_rng(0))
     assert trace == []
     assert w == cyclic_convolve_naive(x, y)
 
@@ -467,7 +530,7 @@ def test_budget_after_an_abort(monkeypatch, heavy, want):
                               aborted_rep=None if h is None else 0,
                               heavy_counts=[0 if h is None else h])
         w = zero_vector(x.length)
-        return w, [(w, report)]
+        return w, [(w, report)], False
 
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
     u = make_sparse_vector(1 << 14, [(0, 3), (17, -5), (4000, 9)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparseconv import vectors
 from sparseconv.instances import blocked_telescoping_instance
 from sparseconv.vectors import (MAX_COEFF_ABS, MAX_TERMS, EnvelopeError,
                                 SparseVector, add,
@@ -198,6 +199,23 @@ def test_naive_blocked_path_matches_dense_path():
             acc[t] = acc.get(t, 0) + a * b
     want = make_sparse_vector(n, [(i, c) for i, c in acc.items() if c])
     assert got == want
+
+
+@pytest.mark.parametrize("block", [1, 100, 1000])
+def test_naive_sort_route_same_in_several_blocks(monkeypatch, block):
+    # 40 * 50 pairs at N = 2^16 take the sort route (N > 16 * pairs) in
+    # one block; a smaller pair block splits them into 40, 20 or 2 blocks,
+    # whose reduced terms are merged and reduced again
+    n = 1 << 16
+    rng = np.random.default_rng(4)
+    x = from_arrays(n, rng.choice(n, size=40, replace=False),
+                    rng.integers(-9, 10, size=40) | 1)
+    y = from_arrays(n, rng.choice(n, size=50, replace=False),
+                    rng.integers(-9, 10, size=50) | 1)
+    one_block = cyclic_convolve_naive(x, y)
+    assert one_block == dense_fft_multiply(x, y)
+    monkeypatch.setattr(vectors, "_PAIR_BLOCK", block)
+    assert cyclic_convolve_naive(x, y) == one_block
 
 
 @st.composite
