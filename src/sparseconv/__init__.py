@@ -8,7 +8,6 @@ randomized fingerprint keeps the result Las Vegas correct.
 from .driver import MultiplicationFailed, sparse_multiply
 from .fingerprint import equality_test
 from .instances import InstanceSpec, blocked_telescoping_instance, gen_instance
-from .locate import locate_with_report
 from .polyfile import PolyFileError, parse_poly_file, write_poly_file
 from .primes import PrimeSamplingError, miller_rabin, random_prime_in_range
 from .seeding import resolve_seed, substream
@@ -32,7 +31,6 @@ __all__ = [
     "embed_for_product",
     "equality_test",
     "gen_instance",
-    "locate_with_report",
     "make_sparse_vector",
     "miller_rabin",
     "parse_poly_file",

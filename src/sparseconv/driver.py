@@ -21,8 +21,7 @@ from .fingerprint import equality_test
 from .locate import ISOLATION_CONSTANT, LocateReport, locate_with_report
 from .primes import PrimeSamplingError
 from .vectors import (SparseVector, EnvelopeError, _rounded_fft_product, add,
-                      check_operand, cyclic_convolve_naive, embed_for_product,
-                      zero_vector)
+                      cyclic_convolve_naive, embed_for_product, zero_vector)
 
 # Round r gives its fingerprint a false-accept budget c / r^2, so a wrong
 # vector passes with probability below c * pi^2 / 6 over all rounds.
@@ -122,9 +121,11 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     too, with the sampler's message and its PrimeSamplingError as the cause.
 
     A call fails, or returns a wrong vector, with probability below 1/100.
-    A pair reading (see hash_and_iterate) is returned unfingerprinted: the
-    envelope keeps its int64 sums exact (MAX_TERMS * MAX_COEFF_ABS^2 <=
-    2^60), so it adds no failure term and the bound below is unchanged.
+    A pair reading (see hash_and_iterate) is returned unfingerprinted:
+    embed_for_product has checked that both operands are canonical int64
+    vectors inside the envelope, which keeps its int64 sums exact
+    (MAX_TERMS * MAX_COEFF_ABS^2 <= 2^60), so it adds no failure term and
+    the bound below is unchanged.
     The fingerprint accepts an exact w always and an inexact one in round
     r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
     c * pi^2 / 6 < 0.0042 over all rounds. So a rounding error in the
@@ -165,10 +166,8 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     one of them reads exactly. They draw independently, so all three
     peels are inexact with probability at most P(1) P(2) P(4) < 0.002.
     """
-    check_operand(u, "u")
-    check_operand(v, "v")
-    _check_float_budget(u, v)
     x, y = embed_for_product(u, v)
+    _check_float_budget(x, y)
     if x.is_zero or y.is_zero:
         return zero_vector(x.length)
     locate_rng, fingerprint_rng = rng.spawn(2)

@@ -161,12 +161,35 @@ def subtract(x: SparseVector, y: SparseVector) -> SparseVector:
     return _canonical(x.length, *_reduce_terms(idx, val))
 
 
+def check_canonical(v: SparseVector, what: str) -> None:
+    """Raise ValueError unless v is in canonical form: 1-d int64 arrays of
+    equal size, indices strictly increasing in [0, length), coefficients
+    nonzero. O(l0). The SparseVector constructor checks nothing, so every
+    entry point calls this, through check_operand or directly.
+    """
+    idx, val = v.indices, v.coeffs
+    if not (isinstance(idx, np.ndarray) and isinstance(val, np.ndarray)
+            and idx.dtype == val.dtype == np.int64
+            and idx.ndim == val.ndim == 1 and idx.size == val.size):
+        raise ValueError(
+            f"{what}: indices and coefficients must be 1-d int64 arrays "
+            "of equal size")
+    if idx.size and (idx[0] < 0 or idx[-1] >= v.length
+                     or np.any(idx[1:] <= idx[:-1])):
+        raise ValueError(
+            f"{what}: indices must increase strictly within [0, {v.length})")
+    if not np.all(val):
+        raise ValueError(f"{what}: zero coefficient")
+
+
 def check_operand(v: SparseVector, what: str) -> None:
-    """Raise EnvelopeError unless v lies inside the operand envelope.
+    """Raise ValueError unless v is canonical (check_canonical), and
+    EnvelopeError unless it lies inside the operand envelope.
 
     MAX_TERMS * MAX_COEFF_ABS**2 <= 2**60, so convolution coefficients of
     two conforming operands always fit in int64 with headroom.
     """
+    check_canonical(v, what)
     if v.length > MAX_DIMENSION:
         raise EnvelopeError(f"{what}: length {v.length} exceeds {MAX_DIMENSION}")
     if v.l0 > MAX_TERMS:
@@ -271,8 +294,10 @@ def embed_for_product(u: SparseVector, v: SparseVector) -> tuple[SparseVector, S
     """Zero-pad degree-(n-1) polynomial operands to dimension N = 2n.
 
     At N = 2n the cyclic convolution never wraps, so it coincides with the
-    polynomial product.
+    polynomial product. Both operands must pass check_operand.
     """
+    check_operand(u, "u")
+    check_operand(v, "v")
     n = max(u.length, v.length)
     if 2 * n > MAX_DIMENSION:
         raise EnvelopeError(f"embedded dimension {2 * n} exceeds {MAX_DIMENSION}")

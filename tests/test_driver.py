@@ -609,6 +609,9 @@ def test_every_exported_name_resolves():
                if not hasattr(sparseconv, name)]
     assert missing == []
     assert "locate" not in sparseconv.__all__
+    # locate_with_report takes embedded operands with no check
+    assert "locate_with_report" not in sparseconv.__all__
+    assert not hasattr(sparseconv, "locate_with_report")
     assert sparseconv.locate is importlib.import_module("sparseconv.locate")
 
 

@@ -64,11 +64,11 @@ def test_eval_power_tables_agree_across_dimensions():
 
 def test_eval_single_terms_match_builtin_pow():
     # one term with coefficient 1 is point^j mod p: every index width,
-    # moduli up to the 2^36 the uint64 arithmetic allows
+    # moduli up to the 2^32 - 1 the uint64 arithmetic allows
     rng = np.random.default_rng(11)
     for _ in range(300):
         j = int(rng.integers(0, 1 << int(rng.integers(1, 27))))
-        mod = int(rng.integers(2, (1 << 36) + 1))
+        mod = int(rng.integers(2, 1 << 32))
         base = int(rng.integers(0, 1 << 40))
         f = make_sparse_vector(MAX_DIMENSION, [(j, 1)])
         assert eval_sparse_poly_mod(f, base, mod) == pow(base, j, mod)
@@ -87,12 +87,13 @@ def test_eval_iterated_squaring_oracle():
 @st.composite
 def eval_cases(draw):
     """(f, point, modulus): corner indices 0 and length - 1 with drawn
-    coefficients plus up to 3000 seeded random terms; moduli small, just
-    below 2^32 and up to 2^33; points 0, 1, p - 1 or any."""
+    coefficients plus up to 3000 seeded random terms; moduli small, in the
+    sampler's [2^30, 2^31] and just below 2^32; points 0, 1, p - 1 or
+    any."""
     length = 1 << draw(st.one_of(st.just(26), st.integers(1, 26)))
     modulus = draw(st.one_of(st.integers(2, 1 << 16),
-                             st.integers((1 << 32) - 4096, (1 << 32) - 1),
-                             st.integers(1 << 32, 1 << 33)))
+                             st.integers(1 << 30, 1 << 31),
+                             st.integers((1 << 32) - 4096, (1 << 32) - 1)))
     point = draw(st.one_of(st.sampled_from([0, 1, modulus - 1]),
                            st.integers(0, modulus - 1)))
     bound = 1 << 45
@@ -114,20 +115,44 @@ def test_eval_matches_reference_property(case):
         f, point, modulus)
 
 
+def test_eval_top_of_the_field_matches_builtin_pow():
+    # the largest residues: coefficients of +-2^60, the top index, and the
+    # largest prime below 2^32
+    p = 4294967291
+    top = MAX_DIMENSION - 1
+    f = make_sparse_vector(MAX_DIMENSION, [(0, -(1 << 60)), (1, 1 << 60),
+                                           (top - 1, 1 << 60),
+                                           (top, -(1 << 60))])
+    for point in (p - 1, p - 2, 3, 1 << 31):
+        assert eval_sparse_poly_mod(f, point, p) == reference_eval(f, point, p)
+
+
 def test_eval_rounds_formula():
-    # log2(3/0.1)/log2(64) = 4.9/6 -> ceil = 1, plus 1
-    assert eval_rounds(0.1) == 2
-    assert eval_rounds(0.0001) >= 3
-    with pytest.raises(ValueError):
-        eval_rounds(0.0)
+    # log2(3/0.1) / log2(2^30 / 2^26) = 4.9/4 -> ceil = 2, plus 1
+    assert eval_rounds(0.1, MAX_DIMENSION) == 3
+    # 4.9/20 -> ceil = 1, plus 1
+    assert eval_rounds(0.1, 1 << 10) == 2
+    assert eval_rounds(0.0001, MAX_DIMENSION) >= 4
+    for bad in ((0.0, 8), (1.0, 8), (0.1, 0), (0.1, MAX_DIMENSION + 1)):
+        with pytest.raises(ValueError):
+            eval_rounds(*bad)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.1, 0.01, 1 / 400, 1e-6])
+def test_eval_rounds_meets_the_failure_bound(delta):
+    # all points are roots with probability at most q^rounds, q = N / 2^30:
+    # that must stay within q * delta / 3 at every dimension 2^1 .. 2^26
+    for b in range(1, 27):
+        q = 2.0 ** (b - 30)
+        assert q ** eval_rounds(delta, 1 << b) <= q * delta / 3
 
 
 def test_rejects_bad_arguments():
     v = make_sparse_vector(4, [(0, 1)])
     with pytest.raises(ValueError):
         eval_sparse_poly_mod(v, 2, 1)
-    with pytest.raises(ValueError, match="2\\^36"):
-        eval_sparse_poly_mod(v, 2, (1 << 36) + 1)
+    with pytest.raises(ValueError, match="2\\^32"):
+        eval_sparse_poly_mod(v, 2, 1 << 32)
     with pytest.raises(ValueError):
         equality_test(v, v, make_sparse_vector(8, [(0, 1)]), 0.1,
                       np.random.default_rng(0))
@@ -181,7 +206,7 @@ def test_perturbed_products_usually_fail():
         else:
             accepted += 1
     # a false accept needs the random point to hit a root of a nonzero
-    # degree-N polynomial mod p > 64N: rare far beyond the delta bound
+    # degree-N polynomial mod p > 2^30: rare far beyond the delta bound
     assert accepted == 0
     assert rejected >= int(0.95 * trials)
 
@@ -197,9 +222,8 @@ def reference_equality(x, y, w, delta, rng):
     """equality_test's verdict with builtin pow, drawing from rng in the
     same order: the prime, then one point at a time, x then y then w, up
     to the first mismatch."""
-    n = x.length
-    p = random_prime_in_range(64 * n, 128 * n, rng)
-    for _ in range(eval_rounds(delta)):
+    p = random_prime_in_range(1 << 30, 1 << 31, rng)
+    for _ in range(eval_rounds(delta, x.length)):
         r = int(rng.integers(0, p))
         fx, fy, fw = (reference_eval(f, r, p) for f in (x, y, w))
         if fx * fy % p != fw:
@@ -208,7 +232,7 @@ def reference_equality(x, y, w, delta, rng):
 
 
 def test_verdicts_and_stream_match_reference():
-    # true and corrupted triples at n = 2^20 (primes above 2^27): the same
+    # true and corrupted triples at n = 2^20 (primes above 2^30): the same
     # verdict as the term-by-term reference, and the same draws consumed
     for seed in range(6):
         x, y, w = random_triple(seed, n=1 << 20, k=40)
