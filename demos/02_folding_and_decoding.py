@@ -73,4 +73,4 @@ print(f"\nfolded mod 8, bucket 3 holds {clash:.4f}")
 print(f"which decodes to exponent {e}: neither 3 nor 11, and the "
       f"magnitude {abs(clash):.3f} matches no coefficient")
 print("random prime moduli make such collisions rare and independent "
-      "across repetitions")
+      "from one locate call to the next")

@@ -16,10 +16,10 @@ reading from the dense transform rounds floats, so it is fingerprinted
 like every folded peel. Otherwise it runs locate rounds
 with halving budgets, subtracting everything recovered so far, until a
 round sees no heavy bucket at all or aborts on more heavy buckets than
-its budget. A locate call folds at up to 5 random primes and keeps what
-4 of them agree on: a term one call misses stays in the residual for
-the next round, and a peel that still ends wrong is rejected by the
-fingerprint, so the vote need not be reliable alone.
+its budget. A locate call folds once, at one random prime: a term it
+misses or misreads stays in the residual for the next round, and a peel
+that still ends wrong is rejected by the fingerprint, so one fold need
+not be reliable alone.
 
 This script replays that logic by hand on one instance, using the
 per-round trace that hash_and_iterate returns to show what each budget
@@ -96,7 +96,7 @@ for r, (w_after, report) in enumerate(trace):
           f"{w_after.l0:>9}  {subtract(exact, w_after).l0:>8}")
 assert w == exact
 
-# The abort gate is what keeps wrong budgets cheap: a repetition stops
+# The abort gate is what keeps wrong budgets cheap: a locate call stops
 # as soon as it counts more heavy buckets than the budget allows, and the
 # peel stops with it, so undersized budgets cost little, and the heavy
 # count of the abort lets the driver skip the budgets in between.

@@ -62,21 +62,16 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
 
     The peel runs ceil(log2 B) locate rounds with halving budgets B, B/2,
     ..., accumulating recovered terms into w so later rounds only see the
-    shrinking residual; it stops at a round whose first repetition sees
-    no heavy bucket, or at an abort.
-    Each call keeps what locate.VOTE = 4 of its locate.REPS = 5
-    repetitions read, so it may miss a term, which stays in the residual
-    for a later round, or misread one, which becomes a residual term that
-    a later round recovers. With B >= 16 * l0(x * y)
-    no round aborts, and w equals x * y except with the probability
-    bounded in sparse_multiply; smaller budgets typically return a
-    partial (often empty) w. The caller's fingerprint rejects every
-    inexact w, so a miss costs time, never a wrong product.
-
-    A locate call ends at its first repetition with no heavy bucket, so
-    the closing round costs one repetition; a nonzero residual looks
-    quiet only if all its terms share buckets (see locate_with_report),
-    which ends the peel with an incomplete w.
+    shrinking residual; it stops at a round whose fold sees no heavy
+    bucket, or at an abort. Each call folds once, so it may miss a term,
+    which stays in the residual for a later round, or misread one, which
+    becomes a residual term that a later round recovers. With B >= 16 *
+    l0(x * y) no round aborts, and w equals x * y except with the
+    probability bounded in sparse_multiply; smaller budgets typically
+    return a partial (often empty) w. The caller's fingerprint rejects
+    every inexact w, so a miss costs time, never a wrong product. A
+    nonzero residual looks quiet only if all its terms share buckets
+    (see locate_with_report), which ends the peel with an incomplete w.
     Returns (w, trace, proven): trace holds (w so far, LocateReport) per
     locate round, empty for an exact reading; proven is True only for the
     pair reading, and every w with proven False needs a fingerprint.
@@ -95,9 +90,9 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
         w = add(w, z)
         trace.append((w, report))
         if report.aborted_rep is not None or report.heavy_counts[0] == 0:
-            # A quiet first repetition: later rounds are no-ops. An abort
-            # leaves more heavy buckets than the halved budgets can take:
-            # leave w to the caller's fingerprint.
+            # A quiet fold: later rounds are no-ops. An abort leaves more
+            # heavy buckets than the halved budgets can take: leave w to
+            # the caller's fingerprint.
             break
     return w, trace, False
 
@@ -146,25 +141,24 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     that share a bucket, at most (l0 - 1) 10 ln N / (3L) with L = 128 B,
     is below (10 ln N / 6144) / h = gamma q / h' with gamma = 1/16,
     q = 1/8 and h' = h / c, c = 5 ln N / 24 < 4 for N <= 2^26; by Markov a
-    repetition is bad (more than gamma of the terms shared) with
-    probability at most q / h'.
-    A locate call votes VOTE = 4 of REPS = 5. If at most one repetition is
-    bad, it leaves at most 5 gamma of the residual: 4 gamma missed terms
-    (shared in a good repetition) and 2 gamma / 3 junk ones (3 good votes
-    from buckets of two or more terms). It cannot stop sooner: an abort
-    needs more heavy buckets than the budget, so than residual terms, and
-    a quiet repetition on a nonzero residual needs every term shared
-    (probability at most gamma q / h'). So a call fails with probability
-    at most 10 (q/h')^2 + 5 gamma q / h', and a success multiplies the
-    next call's h' by (1/2) / (5 gamma) = 8/5; the peel's ceil(log2 B)
+    fold is bad (more than gamma of the terms shared) with probability at
+    most q / h'.
+    A locate call folds once. A good fold leaves at most 3 gamma / 2 of
+    the residual: gamma missed terms (shared) and gamma / 2 junk ones (a
+    bucket gives at most one reading, and a shared one holds at least two
+    terms). It cannot stop sooner: an abort needs more heavy buckets than
+    the budget, so than residual terms, and a quiet fold on a nonzero
+    residual needs every term shared, which makes it bad. So a call fails
+    with probability at most q / h', and a success multiplies the next
+    call's h' by (1/2) / (3 gamma / 2) = 16/3; the peel's ceil(log2 B)
     calls outnumber the successes that empty the residual. Summed, a peel
-    starting at h' is inexact with probability at most P(h') = (640/39)
-    (q/h')^2 + (40/3) gamma q / h', P(1) < 0.361. Doubling the budget
-    doubles L and so halves the sharing bound: round r0 + j has h' >=
-    2^j / c > 2^(j - 2), so the ln N in c costs about log2 ln N extra
-    doublings, and rounds r0 + 2 .. r0 + 4 count as h' >= 1, 2, 4 unless
-    one of them reads exactly. They draw independently, so all three
-    peels are inexact with probability at most P(1) P(2) P(4) < 0.002.
+    starting at h' is inexact with probability at most P(h') = (q / h') /
+    (1 - 3/16) = (16/13) q / h', P(1) = 2/13. Doubling the budget doubles
+    L and so halves the sharing bound: round r0 + j has h' >= 2^j / c >
+    2^(j - 2), so the ln N in c costs about log2 ln N extra doublings, and
+    rounds r0 + 2 .. r0 + 4 count as h' >= 1, 2, 4 unless one of them
+    reads exactly. They draw independently, so all three peels are
+    inexact with probability at most P(1) P(2) P(4) < 5e-4 < 0.002.
     """
     x, y = embed_for_product(u, v)
     _check_float_budget(x, y)

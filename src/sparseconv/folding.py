@@ -90,37 +90,29 @@ def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
 
     No route of the package builds these; only perfbench's tracer looks
     the name up. It goes together with primes.sieve_primes once perfbench
-    stops patching module attributes (ROADMAP item 5).
+    stops patching module attributes (ROADMAP item 2).
     """
     return np.add.outer(jx, jy).ravel(), np.multiply.outer(px, py).ravel()
-
-
-def bucket_spectra(m: int) -> np.ndarray:
-    """Empty FFT rows for heavy_residual_buckets at any modulus <= m."""
-    return np.empty((2, _fast_fft_length(2 * m - 1)), dtype=np.complex128)
 
 
 def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
                            jy: np.ndarray, py: np.ndarray,
                            jw: np.ndarray, pw: np.ndarray,
-                           m: int, threshold: float, budget: int,
-                           spectra: np.ndarray):
+                           m: int, threshold: float, budget: int):
     """Residual buckets with |value| >= threshold (heavy), for one modulus.
 
     Inputs are index arrays and matching phase-weighted coefficient arrays
     (see phased_coeffs) for x, y, and the recovered part w. Folds x, y and
     w separately and convolves the length-m folds of x and y with FFTs:
-    O(terms + m log m), independent of the pair count.
-
-    spectra, from bucket_spectra(M >= m), holds the two FFT rows; one for all
-    moduli tried on one x and y faults its pages in once.
+    O(terms + m log m), independent of the pair count. Its two FFT rows
+    are one allocation, padded to the smooth length at or above 2m - 1.
 
     Returns (count, bucket_indices, bucket_values) of the heavy buckets;
     all other buckets are zero up to fold rounding error, far below
     threshold. When more than budget buckets are heavy, only their count is
     returned, with None for the arrays, so an overflow builds neither.
     """
-    fa, fb = spectra[:, :_fast_fft_length(2 * m - 1)]
+    fa, fb = np.empty((2, _fast_fft_length(2 * m - 1)), dtype=np.complex128)
     _fold_into(fa[:m], jx, px, m)
     _fold_into(fb[:m], jy, py, m)
     fa[m:] = 0

@@ -28,13 +28,22 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
 
 def resolve_seed(flag_value: int | None) -> int:
-    """Seed precedence: explicit flag, then SPARSECONV_SEED, then 0."""
+    """Seed precedence: explicit flag, then SPARSECONV_SEED, then 0.
+
+    A seed that is negative, or not an integer, raises ValueError naming
+    its source.
+    """
     if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        seed, source = int(flag_value), "--seed"
+    else:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV_VAR
         except ValueError as exc:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer") from exc
-    return DEFAULT_SEED
+    if seed < 0:
+        raise ValueError(
+            f"{source} must be a non-negative integer, got {seed}")
+    return seed

@@ -19,8 +19,8 @@ import pytest
 from sparseconv import cli
 from sparseconv.driver import MultiplicationFailed, sparse_multiply
 from sparseconv.fingerprint import equality_test
-from sparseconv.folding import (_unit_root_powers, bucket_spectra,
-                                heavy_residual_buckets, phased_coeffs)
+from sparseconv.folding import (_unit_root_powers, heavy_residual_buckets,
+                                phased_coeffs)
 from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
                                   gen_instance)
 from sparseconv.locate import (decode_indices, locate_with_report,
@@ -150,8 +150,7 @@ def test_folded_convolution_identity(capsys):
         # threshold 0: every bucket of fold(x) (*) fold(y) - fold(exact)
         phased = [a for t in (x, y, exact) for a in (t.indices,
                                                      phased_coeffs(t))]
-        _, _, gap = heavy_residual_buckets(*phased, p, 0.0, p,
-                                           bucket_spectra(p))
+        _, _, gap = heavy_residual_buckets(*phased, p, 0.0, p)
         err = float(np.max(np.abs(gap)))
         worst = max(worst, err)
     good = worst <= 1e-4
@@ -225,7 +224,7 @@ def test_fingerprint_one_sided_and_sound(capsys):
 def test_locate_contract_single_round(capsys):
     # 300 x 300 pairs at N = 2^20 and budget 256 outnumber the exact-read
     # limit (81920), and 4 * 81920 < N: every round folds at primes of
-    # [L/2, L] = [16384, 32768] and votes, on a residual of budget / 16 terms
+    # [L/2, L] = [16384, 32768], on a residual of budget / 16 terms
     gamma5 = 5.0 / 16.0
     budget = 256
     residual_size = budget // 16

@@ -148,6 +148,21 @@ def test_env_seed_default(telescoping, tmp_path, capsys, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("flag, env, source", [
+    (["--seed", "-1"], None, "--seed"),
+    ([], "-5", "SPARSECONV_SEED"),
+])
+def test_negative_seed_is_input_error(telescoping, capsys, monkeypatch,
+                                      flag, env, source):
+    a, b = telescoping
+    if env is not None:
+        monkeypatch.setenv("SPARSECONV_SEED", env)
+    assert main(["multiply", a, b, *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {source} must be a non-negative integer")
+
+
 def test_gen_writes_loadable_files(tmp_path, capsys):
     a = str(tmp_path / "a.poly")
     b = str(tmp_path / "b.poly")

@@ -14,9 +14,10 @@ from sparseconv import driver, primes
 from sparseconv.driver import (OUTER_FAILURE_CONSTANT, MultiplicationFailed,
                                exact_read_limit, hash_and_iterate,
                                sparse_multiply)
-from sparseconv.instances import InstanceSpec, gen_instance
-from sparseconv.locate import ISOLATION_CONSTANT, REPS, VOTE, LocateReport
-from sparseconv.primes import PrimeSamplingError
+from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
+                                  gen_instance)
+from sparseconv.locate import ISOLATION_CONSTANT, LocateReport, prime_range_for
+from sparseconv.primes import PrimeSamplingError, uniform_prime_below
 from sparseconv.vectors import (EnvelopeError, add, cyclic_convolve_naive,
                                 embed_for_product, from_arrays,
                                 make_sparse_vector,
@@ -29,7 +30,7 @@ def _telescoping_slots(seed, n=1 << 18, run=1 << 13, slots=8):
 
     131072 pairs against N = 2^19: at budgets 32 .. 256, 4E < N and the
     pairs outnumber E (E = exact_read_limit(B, N)), so the peel calls
-    locate, which draws primes below N/2, folds at them and votes; from
+    locate, which draws a prime below N/2 and folds at it; from
     budget 512 on 4E >= N, and the peel reads the product exactly from
     the dense real product. Returns (u, v, u * v).
     """
@@ -74,44 +75,39 @@ def _drew_primes(peels):
 
 def test_params_relations_enforced():
     # the analysis relations the pipeline constants must satisfy: with
-    # trial failure q = 1/8 per hash, a C-isolating prime leaves a
+    # trial failure q = 1/8 per fold, a C-isolating prime leaves a
     # collision fraction gamma = 2 / (C^2 q) of the support
     q = 1.0 / 8.0
     gamma = 2.0 / (ISOLATION_CONSTANT ** 2 * q)
     assert math.isclose(gamma, 1.0 / 16.0)
-    # a locate call votes thr of t repetitions; with at most t - thr bad
-    # repetitions its missed plus junk terms stay within 5 gamma of the
-    # residual
-    t, thr = REPS, VOTE
-    assert (t, thr) == (5, 4)
-    for bad in range(t - thr + 1):
-        missed = (t - bad) * gamma / (t - thr + 1 - bad)
-        junk = (t - bad) * gamma / 2 / (thr - bad)
-        assert missed + junk <= 5 * gamma
-    growth = 0.5 / (5 * gamma)       # headroom gained per successful call
-    assert growth > 1
+    # the sharing bound 10 ln N / 6144 at headroom 1 is gamma q c, with
+    # c = 5 ln N / 24 < 4 up to N = 2^26
+    c = 5 * math.log(2 ** 26) / 24
+    assert math.isclose(10 * math.log(2 ** 26) / 6144, gamma * q * c)
+    assert c < 4
+    # a good fold misses the gamma of terms that share a bucket and reads
+    # at most one junk term per shared bucket, which holds two or more
+    missed, junk = gamma, gamma / 2
+    growth = 0.5 / (missed + junk)   # headroom gained per successful call
+    assert math.isclose(growth, 16 / 3)
 
     def peel_failure(h):
-        # union bound over a peel's calls: t - thr + 1 bad repetitions in
-        # one call, or one quiet repetition on a nonzero residual
+        # union bound over a peel's calls: one bad fold (a quiet fold on a
+        # nonzero residual shares every term, so it is bad too)
         total = 0.0
         while h < 1e9:
-            bad = q / h
-            total += math.comb(t, t - thr + 1) * bad ** (t - thr + 1)
-            total += t * gamma * bad
+            total += q / h
             h *= growth
         return total
 
-    assert math.isclose(peel_failure(1), 640 / 39 * q ** 2
-                        + 40 / 3 * gamma * q, rel_tol=1e-6)
-    assert peel_failure(1) < 0.361
-    # rounds r0 .. r0 + 2 draw independently at headroom 1, then doubled
-    # budgets and prime ranges L >= 512 (pi(L) ~ L / ln L)
-    log_l = math.log(512)
-    h2, h4 = 2 * log_l / math.log(1024), 4 * log_l / math.log(2048)
-    assert h2 >= 1.8 and h4 >= 3.2
-    no_exact_peel = peel_failure(1) * peel_failure(1.8) * peel_failure(3.2)
-    assert no_exact_peel < 0.003
+    for h in (1, 2, 4):
+        assert math.isclose(peel_failure(h), 16 / 13 * q / h, rel_tol=1e-6)
+    assert math.isclose(peel_failure(1), 2 / 13, rel_tol=1e-6)
+    # round r0 + j has headroom at least 2^j / c > 2^(j - 2): rounds
+    # r0 + 2 .. r0 + 4 count as 1, 2, 4 and draw independently
+    assert all(2 ** j / c > 2 ** (j - 2) for j in (2, 3, 4))
+    no_exact_peel = peel_failure(1) * peel_failure(2) * peel_failure(4)
+    assert no_exact_peel < 5e-4
     # fingerprint false accepts over all outer rounds: c * sum r^-2
     false_accept = OUTER_FAILURE_CONSTANT * math.pi ** 2 / 6.0
     assert no_exact_peel + false_accept <= 0.01
@@ -160,7 +156,7 @@ def test_multiply_never_wrong_across_seeds(monkeypatch):
     # not; demand a high success rate. Even seeds: random operands with
     # more pairs than the first budget's L/2 (7680 or 8192), so locate
     # folds at drawn primes; odd seeds: telescoping slots, whose verified
-    # peel folds at primes below N/2 and votes.
+    # peel folds at primes below N/2.
     peels = _record_peels(monkeypatch)
     ok = 0
     for seed in range(50):
@@ -216,7 +212,7 @@ def test_hash_and_iterate_recovers_with_generous_budget():
     w, trace, proven = hash_and_iterate(x, y, 16 * want.l0,
                                         np.random.default_rng(7))
     assert w == want and not proven
-    assert trace[0][1].reps_run == len(trace[0][1].primes) == 5
+    assert trace[0][1].reps_run == len(trace[0][1].primes) == 1
 
 
 def test_hash_and_iterate_residual_contracts_per_round():
@@ -243,7 +239,7 @@ def test_hash_and_iterate_converged_exit():
     assert 1 < len(trace) < 5 and trace[0][1].primes
     last_report = trace[-1][1]
     assert last_report.heavy_counts == [0] and last_report.aborted_rep is None
-    # the closing quiet call stops at its first repetition
+    # the closing quiet call folds once, like every call
     assert last_report.reps_run == 1
     # an exact reading from the pairs calls no locate: the trace is empty,
     # and the reading is proven
@@ -286,12 +282,11 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
 
 
 @pytest.mark.parametrize("budget", [16, 1 << 16])
-def test_hash_and_iterate_votes_over_five_repetitions(budget):
-    # every locate call of a peel that folds draws REPS = 5 primes,
-    # whatever the budget, unless it aborts or a repetition is quiet. The
-    # telescoping operands fold at budget 16; at 2^16 their pairs fit E
-    # and the peel reads the product exactly from them, with no locate
-    # call, and proven
+def test_hash_and_iterate_folds_once_per_call(budget):
+    # every locate call of a peel that folds draws one prime, whatever
+    # the budget. The telescoping operands fold at budget 16; at 2^16
+    # their pairs fit E and the peel reads the product exactly from them,
+    # with no locate call, and proven
     u, v, exact = _telescoping_slots(22)
     x, y = embed_for_product(u, v)
     w, trace, proven = hash_and_iterate(x, y, budget,
@@ -300,18 +295,15 @@ def test_hash_and_iterate_votes_over_five_repetitions(budget):
     if budget != 16:
         assert trace == []
         return
-    assert len(trace[0][1].primes) == REPS
-    for _, report in trace:
-        assert len(report.primes) == report.reps_run
-        assert (report.reps_run == REPS or report.aborted_rep is not None
-                or report.heavy_counts[-1] == 0)
+    assert trace and all(len(report.primes) == report.reps_run == 1
+                         for _, report in trace)
 
 
 def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
     # every locate call of the peel that would first verify drops one
     # recovered term; that peel ends inexact, the fingerprint rejects it,
     # and a later peel still returns the exact product. Both verifying
-    # peels fold at drawn primes and vote.
+    # peels fold at drawn primes.
     u, v, exact = _telescoping_slots(23)
     real_peel, real_locate = driver.hash_and_iterate, driver.locate_with_report
     peels = []
@@ -407,6 +399,64 @@ def test_folded_product_is_fingerprinted(monkeypatch):
     assert sparse_multiply(u, v, np.random.default_rng(7)) == want
     assert peels[-1][1] and len(verdicts) == len(peels)
     assert verdicts[-1][0] == want and verdicts[-1][1]
+
+
+def _weighted_telescoping(log2_terms, runs, seed):
+    """blocked_telescoping_instance(log2_terms, runs) with one random
+    weight per block of cancellers: +-1, or +-2^20 for about one block in
+    ten. The product keeps one term of each sign per block, times its
+    weight. Returns (u, v)."""
+    u, v, _ = blocked_telescoping_instance(log2_terms, runs)
+    a = u.l0
+    slots = v.indices[v.coeffs < 0] // a
+    block = np.concatenate([[0], np.cumsum(np.diff(slots) != 1)])
+    rng = np.random.default_rng(seed)
+    weight = rng.choice([-1, 1], size=block[-1] + 1)
+    weight[rng.random(weight.size) < 0.1] <<= 20
+    c = weight[block]
+    index = np.concatenate([a * slots, a * slots + 1])
+    return u, from_arrays(v.length, index, np.concatenate([-c, c]))
+
+
+@pytest.mark.parametrize("log2_terms, runs", [(11, 64), (11, 256),
+                                              (12, 64), (12, 256)])
+def test_weighted_telescoping_ends_by_a_folded_peel(monkeypatch, log2_terms,
+                                                    runs):
+    # unit blocks beside 2^20 blocks: every product is right, none raises,
+    # and each is returned from a peel that folded
+    peels = _record_peels(monkeypatch)
+    for seed in range(6):
+        u, v = _weighted_telescoping(log2_terms, runs, seed)
+        assert np.abs(v.coeffs).max() == 1 << 20
+        peels.clear()
+        got = sparse_multiply(u, v, np.random.default_rng(seed))
+        assert got == poly_multiply_naive(u, v), seed
+        assert peels[-1][1], f"seed {seed} did not end by a folded peel"
+
+
+def test_misread_term_is_recovered_by_the_next_call():
+    # x * y = 2^20 (z^a - 1) + (z^(p + a) - z^p), p the prime the first
+    # call draws: -2^20 and -1 share bucket 0, and 2^20 and 1 share
+    # bucket a mod p. w^p is within 0.01 of 1, so each shared bucket
+    # re-encodes as one term of magnitude 2^20 + 1: the first call
+    # misreads two terms and misses two, and the next call, at a new
+    # prime, reads the four-term residual they leave
+    n, a, budget = 1 << 21, 1 << 13, 64     # N = 2^22: E = 22528 < 4a
+    seed = 3
+    p = uniform_prime_below(prime_range_for(budget),
+                            np.random.default_rng(seed))
+    x = from_arrays(2 * n, np.arange(a), np.ones(a, dtype=np.int64))
+    y = make_sparse_vector(2 * n, [(0, -1 << 20), (1, 1 << 20),
+                                   (p, -1), (p + 1, 1)])
+    limit = exact_read_limit(budget, 2 * n)
+    assert x.l0 * y.l0 > limit and 4 * limit < 2 * n
+    exact = cyclic_convolve_naive(x, y)
+    w, trace, _ = hash_and_iterate(x, y, budget, np.random.default_rng(seed))
+    first = trace[0][0]
+    assert trace[0][1].primes == [p]
+    assert first.to_pairs() == [(0, -(1 << 20) - 1), (a, (1 << 20) + 1)]
+    assert w == exact
+    assert subtract(exact, trace[1][0]).is_zero
 
 
 def test_dense_reading_at_n_is_fingerprinted(monkeypatch):
@@ -526,8 +576,7 @@ def test_budget_after_an_abort(monkeypatch, heavy, want):
         if len(budgets) > len(heavy):
             raise _Stop
         h = heavy[len(budgets) - 1]
-        report = LocateReport(reps_run=1,
-                              aborted_rep=None if h is None else 0,
+        report = LocateReport(aborted_rep=None if h is None else 0,
                               heavy_counts=[0 if h is None else h])
         w = zero_vector(x.length)
         return w, [(w, report)], False

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from sparseconv import folding
-from sparseconv.folding import (_fast_fft_length, _unit_root_powers,
-                                bucket_spectra, fold, heavy_residual_buckets,
-                                phased_coeffs)
+from sparseconv.folding import (_fast_fft_length, _unit_root_powers, fold,
+                                heavy_residual_buckets, phased_coeffs)
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
                                 make_sparse_vector, subtract, zero_vector)
 
@@ -113,8 +112,7 @@ def _phases(v):
 
 def _residual_buckets(x, y, w, m, threshold):
     count, ids, vals = heavy_residual_buckets(
-        *_phases(x), *_phases(y), *_phases(w), m, threshold, m,
-        bucket_spectra(m))
+        *_phases(x), *_phases(y), *_phases(w), m, threshold, m)
     assert count == ids.size
     return ids, vals
 
@@ -210,7 +208,7 @@ def test_heavy_buckets_match_reference(monkeypatch, m, k):
 
     monkeypatch.setattr(folding, "_convolve_padded", recording)
     count, ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m,
-                                              0.5, m, bucket_spectra(m))
+                                              0.5, m)
     assert count == ids.size
     order = np.argsort(ids)
     assert ids[order].tolist() == want_ids.tolist()
@@ -218,13 +216,14 @@ def test_heavy_buckets_match_reference(monkeypatch, m, k):
     # every modulus pads to the smooth length at or above 2m - 1
     assert lengths == [_fast_fft_length(2 * m - 1)]
     # one heavy bucket over the budget: the count alone, no arrays
-    assert heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5, count - 1,
-                                  bucket_spectra(m)) == (count, None, None)
+    assert heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5,
+                                  count - 1) == (count, None, None)
 
 
-def test_workspace_reuse_matches_fresh_calls():
-    # moduli that shrink and then grow within one pair of spectra: a
-    # longer modulus must leave no stale tail
+def test_calls_in_sequence_match_the_fold():
+    # moduli that shrink and then grow from call to call: each call pads
+    # its own rows with zeros, so memory a larger call freed leaves no
+    # stale tail in a smaller one
     rng = np.random.default_rng(5)
     n = 1 << 14
     k = 60
@@ -234,20 +233,19 @@ def test_workspace_reuse_matches_fresh_calls():
                     rng.integers(-40, 41, size=k) | 1)
     exact = cyclic_convolve_naive(x, y)
     w = make_sparse_vector(n, exact.to_pairs()[::3])
+    residual = subtract(exact, w)
     args = (*_phases(x), *_phases(y), *_phases(w))
-    spectra = bucket_spectra(n)
     for m in (1999, 1009, 1 << 14, 101, 7, 211, 3001, 2, 1499):
+        want = fold_vec(residual, m)
         for threshold in (0.5, 0.0):
-            _, want_ids, want_vals = heavy_residual_buckets(
-                *args, m, threshold, m, bucket_spectra(m))
-            _, ids, vals = heavy_residual_buckets(*args, m, threshold, m,
-                                                  spectra)
+            _, ids, vals = heavy_residual_buckets(*args, m, threshold, m)
+            want_ids = np.flatnonzero(np.abs(want) >= threshold)
             assert np.array_equal(ids, want_ids), m
-            assert np.array_equal(vals, want_vals), m
+            assert np.allclose(vals, want[want_ids], rtol=0, atol=1e-6), m
     # what a call returns is its own: later calls do not overwrite it
-    _, ids, vals = heavy_residual_buckets(*args, 1009, 0.0, 1009, spectra)
+    _, ids, vals = heavy_residual_buckets(*args, 1009, 0.0, 1009)
     kept = vals.copy()
-    heavy_residual_buckets(*args, 1999, 0.0, 1999, spectra)
+    heavy_residual_buckets(*args, 1999, 0.0, 1999)
     assert np.array_equal(vals, kept)
 
 
@@ -255,13 +253,13 @@ def test_heavy_buckets_empty_inputs():
     e_i = np.empty(0, dtype=np.int64)
     e_v = np.empty(0, dtype=np.complex128)
     count, ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, e_i, e_v,
-                                              64, 0.5, 0, bucket_spectra(64))
+                                              64, 0.5, 0)
     assert count == ids.size == vals.size == 0
     # x empty but w nonzero: residual is -w
     v = make_sparse_vector(32, [(3, 7)])
     jw, pw = _phases(v)
     count, ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, jw, pw, 5,
-                                              0.5, 1, bucket_spectra(5))
+                                              0.5, 1)
     assert count == 1 and ids.tolist() == [3]
     assert abs(vals[0] + 7 * root(3, 32)) < 1e-12
 

@@ -1,13 +1,13 @@
-"""Heavy-coordinate recovery: decoding, validation, majority pruning."""
+"""Heavy-coordinate recovery: decoding, validation, one fold per call."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from sparseconv import folding
+from sparseconv import folding, locate
 from sparseconv.driver import exact_read_limit
 from sparseconv.folding import _unit_root_powers
-from sparseconv.locate import (REPS, decode_indices, locate_with_report,
+from sparseconv.locate import (decode_indices, locate_with_report,
                                prime_range_for)
 from sparseconv.primes import uniform_prime_below
 from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
@@ -104,9 +104,8 @@ def spread(count, n=1 << 13):
     """count terms evenly spaced over [0, n), embedded at N = 2n = 2^14.
 
     64 of them make 4096 pairs with themselves, more than the exact-read
-    limit E = 3584 at budget 16, while 4E = 14336 < N: every repetition
-    draws a prime from [L/2, L] = [1024, 2048] and folds at it, so a call
-    runs its vote.
+    limit E = 3584 at budget 16, while 4E = 14336 < N: a call draws a
+    prime from [L/2, L] = [1024, 2048] and folds at it.
     """
     return embedded(n, [(j * (n // count), 1 + j % 7) for j in range(count)])
 
@@ -162,7 +161,7 @@ def test_locate_subtracts_recovered_part():
 
 def test_locate_budget_cutoff_aborts_whole_call():
     # residual has 180 well-spread terms but the budget admits only 1 heavy
-    # bucket, so every repetition must trip the cutoff and return zero.
+    # bucket, so the fold must trip the cutoff and return zero.
     # N = 2048 at budget 1: E = 176, so 180 pairs > E fold at a prime
     # and 4E < N rules out the dense reading at N
     n = 1 << 10
@@ -180,7 +179,7 @@ def test_locate_budget_cutoff_aborts_whole_call():
 
 
 def test_locate_output_size_is_budget_bounded():
-    # l0(z) can never exceed budget * reps even on adversarial inputs: here
+    # l0(z) can never exceed the budget even on adversarial inputs: here
     # a residual as large as the budget, at N = 2^13 (E = 1664, L = 1024)
     n = 1 << 12
     rng_inst = np.random.default_rng(4)
@@ -194,7 +193,7 @@ def test_locate_output_size_is_budget_bounded():
     z, report = locate_with_report(x, y, w, budget,
                                    np.random.default_rng(3))
     assert report.primes
-    assert z.l0 <= budget * REPS
+    assert z.l0 <= budget
     assert np.unique(z.indices).size == z.l0  # no duplicate indices
 
 
@@ -205,7 +204,7 @@ def test_locate_empty_residual_reports_quiet():
     z, report = locate_with_report(x, x, w, 16, np.random.default_rng(8))
     assert z.is_zero
     assert report.aborted_rep is None
-    # the first quiet repetition ends the call
+    # a quiet fold ends the call
     assert report.reps_run == len(report.primes) == 1
     assert report.heavy_counts == [0]
 
@@ -217,7 +216,7 @@ def test_locate_zero_times_zero():
 
 
 def test_locate_primes_within_sieve_range():
-    # a two-term residual keeps every repetition heavy, so all of them run
+    # a two-term residual keeps the fold heavy
     x = spread(64)
     exact = cyclic_convolve_naive(x, x)
     w = make_sparse_vector(x.length, exact.to_pairs()[2:])
@@ -225,7 +224,7 @@ def test_locate_primes_within_sieve_range():
     limit = prime_range_for(16)
     assert folds(x, x, 16) and 2 * limit < x.length
     assert all(limit // 2 <= p <= limit for p in report.primes)
-    assert len(report.primes) == REPS
+    assert len(report.primes) == 1
     assert z == subtract(exact, w)
 
 
@@ -240,8 +239,8 @@ def test_locate_is_deterministic_given_rng_state():
 
 
 def test_locate_folds_whatever_the_pair_count():
-    # a call always folds and votes: at exactly E pairs, where a peel
-    # would read the product exactly, as at E + 1, drawing its primes
+    # a call always folds: at exactly E pairs, where a peel
+    # would read the product exactly, as at E + 1, drawing its prime
     # from the range [L/2, L] = [64, 128] of budget 1, below N/2
     n = 512                             # N = 1024, budget 1: E = 160
     limit = exact_read_limit(1, 2 * n)
@@ -257,23 +256,28 @@ def test_locate_folds_whatever_the_pair_count():
         w = make_sparse_vector(2 * n, exact.to_pairs()[1:])
         z, report = locate_with_report(a, b, w, 1, np.random.default_rng(3))
         assert z == subtract(exact, w) and z.l0 == 1
-        assert len(report.primes) == report.reps_run == REPS
+        assert len(report.primes) == report.reps_run == 1
         assert all(64 <= p <= prime_range_for(1) == 128
                    for p in report.primes)
 
 
-def test_locate_repetitions_share_one_pair_of_fft_rows(monkeypatch):
-    # N = 2^14 at budget 18: E = 4032, so 4E is just below N and every
+def test_locate_makes_one_draw_and_one_fold(monkeypatch):
+    # N = 2^14 at budget 18: E = 4032, so 4E is just below N and the
     # modulus is a drawn prime of [L/2, L] = [1152, 2304], below N/2
-    moduli, spectra = [], []
-    real = folding.heavy_residual_buckets
+    draws, moduli = [], []
+    real_draw = locate.uniform_prime_below
+    real_fold = folding.heavy_residual_buckets
 
-    def recording(*args):
+    def drawing(limit, rng):
+        draws.append(real_draw(limit, rng))
+        return draws[-1]
+
+    def folding_at(*args):
         moduli.append(args[6])
-        spectra.append(id(args[9]))
-        return real(*args)
+        return real_fold(*args)
 
-    monkeypatch.setattr(folding, "heavy_residual_buckets", recording)
+    monkeypatch.setattr(locate, "uniform_prime_below", drawing)
+    monkeypatch.setattr(folding, "heavy_residual_buckets", folding_at)
     x = spread(128)
     assert folds(x, x, 18)
     assert x.length <= 4 * exact_read_limit(18, x.length) + 256
@@ -281,37 +285,36 @@ def test_locate_repetitions_share_one_pair_of_fft_rows(monkeypatch):
     exact = cyclic_convolve_naive(x, x)
     w = make_sparse_vector(x.length, exact.to_pairs()[1:])
     for seed in range(5):
+        draws.clear()
         moduli.clear()
-        spectra.clear()
         z, report = locate_with_report(x, x, w, 18,
                                        np.random.default_rng(seed))
         assert z == subtract(exact, w)
-        assert moduli == report.primes and len(moduli) == report.reps_run
-        assert all(limit // 2 <= p <= limit for p in moduli)
-        # every repetition reuses the call's one pair of FFT rows
-        assert len(set(spectra)) == 1
+        assert len(draws) == len(moduli) == report.reps_run == 1
+        assert draws == moduli == report.primes
+        assert limit // 2 <= moduli[0] <= limit
 
 
 @pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
 def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
-    # Every repetition reports one heavy bucket that decodes cleanly to
-    # 3 x^5. In bucket 5 mod p it is a candidate; in the next bucket it
-    # cannot be an isolated term, so it is junk and yields nothing.
+    # The fold reports one heavy bucket that decodes cleanly to 3 x^5.
+    # In bucket 5 mod p it is a term; in the next bucket it cannot be an
+    # isolated term, so it is junk and yields nothing.
     x = spread(64)
     reading = 3 * _unit_root_powers(np.array([5]), x.length)
 
-    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, budget, spectra):
+    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, budget):
         return 1, np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
     z, report = locate_with_report(x, x, zero_vector(x.length), 16,
                                    np.random.default_rng(6))
-    assert len(report.primes) == report.reps_run == REPS
+    assert len(report.primes) == report.reps_run == 1
     assert z.to_pairs() == want
 
 
-def test_vote_groups_values_of_at_least_2_to_the_35():
-    # coefficients 57 * 2^30 .. 64 * 2^30 of x * y: the vote groups
+def test_locate_reads_values_of_at_least_2_to_the_35():
+    # coefficients 57 * 2^30 .. 64 * 2^30 of x * y: the decode keeps
     # (index, value) pairs of any int64 width
     n = 1 << 13                         # N = 2^14, budget 16: E = 3584
     x = embedded(n, [(j, 1 << 15) for j in range(64)])
@@ -321,7 +324,7 @@ def test_vote_groups_values_of_at_least_2_to_the_35():
                                    if not 56 <= j < 64])
     z, report = locate_with_report(x, y, w, 16, np.random.default_rng(7))
     assert folds(x, y, 16)
-    assert len(report.primes) == report.reps_run == REPS
+    assert len(report.primes) == report.reps_run == 1
     assert z == subtract(exact, w)
     assert z.l0 == 8 and int(np.abs(z.coeffs).min()) >= 1 << 35
 

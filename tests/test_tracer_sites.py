@@ -1,10 +1,12 @@
 """perfbench's tracer finds every package attribute it patches.
 
-perfbench/tracer.py looks functions up by module and attribute name, so a
-rename in src/ would otherwise surface only in a traced benchmark run.
-The tracer is installed in a fresh process, leaving this one unpatched.
+perfbench/tracer.py looks functions up by module and attribute name, and
+reads the LocateReport fields of each locate call, so a rename in src/
+would otherwise surface only in a traced benchmark run. The tracer is
+installed in a fresh process, leaving this one unpatched.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,11 +27,40 @@ wrapped = [hasattr(getattr(importlib.import_module("sparseconv." + mod),
 print(len(sites), sum(wrapped))
 """
 
+# One traced product: the counters perfbench/run.py --trace 1 reports.
+COUNT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import Tracer, layer_metrics
+tracer = Tracer()
+tracer.install()
+import numpy as np
+from sparseconv import sparse_multiply
+from sparseconv.instances import blocked_telescoping_instance
+u, v, want = blocked_telescoping_instance(10)
+assert sparse_multiply(u, v, np.random.default_rng(1)) == want
+metrics = layer_metrics(tracer.snapshot(), 0)
+print(json.dumps({name: m["value"] for name, m in metrics.items()}))
+"""
 
-def test_tracer_resolves_every_site():
+
+def _run(code):
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", CHECK,
+    out = subprocess.run([sys.executable, "-c", code,
                           os.path.join(ROOT, "perfbench")],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["18", "18"]
+    return out.stdout
+
+
+def test_tracer_resolves_every_site():
+    assert _run(CHECK).split() == ["18", "18"]
+
+
+def test_tracer_counts_a_telescoping_product():
+    # blocked_telescoping_instance(10): a 32-term product that folds
+    metrics = json.loads(_run(COUNT))
+    assert metrics["locate.reps"] == metrics["locate.calls"] > 0
+    assert metrics["locate.heavy_buckets"] > 0
+    assert metrics["locate.recovered_terms"] >= 32
+    assert metrics["fingerprint.accepts"] == 1
