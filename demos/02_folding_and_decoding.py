@@ -16,7 +16,7 @@ One complex number per surviving term, recovered by rounding the phase.
 import numpy as np
 
 from sparseconv import make_sparse_vector
-from sparseconv.folding import fold, phased_coeffs
+from sparseconv.folding import fold
 from sparseconv.locate import decode_indices
 
 
@@ -32,9 +32,8 @@ m = 7
 print(f"x has terms {x.to_pairs()} in dimension N = {N}")
 print(f"folding into m = {m} buckets with w = e^(i*pi/{N})\n")
 
-# phased_coeffs gives coeff_j * w^j for every stored term; fold sums them
-# by index mod m.
-folded = fold(x.indices, phased_coeffs(x), m)
+# fold sums coeff_j * w^j over the stored terms by index mod m.
+folded = fold(x, m)
 print(f"{'bucket':>6}  {'value':>22}  decoded")
 for b, value in enumerate(folded):
     if abs(value) < 1e-9:
@@ -66,7 +65,7 @@ for idx, coeff in x.to_pairs():
 
 # Collisions are the failure mode. Fold modulo 8 instead: 3 and 11 now
 # share bucket 3, and their sum decodes to a bogus exponent.
-bad = fold(x.indices, phased_coeffs(x), 8)
+bad = fold(x, 8)
 clash = bad[3]
 e = decode(clash)
 print(f"\nfolded mod 8, bucket 3 holds {clash:.4f}")

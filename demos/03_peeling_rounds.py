@@ -3,8 +3,9 @@
 
 sparse_multiply never knows the product sparsity up front. It guesses a
 bucket budget, runs the peeling recovery at that budget, fingerprints
-the accumulated vector unless the peel read it from the term pairs, and
-on rejection doubles the budget, or jumps
+the accumulated vector unless the peel read it from the term pairs or
+left it empty (a product of nonzero polynomials is never zero), and on
+rejection doubles the budget, or jumps
 to the heavy-bucket count at which the peel's first locate call
 aborted, when that is larger: that call folds the product itself, so
 the count never exceeds the product's term count. At a budget whose
@@ -49,21 +50,23 @@ verify_rng = substream(31, "verify")
 
 # Grow budgets the way the driver does, printing each verdict. A budget
 # below the number of occupied buckets makes the first locate call
-# abort, so the peel comes back empty and the fingerprint rejects it;
-# the heavy count that call saw sets the next budget. Here that budget's
-# exact-read limit already holds the operands' 36864 term pairs, so the
-# peel reads the whole product exactly from them: that reading is proven,
-# and the driver returns it without a fingerprint.
+# abort, so the peel comes back empty, which is rejected with no
+# fingerprint; the heavy count that call saw sets the next budget. Here
+# that budget's exact-read limit already holds the operands' 36864 term
+# pairs, so the peel reads the whole product exactly from them: that
+# reading is proven, and the driver returns it without a fingerprint.
 print(f"\n{'budget':>7}  {'1st heavy':>9}  {'recovered':>9}  "
       f"{'residual':>8}  verdict")
 r = 1
 while True:
     budget = ISOLATION_CONSTANT << r
     w, trace, proven = hash_and_iterate(x, y, budget, rng)
-    ok = proven or equality_test(x, y, w, 0.01, verify_rng)
+    ok = proven or (not w.is_zero
+                    and equality_test(x, y, w, 0.01, verify_rng))
     aborted = trace and trace[0][1].aborted_rep is not None
     heavy = trace[0][1].heavy_counts[-1] if aborted else 0
     verdict = ("proven, no fingerprint" if proven
+               else "empty, no fingerprint" if w.is_zero
                else "fingerprint accepts" if ok else "fingerprint rejects")
     print(f"{budget:>7}  {heavy:>9}  {w.l0:>9}  "
           f"{subtract(exact, w).l0:>8}  {verdict}")

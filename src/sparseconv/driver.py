@@ -74,7 +74,8 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     (see locate_with_report), which ends the peel with an incomplete w.
     Returns (w, trace, proven): trace holds (w so far, LocateReport) per
     locate round, empty for an exact reading; proven is True only for the
-    pair reading, and every w with proven False needs a fingerprint.
+    pair reading. The caller fingerprints every other w that is nonzero:
+    x and y are nonzero, so an empty w is never their product.
     """
     if bucket_budget < 1:
         raise ValueError("bucket budget must be positive")
@@ -121,6 +122,9 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     vectors inside the envelope, which keeps its int64 sums exact
     (MAX_TERMS * MAX_COEFF_ABS^2 <= 2^60), so it adds no failure term and
     the bound below is unchanged.
+    An empty w (a peel whose first call aborted) is rejected with no
+    fingerprint: at N = 2n the cyclic product is the polynomial product,
+    and over Z the product of two nonzero polynomials is nonzero.
     The fingerprint accepts an exact w always and an inexact one in round
     r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
     c * pi^2 / 6 < 0.0042 over all rounds. So a rounding error in the
@@ -172,7 +176,8 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
             budget = ISOLATION_CONSTANT << r                 # C * 2^r
             w, trace, proven = hash_and_iterate(x, y, budget, locate_rng)
             delta = OUTER_FAILURE_CONSTANT / (r * r)
-            if proven or equality_test(x, y, w, delta, fingerprint_rng):
+            if proven or (not w.is_zero
+                          and equality_test(x, y, w, delta, fingerprint_rng)):
                 return w
             if trace and trace[0][1].aborted_rep is not None:
                 # jump to C * 2^r >= heavy

@@ -30,23 +30,21 @@ def _unit_root_powers(indices: np.ndarray, half_order: int) -> np.ndarray:
 
 def phased_coeffs(v: SparseVector) -> np.ndarray:
     """coeff_j * w^j for every stored term of v (N = v.length)."""
-    if v.is_zero:
-        return np.empty(0, dtype=np.complex128)
     return v.coeffs * _unit_root_powers(v.indices, v.length)
 
 
-def fold(indices: np.ndarray, phased: np.ndarray, m: int) -> np.ndarray:
-    """Fold phase-weighted terms into m buckets: bucket b sums phased[t]
-    over the terms with indices[t] = b (mod m). See phased_coeffs."""
+def fold(v: SparseVector, m: int) -> np.ndarray:
+    """Fold v into m buckets: bucket b sums coeff_j * w^j over the stored
+    terms with j = b (mod m)."""
     out = np.empty(m, dtype=np.complex128)
-    _fold_into(out, indices, phased, m)
+    _fold_into(out, v, m)
     return out
 
 
-def _fold_into(out: np.ndarray, indices: np.ndarray, phased: np.ndarray,
-               m: int) -> None:
-    """fold(indices, phased, m), written into the length-m array out."""
-    bucket = indices % m
+def _fold_into(out: np.ndarray, v: SparseVector, m: int) -> None:
+    """fold(v, m), written into the length-m array out."""
+    bucket = v.indices % m
+    phased = phased_coeffs(v)
     out.real = np.bincount(bucket, weights=phased.real, minlength=m)
     out.imag = np.bincount(bucket, weights=phased.imag, minlength=m)
 
@@ -95,37 +93,29 @@ def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
     return np.add.outer(jx, jy).ravel(), np.multiply.outer(px, py).ravel()
 
 
-def heavy_residual_buckets(jx: np.ndarray, px: np.ndarray,
-                           jy: np.ndarray, py: np.ndarray,
-                           jw: np.ndarray, pw: np.ndarray,
-                           m: int, threshold: float, budget: int):
+def heavy_residual_buckets(x: SparseVector, y: SparseVector,
+                           w: SparseVector, m: int, threshold: float):
     """Residual buckets with |value| >= threshold (heavy), for one modulus.
 
-    Inputs are index arrays and matching phase-weighted coefficient arrays
-    (see phased_coeffs) for x, y, and the recovered part w. Folds x, y and
-    w separately and convolves the length-m folds of x and y with FFTs:
-    O(terms + m log m), independent of the pair count. Its two FFT rows
-    are one allocation, padded to the smooth length at or above 2m - 1.
+    Folds x, y and the recovered part w separately and convolves the
+    length-m folds of x and y with FFTs: O(terms + m log m), independent
+    of the pair count. Its two FFT rows are one allocation, padded to the
+    smooth length at or above 2m - 1.
 
-    Returns (count, bucket_indices, bucket_values) of the heavy buckets;
-    all other buckets are zero up to fold rounding error, far below
-    threshold. When more than budget buckets are heavy, only their count is
-    returned, with None for the arrays, so an overflow builds neither.
+    Returns (bucket_indices, bucket_values) of the heavy buckets, at most
+    m of them; all other buckets are zero up to fold rounding error, far
+    below threshold.
     """
     fa, fb = np.empty((2, _fast_fft_length(2 * m - 1)), dtype=np.complex128)
-    _fold_into(fa[:m], jx, px, m)
-    _fold_into(fb[:m], jy, py, m)
+    _fold_into(fa[:m], x, m)
+    _fold_into(fb[:m], y, m)
     fa[m:] = 0
     fb[m:] = 0
     conv = _convolve_padded(fa, fb, m)
     # fb is free again: it takes the fold of w, then the magnitudes.
-    if jw.size:
-        _fold_into(fb[:m], jw, pw, m)
+    if not w.is_zero:
+        _fold_into(fb[:m], w, m)
         conv -= fb[:m]
     magnitude = np.abs(conv, out=fb.view(np.float64)[:m])
-    heavy = magnitude >= threshold
-    count = int(np.count_nonzero(heavy))
-    if count > budget:
-        return count, None, None
-    ids = np.flatnonzero(heavy)
-    return count, ids, conv[ids]
+    ids = np.flatnonzero(magnitude >= threshold)
+    return ids, conv[ids]

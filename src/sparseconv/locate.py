@@ -9,10 +9,11 @@ value * w^index exactly, so the magnitude rounds to the coefficient and
 the phase decodes to the index. A bucket hit by a collision decodes to
 junk, which the re-encode check or the bucket check (an isolated index
 sits in bucket index mod p) mostly drops; what gets through, like a
-missed term, stays in the residual for the peel's next call. A call
-returns zero when the fold has more heavy buckets than its budget (the
+missed term, stays in the residual for the peel's next call. The fold
+returns every heavy bucket; locate_with_report alone decides an abort,
+and returns zero when there are more heavy buckets than its budget (the
 residual is too large to separate) or none at all (the residual is
-almost surely zero; see locate_with_report).
+almost surely zero).
 A call always folds: the peel in driver.hash_and_iterate reads the product
 exactly instead of calling locate wherever the folds would not pay, and
 calls it only when N > 2L, so every prime drawn is below N/2.
@@ -121,12 +122,11 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         raise ValueError("bucket budget must be positive")
     n = x.length
     p = uniform_prime_below(prime_range_for(bucket_budget), rng)
-    count, ids, vals = folding.heavy_residual_buckets(
-        *[a for v in (x, y, w) for a in (v.indices, folding.phased_coeffs(v))],
-        p, HEAVY_THRESHOLD, bucket_budget)
-    report = LocateReport(aborted_rep=0 if count > bucket_budget else None,
-                          heavy_counts=[count], primes=[p])
-    if count == 0 or report.aborted_rep is not None:
+    ids, vals = folding.heavy_residual_buckets(x, y, w, p, HEAVY_THRESHOLD)
+    aborted = ids.size > bucket_budget
+    report = LocateReport(aborted_rep=0 if aborted else None,
+                          heavy_counts=[ids.size], primes=[p])
+    if ids.size == 0 or aborted:
         # A quiet fold, or a residual whose support overflows the budget,
         # which this fold cannot separate: read nothing rather than junk.
         return zero_vector(n), report

@@ -17,8 +17,6 @@ MAX_TERMS = 1 << 20
 
 # Pair count processed per block in the quadratic baseline; bounds peak memory.
 _PAIR_BLOCK = 1 << 23
-# Dense int64 accumulator is used below this length, sort-reduce above it.
-_DENSE_ACC_MAX = 1 << 22
 
 
 class EnvelopeError(ValueError):
@@ -215,9 +213,11 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
     xi, xv = x.indices, x.coeffs
     yi, yv = y.indices, y.coeffs
     # Dense int64 accumulator (np.add.at: exact, unlike float bincount) up to
-    # n = 16 * pairs: sorting the pairs takes 1.1-1.2x its time there and
-    # 0.6-0.7x at n = 32 * pairs (n = 2^16 .. 2^22, one Xeon core, numpy 2.4).
-    dense = n <= _DENSE_ACC_MAX and n <= 16 * xi.size * yi.size
+    # n = 16 * pairs, at every n: sorting the pairs takes 0.8-1.4x its time
+    # there, 1.3-1.9x at n = 8 * pairs and 0.4-0.7x at n = 32 * pairs
+    # (n = 2^18 .. 2^26, one Xeon core, numpy 2.4). At n = 2^26 and 16x
+    # the accumulator peaks at 670 MB against 290 MB for the sort.
+    dense = n <= 16 * xi.size * yi.size
     acc = np.zeros(n if dense else 0, dtype=np.int64)
     blocks = []
     step = max(1, _PAIR_BLOCK // yi.size)

@@ -357,8 +357,9 @@ def test_budget_jumps_to_the_heavy_count(monkeypatch, seed):
 def test_exact_reading_above_the_budget_is_kept(monkeypatch, seed):
     # some 60k product terms: the peel after the first abort reads the
     # 65536 pairs exactly at a budget below the product's size and keeps
-    # that reading, so the pairs are multiplied once; only the aborted
-    # peel's empty w is fingerprinted, as the pair reading is proven
+    # that reading, so the pairs are multiplied once; nothing is
+    # fingerprinted: the aborted peel's w is empty and the pair reading
+    # is proven
     u, v = gen_instance(InstanceSpec(n=1 << 18, terms=256, coeff_bound=100,
                                      cancel_fraction=0.0, seed=seed))
     real_naive = driver.cyclic_convolve_naive
@@ -373,7 +374,21 @@ def test_exact_reading_above_the_budget_is_kept(monkeypatch, seed):
     got = sparse_multiply(u, v, np.random.default_rng(seed))
     assert got == poly_multiply_naive(u, v)
     assert naive_calls == [got]
-    assert len(verdicts) == 1 and verdicts[0][0].is_zero
+    assert verdicts == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_aborted_peel_is_never_returned(monkeypatch, seed):
+    # the first peel aborts and leaves w empty. Even a fingerprint that
+    # accepts everything is not asked about it: the product of two nonzero
+    # polynomials is nonzero, so the zero vector is never returned
+    u, v = gen_instance(InstanceSpec(n=1 << 16, terms=256, coeff_bound=100,
+                                     cancel_fraction=0.0, seed=seed))
+    peels = _record_peels(monkeypatch)
+    monkeypatch.setattr(driver, "equality_test", lambda *args: True)
+    got = sparse_multiply(u, v, np.random.default_rng(seed))
+    assert peels[0][1][0][1].aborted_rep == 0
+    assert not got.is_zero
 
 
 def test_pairs_within_the_first_budget_make_no_fingerprint(monkeypatch):
@@ -621,11 +636,11 @@ def test_sampler_failure_raises_multiplication_failed(monkeypatch, site):
 
     monkeypatch.setattr(importlib.import_module(f"sparseconv.{module}"),
                         name, give_up)
-    # 128 * 128 pairs outnumber half the first budget's prime range L =
-    # 15360 < N = 32768, so locate draws primes instead of reading exactly
-    u = make_sparse_vector(1 << 14, [(128 * j, 1 + j % 5) for j in range(128)])
+    # the first peel folds at a drawn prime and recovers terms, so its
+    # nonempty w reaches the fingerprint
+    u, v, _ = _telescoping_slots(0)
     with pytest.raises(MultiplicationFailed) as info:
-        sparse_multiply(u, u, np.random.default_rng(0))
+        sparse_multiply(u, v, np.random.default_rng(0))
     assert str(info.value) == message
     assert isinstance(info.value.__cause__, PrimeSamplingError)
 
@@ -681,6 +696,33 @@ def test_memory_bound_at_8192_terms_per_operand():
         "    coeff_bound=100, cancel_fraction=0.0, seed=1))\n"
         "w = sparse_multiply(u, v, np.random.default_rng(0))\n"
         "print(w.l0, w == poly_multiply_dense(u, v))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.split()[1] == "True"
+
+
+def test_pair_reading_memory_at_2_to_the_26():
+    # n = 2^25 with 8192 terms per operand: 67 M term pairs at N = 2^26
+    # and a 38 M-term product. The dense accumulator of N int64 words
+    # peaks near 1.7 GB of address space; sorting the pairs needed about
+    # 4.4 GB, which fails under this 2.25 GiB limit.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparseconv.__file__)))
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (9 << 28, 9 << 28))\n"
+        "import numpy as np\n"
+        "from sparseconv import equality_test\n"
+        "from sparseconv.instances import InstanceSpec, gen_instance\n"
+        "from sparseconv.vectors import embed_for_product, "
+        "poly_multiply_naive\n"
+        "u, v = gen_instance(InstanceSpec(n=1 << 25, terms=8192,\n"
+        "    coeff_bound=100, cancel_fraction=0.0, seed=1))\n"
+        "w = poly_multiply_naive(u, v)\n"
+        "x, y = embed_for_product(u, v)\n"
+        "print(w.l0, equality_test(x, y, w, 0.1, np.random.default_rng(0)))\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)

@@ -21,10 +21,6 @@ def root(j, n):
     return complex(_unit_root_powers(np.array([j]), n)[0])
 
 
-def fold_vec(v, m):
-    return fold(v.indices, phased_coeffs(v), m)
-
-
 def mp_root(j, n):
     theta = mpmath.pi * j / n
     return mpmath.mpc(mpmath.cos(theta), mpmath.sin(theta))
@@ -55,7 +51,7 @@ def test_root_against_mpmath():
 def test_fold_single_term_bucket_and_phase():
     # coefficient 3 at index 5 of Z^8 lands in bucket 5 mod 3 = 2
     v = make_sparse_vector(8, [(5, 3)])
-    f = fold_vec(v, 3)
+    f = fold(v, 3)
     assert f.shape == (3,)
     assert abs(f[0]) < 1e-12 and abs(f[1]) < 1e-12
     assert abs(f[2] - 3 * root(5, 8)) < 1e-12
@@ -64,7 +60,7 @@ def test_fold_single_term_bucket_and_phase():
 def test_fold_sums_collisions():
     # indices 1 and 5 collide mod 4; bucket holds the phased sum
     v = make_sparse_vector(8, [(1, 2), (5, -1)])
-    f = fold_vec(v, 4)
+    f = fold(v, 4)
     want = 2 * root(1, 8) - root(5, 8)
     assert abs(f[1] - want) < 1e-12
 
@@ -72,7 +68,7 @@ def test_fold_sums_collisions():
 def test_negative_value_encodes_as_shifted_phase():
     # -c at index j has the phase of +c at j + N, since w^N = -1
     n = 32
-    neg = fold_vec(make_sparse_vector(n, [(7, -4)]), 5)
+    neg = fold(make_sparse_vector(n, [(7, -4)]), 5)
     expect = 4 * root(7 + n, n)
     assert abs(neg[7 % 5] - expect) < 1e-12
 
@@ -85,8 +81,8 @@ def test_fold_is_linear():
         yi = rng.choice(n, size=9, replace=False)
         x = from_arrays(n, xi, rng.integers(-20, 21, size=9))
         y = from_arrays(n, yi, rng.integers(-20, 21, size=9))
-        both = fold_vec(x, m) + fold_vec(y, m)
-        summed = fold_vec(make_sparse_vector(n, x.to_pairs() + y.to_pairs()), m)
+        both = fold(x, m) + fold(y, m)
+        summed = fold(make_sparse_vector(n, x.to_pairs() + y.to_pairs()), m)
         assert np.allclose(both, summed, atol=1e-10)
 
 
@@ -106,17 +102,6 @@ def test_fast_fft_length_is_smallest_5_smooth_length():
     assert _fast_fft_length(2 * 1000003 - 1) == 2025000    # 2^3 3^4 5^5
 
 
-def _phases(v):
-    return v.indices.copy(), phased_coeffs(v)
-
-
-def _residual_buckets(x, y, w, m, threshold):
-    count, ids, vals = heavy_residual_buckets(
-        *_phases(x), *_phases(y), *_phases(w), m, threshold, m)
-    assert count == ids.size
-    return ids, vals
-
-
 def test_fold_commutes_with_convolution():
     # fold(x (*) y, m) == fold(x, m) (*) fold(y, m): the core identity,
     # valid in the no-wrap regime (supports below N/2, as after embedding);
@@ -129,8 +114,8 @@ def test_fold_commutes_with_convolution():
         yi = rng.choice(n // 2, size=12, replace=False)
         x = from_arrays(n, xi, rng.integers(-50, 51, size=12))
         y = from_arrays(n, yi, rng.integers(-50, 51, size=12))
-        ids, gap = _residual_buckets(x, y, cyclic_convolve_naive(x, y), m,
-                                     0.0)
+        ids, gap = heavy_residual_buckets(x, y, cyclic_convolve_naive(x, y),
+                                          m, 0.0)
         assert ids.tolist() == list(range(m))
         assert np.max(np.abs(gap)) < 1e-8
 
@@ -140,7 +125,7 @@ def test_fold_factoring_fails_with_wraparound():
     # the test above is actually exercising a nontrivial precondition
     n = 16
     x = make_sparse_vector(n, [(15, 1)])
-    _, gap = _residual_buckets(x, x, cyclic_convolve_naive(x, x), 3, 0.0)
+    _, gap = heavy_residual_buckets(x, x, cyclic_convolve_naive(x, x), 3, 0.0)
     assert np.max(np.abs(gap)) > 1.0
 
 
@@ -156,8 +141,8 @@ def test_folded_residual_matches_exact_residual():
     exact = cyclic_convolve_naive(x, y)
     # recover all but three of the product terms
     w = make_sparse_vector(n, exact.to_pairs()[:-3])
-    want = fold_vec(subtract(exact, w), m)
-    ids, vals = _residual_buckets(x, y, w, m, 0.0)
+    want = fold(subtract(exact, w), m)
+    ids, vals = heavy_residual_buckets(x, y, w, m, 0.0)
     assert ids.tolist() == list(range(m))
     assert np.max(np.abs(vals - want)) < 1e-8
 
@@ -167,7 +152,7 @@ def test_folded_residual_zero_when_fully_recovered():
     y = make_sparse_vector(16, [(1, 5)])
     w = cyclic_convolve_naive(x, y)
     for m in (1, 7):
-        ids, _ = _residual_buckets(x, y, w, m, 1e-9)
+        ids, _ = heavy_residual_buckets(x, y, w, m, 1e-9)
         assert ids.size == 0
 
 
@@ -195,9 +180,6 @@ def test_heavy_buckets_match_reference(monkeypatch, m, k):
     y = from_arrays(n, yi, rng.integers(1, 50, size=k))
     exact = cyclic_convolve_naive(x, y)
     w = make_sparse_vector(n, exact.to_pairs()[::2])
-    jx, px = _phases(x)
-    jy, py = _phases(y)
-    jw, pw = _phases(w)
     want_ids, want_vals = _heavy_reference(x, y, w, m, 0.5)
     lengths = []
     real = folding._convolve_padded
@@ -207,17 +189,12 @@ def test_heavy_buckets_match_reference(monkeypatch, m, k):
         return real(fa, fb, size)
 
     monkeypatch.setattr(folding, "_convolve_padded", recording)
-    count, ids, vals = heavy_residual_buckets(jx, px, jy, py, jw, pw, m,
-                                              0.5, m)
-    assert count == ids.size
+    ids, vals = heavy_residual_buckets(x, y, w, m, 0.5)
     order = np.argsort(ids)
     assert ids[order].tolist() == want_ids.tolist()
     assert np.allclose(vals[order], want_vals, atol=1e-6)
     # every modulus pads to the smooth length at or above 2m - 1
     assert lengths == [_fast_fft_length(2 * m - 1)]
-    # one heavy bucket over the budget: the count alone, no arrays
-    assert heavy_residual_buckets(jx, px, jy, py, jw, pw, m, 0.5,
-                                  count - 1) == (count, None, None)
 
 
 def test_calls_in_sequence_match_the_fold():
@@ -234,37 +211,32 @@ def test_calls_in_sequence_match_the_fold():
     exact = cyclic_convolve_naive(x, y)
     w = make_sparse_vector(n, exact.to_pairs()[::3])
     residual = subtract(exact, w)
-    args = (*_phases(x), *_phases(y), *_phases(w))
     for m in (1999, 1009, 1 << 14, 101, 7, 211, 3001, 2, 1499):
-        want = fold_vec(residual, m)
+        want = fold(residual, m)
         for threshold in (0.5, 0.0):
-            _, ids, vals = heavy_residual_buckets(*args, m, threshold, m)
+            ids, vals = heavy_residual_buckets(x, y, w, m, threshold)
             want_ids = np.flatnonzero(np.abs(want) >= threshold)
             assert np.array_equal(ids, want_ids), m
             assert np.allclose(vals, want[want_ids], rtol=0, atol=1e-6), m
     # what a call returns is its own: later calls do not overwrite it
-    _, ids, vals = heavy_residual_buckets(*args, 1009, 0.0, 1009)
+    ids, vals = heavy_residual_buckets(x, y, w, 1009, 0.0)
     kept = vals.copy()
-    heavy_residual_buckets(*args, 1999, 0.0, 1999)
+    heavy_residual_buckets(x, y, w, 1999, 0.0)
     assert np.array_equal(vals, kept)
 
 
 def test_heavy_buckets_empty_inputs():
-    e_i = np.empty(0, dtype=np.int64)
-    e_v = np.empty(0, dtype=np.complex128)
-    count, ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, e_i, e_v,
-                                              64, 0.5, 0)
-    assert count == ids.size == vals.size == 0
+    zero = zero_vector(32)
+    ids, vals = heavy_residual_buckets(zero, zero, zero, 64, 0.5)
+    assert ids.size == vals.size == 0
     # x empty but w nonzero: residual is -w
     v = make_sparse_vector(32, [(3, 7)])
-    jw, pw = _phases(v)
-    count, ids, vals = heavy_residual_buckets(e_i, e_v, e_i, e_v, jw, pw, 5,
-                                              0.5, 1)
-    assert count == 1 and ids.tolist() == [3]
+    ids, vals = heavy_residual_buckets(zero, zero, v, 5, 0.5)
+    assert ids.tolist() == [3]
     assert abs(vals[0] + 7 * root(3, 32)) < 1e-12
 
 
 def test_fold_of_zero_vector():
-    f = fold_vec(zero_vector(64), 9)
+    f = fold(zero_vector(64), 9)
     assert f.shape == (9,)
     assert np.all(f == 0)

@@ -272,9 +272,9 @@ def test_locate_makes_one_draw_and_one_fold(monkeypatch):
         draws.append(real_draw(limit, rng))
         return draws[-1]
 
-    def folding_at(*args):
-        moduli.append(args[6])
-        return real_fold(*args)
+    def folding_at(x, y, w, m, threshold):
+        moduli.append(m)
+        return real_fold(x, y, w, m, threshold)
 
     monkeypatch.setattr(locate, "uniform_prime_below", drawing)
     monkeypatch.setattr(folding, "heavy_residual_buckets", folding_at)
@@ -303,8 +303,8 @@ def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
     x = spread(64)
     reading = 3 * _unit_root_powers(np.array([5]), x.length)
 
-    def one_bucket(jx, px, jy, py, jw, pw, m, threshold, budget):
-        return 1, np.array([(5 + shift) % m]), reading
+    def one_bucket(x, y, w, m, threshold):
+        return np.array([(5 + shift) % m]), reading
 
     monkeypatch.setattr(folding, "heavy_residual_buckets", one_bucket)
     z, report = locate_with_report(x, x, zero_vector(x.length), 16,

@@ -27,7 +27,8 @@ wrapped = [hasattr(getattr(importlib.import_module("sparseconv." + mod),
 print(len(sites), sum(wrapped))
 """
 
-# One traced product: the counters perfbench/run.py --trace 1 reports.
+# One traced product of the OPERANDS: the counters perfbench/run.py
+# --trace 1 reports.
 COUNT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -35,13 +36,19 @@ from tracer import Tracer, layer_metrics
 tracer = Tracer()
 tracer.install()
 import numpy as np
-from sparseconv import sparse_multiply
-from sparseconv.instances import blocked_telescoping_instance
-u, v, want = blocked_telescoping_instance(10)
+from sparseconv import poly_multiply_naive, sparse_multiply
+from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
+                                  gen_instance)
+u, v = OPERANDS
+want = poly_multiply_naive(u, v)
 assert sparse_multiply(u, v, np.random.default_rng(1)) == want
 metrics = layer_metrics(tracer.snapshot(), 0)
 print(json.dumps({name: m["value"] for name, m in metrics.items()}))
 """
+
+
+def _count(operands):
+    return json.loads(_run(COUNT.replace("OPERANDS", operands)))
 
 
 def _run(code):
@@ -59,8 +66,19 @@ def test_tracer_resolves_every_site():
 
 def test_tracer_counts_a_telescoping_product():
     # blocked_telescoping_instance(10): a 32-term product that folds
-    metrics = json.loads(_run(COUNT))
+    metrics = _count("blocked_telescoping_instance(10)[:2]")
     assert metrics["locate.reps"] == metrics["locate.calls"] > 0
     assert metrics["locate.heavy_buckets"] > 0
     assert metrics["locate.recovered_terms"] >= 32
     assert metrics["fingerprint.accepts"] == 1
+
+
+def test_tracer_counts_a_product_whose_first_fold_aborts():
+    # some 60k product terms: the first peel's one fold aborts, and the
+    # next peel reads the 65536 pairs exactly. No fingerprint runs: the
+    # aborted peel's w is empty and the pair reading is proven
+    metrics = _count("gen_instance(InstanceSpec(n=1 << 18, terms=256, "
+                     "coeff_bound=100, cancel_fraction=0.0, seed=0))")
+    assert metrics["locate.aborted_calls"] >= 1
+    assert metrics["locate.calls"] == metrics["locate.aborted_calls"]
+    assert metrics["fingerprint.calls"] == 0

@@ -183,7 +183,7 @@ def test_fft_rejects_oversized_mass():
 
 
 def test_naive_blocked_path_matches_dense_path():
-    # force the sort-reduce branch by exceeding the dense accumulator cutoff
+    # 500 * 500 pairs at n = 2^22 + 8 > 16 * pairs: the sort-reduce branch
     n = (1 << 22) + 8
     rng = np.random.default_rng(3)
     xi = rng.choice(n, size=500, replace=False)
