@@ -23,7 +23,7 @@ def _unit_root_powers(indices: np.ndarray, half_order: int) -> np.ndarray:
 
     float64 throughout: the argument pi * j / N is one rounding of a value
     below 2*pi, so every root is within about 1e-15 of the exact one, far
-    inside the 0.1 re-encode tolerance and the pi / N root spacing.
+    inside the pi / N root spacing.
     """
     return np.exp((1j * np.pi / half_order) * indices)
 

@@ -7,13 +7,14 @@ budget of B heavy buckets, so the fold's transform is O(B) long whatever
 the dimension N. An index that lands alone in its bucket reproduces
 value * w^index exactly, so the magnitude rounds to the coefficient and
 the phase decodes to the index. A bucket hit by a collision decodes to
-junk, which the re-encode check or the bucket check (an isolated index
-sits in bucket index mod p) mostly drops; what gets through, like a
-missed term, stays in the residual for the peel's next call. The fold
-returns every heavy bucket; locate_with_report alone decides an abort,
-and returns zero when there are more heavy buckets than its budget (the
-residual is too large to separate) or none at all (the residual is
-almost surely zero).
+junk, which one rule mostly drops: an isolated index sits in bucket
+index mod p, and junk decodes into its own bucket only by chance, with
+probability about 1/p. What gets through, like a missed term, stays in
+the residual for the peel's next call, and the fingerprint rejects a
+peel that ends with it. The fold returns every heavy bucket;
+locate_with_report alone decides an abort, and returns zero when there
+are more heavy buckets than its budget (the residual is too large to
+separate) or none at all (the residual is almost surely zero).
 A call always folds: the peel in driver.hash_and_iterate reads the product
 exactly instead of calling locate wherever the folds would not pay, and
 calls it only when N > 2L, so every prime drawn is below N/2.
@@ -31,7 +32,6 @@ from .vectors import SparseVector, _canonical, zero_vector
 
 ISOLATION_CONSTANT = 16          # bucket budget per residual term
 HEAVY_THRESHOLD = 0.5
-REENCODE_TOLERANCE = 0.1
 
 
 @dataclass
@@ -70,23 +70,18 @@ def prime_range_for(bucket_budget: int) -> int:
 
 
 def _decode_heavy(ids: np.ndarray, vals: np.ndarray, n: int, m: int):
-    """Turn heavy buckets mod m into validated (index, value) candidates.
+    """Turn heavy buckets mod m into (index, value) candidates.
 
-    A reading survives only if it re-encodes and its index lies in its own
-    bucket, so a fold gives each index at most one reading, and a bucket
-    at most one.
+    One rule: a reading is kept iff its magnitude rounds to at least 1 and
+    its decoded index lies in its own bucket (index mod m). Bucket ids are
+    distinct and the index mod m is the bucket, so a fold gives each
+    bucket and each index at most one reading, and every value is nonzero.
     """
     rounded = np.rint(np.abs(vals))
-    keep = rounded >= 1.0
-    ids = ids[keep]
-    vals = vals[keep]
-    rounded = rounded[keep]
     exponents = decode_indices(vals, n)
     negative = exponents >= n       # w^(j + N) = -w^j encodes a negative value
     index = np.where(negative, exponents - n, exponents)
-    # Re-encode check: an isolated bucket must reproduce value * w^exponent.
-    expected = rounded * folding._unit_root_powers(exponents, n)
-    ok = (np.abs(vals - expected) <= REENCODE_TOLERANCE) & (index % m == ids)
+    ok = (rounded >= 1.0) & (index % m == ids)
     signed = rounded[ok].astype(np.int64)
     return index[ok], np.where(negative[ok], -signed, signed)
 

@@ -15,7 +15,8 @@ MAX_DIMENSION = 1 << 26
 MAX_COEFF_ABS = 1 << 20
 MAX_TERMS = 1 << 20
 
-# Pair count processed per block in the quadratic baseline; bounds peak memory.
+# Pair count per block of the quadratic baseline's dense accumulator;
+# bounds peak memory.
 _PAIR_BLOCK = 1 << 23
 
 
@@ -212,31 +213,28 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
         return zero_vector(n)
     xi, xv = x.indices, x.coeffs
     yi, yv = y.indices, y.coeffs
-    # Dense int64 accumulator (np.add.at: exact, unlike float bincount) up to
-    # n = 16 * pairs, at every n: sorting the pairs takes 0.8-1.4x its time
-    # there, 1.3-1.9x at n = 8 * pairs and 0.4-0.7x at n = 32 * pairs
-    # (n = 2^18 .. 2^26, one Xeon core, numpy 2.4). At n = 2^26 and 16x
-    # the accumulator peaks at 670 MB against 290 MB for the sort.
-    dense = n <= 16 * xi.size * yi.size
-    acc = np.zeros(n if dense else 0, dtype=np.int64)
-    blocks = []
-    step = max(1, _PAIR_BLOCK // yi.size)
-    for a in range(0, xi.size, step):
-        b = min(a + step, xi.size)
-        idx = (xi[a:b, None] + yi[None, :]).ravel()
+    pairs = xi.size * yi.size
+    # Sort the pairs when n > 16 * pairs, else add them into a dense int64
+    # accumulator (np.add.at: exact, unlike float bincount), at every n:
+    # sorting takes 0.8-1.4x the accumulator's time at n = 16 * pairs,
+    # 1.3-1.9x at n = 8 * pairs and 0.4-0.7x at n = 32 * pairs (n = 2^18 ..
+    # 2^26, one Xeon core, numpy 2.4). At n = 2^26 and 16x the accumulator
+    # peaks at 670 MB against 290 MB for the sort. The sort route has
+    # pairs < n / 16 <= 2^22 < _PAIR_BLOCK, so it reads all of them at once
+    # with one _reduce_terms call; only the accumulator works in blocks.
+    if n > 16 * pairs:
+        idx = np.add.outer(xi, yi).ravel()
         idx[idx >= n] -= n
-        val = (xv[a:b, None] * yv[None, :]).ravel()
-        if dense:
-            np.add.at(acc, idx, val)
-        else:
-            blocks.append(_reduce_terms(idx, val))
-    if dense:
-        nz = np.flatnonzero(acc)
-        return _canonical(n, nz.astype(np.int64), acc[nz])
-    if len(blocks) == 1:                # already reduced: no second sort
-        return _canonical(n, *blocks[0])
-    idx, val = (np.concatenate(part) for part in zip(*blocks))
-    return _canonical(n, *_reduce_terms(idx, val))
+        val = np.multiply.outer(xv, yv).ravel()
+        return _canonical(n, *_reduce_terms(idx, val))
+    acc = np.zeros(n, dtype=np.int64)
+    step = _PAIR_BLOCK // yi.size
+    for a in range(0, xi.size, step):
+        idx = (xi[a:a + step, None] + yi[None, :]).ravel()
+        idx[idx >= n] -= n
+        np.add.at(acc, idx, (xv[a:a + step, None] * yv[None, :]).ravel())
+    nz = np.flatnonzero(acc)
+    return _canonical(n, nz.astype(np.int64), acc[nz])
 
 
 def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:

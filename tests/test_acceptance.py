@@ -249,6 +249,37 @@ def test_locate_contract_single_round(capsys):
     assert good, f"only {passed}/100 locate rounds met the contract"
 
 
+def test_locate_one_fold_contract(capsys):
+    # Check 7's instances against the one-fold contract of
+    # driver.sparse_multiply: a good fold leaves at most 3/32 of the
+    # residual, here floor(3/32 * 16) = 1 missed-or-junk term. On a
+    # budget / 16 residual (h = 1) at N = 2^20 the proven rate of bad
+    # folds is at most q / h' = (1/8) * c ~ 0.36, c = 5 ln 2^20 / 24, so
+    # at least 64 of 100 rounds are good in expectation; 90 is asserted,
+    # as in check 7.
+    budget = 256
+    residual_size = budget // 16
+    passed = 0
+    for i in range(100):
+        u, v = gen_instance(InstanceSpec(n=1 << 19, terms=300, coeff_bound=100,
+                                         cancel_fraction=0.0, seed=8800 + i))
+        x, y = embed_for_product(u, v)
+        exact = poly_multiply_naive(u, v)
+        rng = np.random.default_rng(8800 + i)
+        drop = np.sort(rng.choice(exact.l0, size=residual_size, replace=False))
+        residual = from_arrays(exact.length, exact.indices[drop],
+                               exact.coeffs[drop])
+        z, _ = locate_with_report(x, y, subtract(exact, residual),
+                                  bucket_budget=budget,
+                                  rng=substream(8800 + i, "multiply"))
+        passed += subtract(z, residual).l0 <= 3 * residual_size // 32
+    good = passed >= 90
+    _verdict(capsys, "one-fold contract",
+             good, f"{passed}/100 single rounds leave at most 1 of "
+                   f"{residual_size} residual terms (need >= 90)")
+    assert good, f"only {passed}/100 locate rounds met the one-fold contract"
+
+
 # --- 8. output-sensitive scaling on a high-cancellation family -------------
 
 def test_output_sensitive_scaling(capsys):

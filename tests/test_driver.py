@@ -453,9 +453,9 @@ def test_misread_term_is_recovered_by_the_next_call():
     # x * y = 2^20 (z^a - 1) + (z^(p + a) - z^p), p the prime the first
     # call draws: -2^20 and -1 share bucket 0, and 2^20 and 1 share
     # bucket a mod p. w^p is within 0.01 of 1, so each shared bucket
-    # re-encodes as one term of magnitude 2^20 + 1: the first call
-    # misreads two terms and misses two, and the next call, at a new
-    # prime, reads the four-term residual they leave
+    # decodes, in its own bucket, to one term of magnitude 2^20 + 1: the
+    # first call misreads two terms and misses two, and the next call, at
+    # a new prime, reads the four-term residual they leave
     n, a, budget = 1 << 21, 1 << 13, 64     # N = 2^22: E = 22528 < 4a
     seed = 3
     p = uniform_prime_below(prime_range_for(budget),
@@ -703,22 +703,22 @@ def test_memory_bound_at_8192_terms_per_operand():
     assert out.stdout.split()[1] == "True"
 
 
-def test_pair_reading_memory_at_2_to_the_26():
-    # n = 2^25 with 8192 terms per operand: 67 M term pairs at N = 2^26
-    # and a 38 M-term product. The dense accumulator of N int64 words
-    # peaks near 1.7 GB of address space; sorting the pairs needed about
-    # 4.4 GB, which fails under this 2.25 GiB limit.
+def _naive_product_under_limit(terms: int, limit: int) -> list[str]:
+    """Run poly_multiply_naive at n = 2^25 (N = 2^26) on two gen_instance
+    operands of `terms` terms in a subprocess whose address space is capped
+    at `limit` bytes, check the product with equality_test at delta 0.1,
+    and return the printed [l0, verdict]."""
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(os.path.abspath(sparseconv.__file__)))
     code = (
         "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (9 << 28, 9 << 28))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
         "import numpy as np\n"
         "from sparseconv import equality_test\n"
         "from sparseconv.instances import InstanceSpec, gen_instance\n"
         "from sparseconv.vectors import embed_for_product, "
         "poly_multiply_naive\n"
-        "u, v = gen_instance(InstanceSpec(n=1 << 25, terms=8192,\n"
+        f"u, v = gen_instance(InstanceSpec(n=1 << 25, terms={terms},\n"
         "    coeff_bound=100, cancel_fraction=0.0, seed=1))\n"
         "w = poly_multiply_naive(u, v)\n"
         "x, y = embed_for_product(u, v)\n"
@@ -727,4 +727,20 @@ def test_pair_reading_memory_at_2_to_the_26():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
-    assert out.stdout.split()[1] == "True"
+    return out.stdout.split()
+
+
+def test_pair_reading_memory_at_2_to_the_26():
+    # n = 2^25 with 8192 terms per operand: 67 M term pairs at N = 2^26
+    # and a 38 M-term product. The dense accumulator of N int64 words
+    # peaks near 1.7 GB of address space; sorting the pairs needed about
+    # 4.4 GB, which fails under this 2.25 GiB limit.
+    assert _naive_product_under_limit(8192, 9 << 28)[1] == "True"
+
+
+def test_sort_route_memory_at_2_to_the_26():
+    # n = 2^25 with 2047 terms per operand: 4,190,209 term pairs, just
+    # below N / 16, so the pairs are sorted. That peaks near 440 MB of
+    # address space; the dense accumulator at 2048 terms peaks near 820 MB,
+    # so this 640 MiB limit fails if the accumulator ever serves this size.
+    assert _naive_product_under_limit(2047, 640 << 20)[1] == "True"

@@ -13,7 +13,7 @@ from sparseconv.vectors import (cyclic_convolve_naive, from_arrays,
 mpmath.mp.prec = 120
 
 # Largest distance from the exact root that the phases may have: far
-# inside the 0.1 re-encode tolerance and the pi / N root spacing.
+# inside the pi / N root spacing.
 ROOT_BUDGET = 1e-12
 
 

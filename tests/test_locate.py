@@ -295,13 +295,21 @@ def test_locate_makes_one_draw_and_one_fold(monkeypatch):
         assert limit // 2 <= moduli[0] <= limit
 
 
-@pytest.mark.parametrize("shift, want", [(0, [(5, 3)]), (1, [])])
-def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, want):
-    # The fold reports one heavy bucket that decodes cleanly to 3 x^5.
-    # In bucket 5 mod p it is a term; in the next bucket it cannot be an
-    # isolated term, so it is junk and yields nothing.
+@pytest.mark.parametrize("shift, magnitude, want", [
+    pytest.param(0, 3.0, [(5, 3)], id="0-want0"),
+    pytest.param(1, 3.0, [], id="1-want1"),
+    pytest.param(0, 3.4, [(5, 3)], id="off_root_in_bucket"),
+    pytest.param(0, 0.5, [], id="rounds_to_zero"),
+])
+def test_reading_outside_its_bucket_is_dropped(monkeypatch, shift, magnitude,
+                                               want):
+    # The fold reports one heavy bucket whose phase decodes to x^5. In
+    # bucket 5 mod p it is a term, whose value is its magnitude rounded,
+    # even 0.4 off the root; in the next bucket it cannot be an isolated
+    # term, so it is junk and yields nothing. A magnitude of 0.5 is heavy
+    # but rounds to 0, which is no term.
     x = spread(64)
-    reading = 3 * _unit_root_powers(np.array([5]), x.length)
+    reading = magnitude * _unit_root_powers(np.array([5]), x.length)
 
     def one_bucket(x, y, w, m, threshold):
         return np.array([(5 + shift) % m]), reading

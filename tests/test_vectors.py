@@ -183,7 +183,7 @@ def test_fft_rejects_oversized_mass():
 
 
 def test_naive_blocked_path_matches_dense_path():
-    # 500 * 500 pairs at n = 2^22 + 8 > 16 * pairs: the sort-reduce branch
+    # 500 * 500 pairs at n = 2^22 + 8 > 16 * pairs: the sort route
     n = (1 << 22) + 8
     rng = np.random.default_rng(3)
     xi = rng.choice(n, size=500, replace=False)
@@ -201,21 +201,43 @@ def test_naive_blocked_path_matches_dense_path():
     assert got == want
 
 
-@pytest.mark.parametrize("block", [1, 100, 1000])
-def test_naive_sort_route_same_in_several_blocks(monkeypatch, block):
-    # 40 * 50 pairs at N = 2^16 take the sort route (N > 16 * pairs) in
-    # one block; a smaller pair block splits them into 40, 20 or 2 blocks,
-    # whose reduced terms are merged and reduced again
-    n = 1 << 16
-    rng = np.random.default_rng(4)
+def _operands_40_by_50(n, seed):
+    rng = np.random.default_rng(seed)
     x = from_arrays(n, rng.choice(n, size=40, replace=False),
                     rng.integers(-9, 10, size=40) | 1)
     y = from_arrays(n, rng.choice(n, size=50, replace=False),
                     rng.integers(-9, 10, size=50) | 1)
-    one_block = cyclic_convolve_naive(x, y)
-    assert one_block == dense_fft_multiply(x, y)
+    return x, y
+
+
+@pytest.mark.parametrize("block", [1, 100, 1000])
+def test_naive_sort_route_same_in_several_blocks(monkeypatch, block):
+    # 40 * 50 pairs at N = 2^16 take the sort route (N > 16 * pairs). It
+    # has fewer than N / 16 pairs, so it reads them with one _reduce_terms
+    # call whatever the pair block, which only the accumulator uses
+    x, y = _operands_40_by_50(1 << 16, 4)
+    want = dense_fft_multiply(x, y)
+    reduce_terms = vectors._reduce_terms
+    calls = []
+
+    def counted(idx, val):
+        calls.append(idx.size)
+        return reduce_terms(idx, val)
+
     monkeypatch.setattr(vectors, "_PAIR_BLOCK", block)
-    assert cyclic_convolve_naive(x, y) == one_block
+    monkeypatch.setattr(vectors, "_reduce_terms", counted)
+    assert cyclic_convolve_naive(x, y) == want
+    assert calls == [40 * 50]
+
+
+@pytest.mark.parametrize("block", [50, 500, 1000])
+def test_naive_accumulator_route_same_in_several_blocks(monkeypatch, block):
+    # 40 * 50 pairs at N = 2^10 take the accumulator (N <= 16 * pairs); a
+    # pair block of 50, 500 or 1000 adds them in 40, 4 or 2 blocks
+    x, y = _operands_40_by_50(1 << 10, 5)
+    want = dense_fft_multiply(x, y)
+    monkeypatch.setattr(vectors, "_PAIR_BLOCK", block)
+    assert cyclic_convolve_naive(x, y) == want
 
 
 @st.composite
