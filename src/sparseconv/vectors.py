@@ -66,12 +66,23 @@ def _empty_terms() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce_terms(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum duplicate indices and drop zero sums. Exact integer arithmetic."""
+    """Sum duplicate indices and drop zero sums. Exact integer arithmetic.
+
+    Indices must lie in [0, 2^26) (MAX_DIMENSION), as they do from every
+    caller. They are sorted as one packed int64 key, index << b | position
+    with b = bit_length(size - 1), which fits for any array that fits in
+    memory; the sums are exact, so the order within a run is immaterial.
+    """
     if idx.size == 0:
         return _empty_terms()
-    order = np.argsort(idx, kind="stable")
-    si = idx[order]
-    sv = val[order]
+    b = (idx.size - 1).bit_length()
+    key = idx << b
+    key |= np.arange(idx.size, dtype=np.int64)
+    key.sort()
+    si = key >> b
+    key &= (1 << b) - 1
+    sv = val[key]
+    del key
     starts = np.empty(si.size, dtype=bool)
     starts[0] = True
     np.not_equal(si[1:], si[:-1], out=starts[1:])
@@ -214,15 +225,16 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
     xi, xv = x.indices, x.coeffs
     yi, yv = y.indices, y.coeffs
     pairs = xi.size * yi.size
-    # Sort the pairs when n > 16 * pairs, else add them into a dense int64
+    # Sort the pairs when n > 8 * pairs, else add them into a dense int64
     # accumulator (np.add.at: exact, unlike float bincount), at every n:
-    # sorting takes 0.8-1.4x the accumulator's time at n = 16 * pairs,
-    # 1.3-1.9x at n = 8 * pairs and 0.4-0.7x at n = 32 * pairs (n = 2^18 ..
-    # 2^26, one Xeon core, numpy 2.4). At n = 2^26 and 16x the accumulator
-    # peaks at 670 MB against 290 MB for the sort. The sort route has
-    # pairs < n / 16 <= 2^22 < _PAIR_BLOCK, so it reads all of them at once
-    # with one _reduce_terms call; only the accumulator works in blocks.
-    if n > 16 * pairs:
+    # sorting takes 0.6-0.8x the accumulator's time at n = 8 * pairs,
+    # 0.9-1.6x at n = 4 * pairs and 0.35-0.5x at n = 16 * pairs (n = 2^18
+    # .. 2^26, one Xeon core, numpy 2.4). At n = 2^26 and 8x the sort adds
+    # 507 MiB of RSS against 752 MiB for the accumulator, and at 4x 979
+    # against 911 MiB. The sort route has pairs < n / 8 <= 2^23 =
+    # _PAIR_BLOCK, so it reads all of them at once with one _reduce_terms
+    # call; only the accumulator works in blocks.
+    if n > 8 * pairs:
         idx = np.add.outer(xi, yi).ravel()
         idx[idx >= n] -= n
         val = np.multiply.outer(xv, yv).ravel()
@@ -246,10 +258,10 @@ def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:
 
 
 def _rounded_fft_product(x: SparseVector, y: SparseVector):
-    """(x * y rounded to integers, largest rounding residue) for nonzero x
-    and y, from one real FFT of length N, or of the power of two L < N above
-    the top product index if there is one: then nothing wraps, and L is
-    smooth where N = 2n may have large prime factors.
+    """(x * y rounded to integers, the float product it was rounded from)
+    for nonzero x and y, from one real FFT of length N, or of the power of
+    two L < N above the top product index if there is one: then nothing
+    wraps, and L is smooth where N = 2n may have large prime factors.
     """
     n = x.length
     top = int(x.indices[-1]) + int(y.indices[-1])
@@ -260,10 +272,9 @@ def _rounded_fft_product(x: SparseVector, y: SparseVector):
     b[y.indices] = y.coeffs
     conv = np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), size)
     rounded = np.rint(conv)
-    residue = float(np.max(np.abs(conv - rounded)))
     nz = np.flatnonzero(rounded)
     product = _canonical(n, nz.astype(np.int64), rounded[nz].astype(np.int64))
-    return product, residue
+    return product, conv
 
 
 def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
@@ -282,8 +293,9 @@ def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
     if _fft_error_bound(x, y) >= 0.25:
         raise EnvelopeError(
             "coefficient mass too large for float64 FFT rounding budget")
-    product, residue = _rounded_fft_product(x, y)
-    if residue >= 0.25:
+    product, conv = _rounded_fft_product(x, y)
+    conv[product.indices] -= product.coeffs     # the rounding residues
+    if np.abs(conv, out=conv).max() >= 0.25:
         raise EnvelopeError("FFT rounding residue exceeded the error budget")
     return product
 

@@ -483,9 +483,9 @@ def test_dense_reading_at_n_is_fingerprinted(monkeypatch):
     corrupted = []
 
     def off_by_one(x, y):
-        product, residue = real_product(x, y)
+        product, conv = real_product(x, y)
         corrupted.append(add(product, make_sparse_vector(x.length, [(0, 1)])))
-        return corrupted[-1], residue
+        return corrupted[-1], conv
 
     monkeypatch.setattr(driver, "_rounded_fft_product", off_by_one)
     verdicts = _count_fingerprints(monkeypatch)
@@ -739,8 +739,18 @@ def test_pair_reading_memory_at_2_to_the_26():
 
 
 def test_sort_route_memory_at_2_to_the_26():
-    # n = 2^25 with 2047 terms per operand: 4,190,209 term pairs, just
-    # below N / 16, so the pairs are sorted. That peaks near 440 MB of
-    # address space; the dense accumulator at 2048 terms peaks near 820 MB,
-    # so this 640 MiB limit fails if the accumulator ever serves this size.
+    # n = 2^25 with 2047 terms per operand: 4,190,209 term pairs, about
+    # N / 16, so the pairs are sorted. That peaks near 406 MiB of address
+    # space; the dense accumulator at this size peaks near 784 MiB, so this
+    # 640 MiB limit fails if the accumulator ever serves this size.
     assert _naive_product_under_limit(2047, 640 << 20)[1] == "True"
+
+
+def test_sort_route_memory_at_the_route_boundary():
+    # n = 2^25 with 2896 terms per operand: 8,386,816 term pairs, the
+    # most below N / 8, so the pairs are sorted. That peaks near 655 MiB
+    # of address space; the dense accumulator at this size peaks near
+    # 901 MiB, so this 768 MiB limit fails if the accumulator ever serves
+    # this size.
+    assert 8 * 2896 ** 2 < 1 << 26 <= 8 * 2897 ** 2
+    assert _naive_product_under_limit(2896, 768 << 20)[1] == "True"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from sparseconv import vectors
 from sparseconv.instances import blocked_telescoping_instance
-from sparseconv.vectors import (MAX_COEFF_ABS, MAX_TERMS, EnvelopeError,
-                                SparseVector, add,
+from sparseconv.vectors import (MAX_COEFF_ABS, MAX_DIMENSION, MAX_TERMS,
+                                EnvelopeError, SparseVector, add,
                                 cyclic_convolve_naive, dense_fft_multiply,
                                 embed_for_product, from_arrays,
                                 make_sparse_vector, poly_multiply_dense,
@@ -182,8 +182,9 @@ def test_fft_rejects_oversized_mass():
         dense_fft_multiply(x, x)
 
 
-def test_naive_blocked_path_matches_dense_path():
-    # 500 * 500 pairs at n = 2^22 + 8 > 16 * pairs: the sort route
+def test_naive_sort_route_matches_dict_sum():
+    # 500 * 500 pairs at n = 2^22 + 8 > 8 * pairs: the sort route, in one
+    # _reduce_terms call
     n = (1 << 22) + 8
     rng = np.random.default_rng(3)
     xi = rng.choice(n, size=500, replace=False)
@@ -212,8 +213,8 @@ def _operands_40_by_50(n, seed):
 
 @pytest.mark.parametrize("block", [1, 100, 1000])
 def test_naive_sort_route_same_in_several_blocks(monkeypatch, block):
-    # 40 * 50 pairs at N = 2^16 take the sort route (N > 16 * pairs). It
-    # has fewer than N / 16 pairs, so it reads them with one _reduce_terms
+    # 40 * 50 pairs at N = 2^16 take the sort route (N > 8 * pairs). It
+    # has fewer than N / 8 pairs, so it reads them with one _reduce_terms
     # call whatever the pair block, which only the accumulator uses
     x, y = _operands_40_by_50(1 << 16, 4)
     want = dense_fft_multiply(x, y)
@@ -232,7 +233,7 @@ def test_naive_sort_route_same_in_several_blocks(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [50, 500, 1000])
 def test_naive_accumulator_route_same_in_several_blocks(monkeypatch, block):
-    # 40 * 50 pairs at N = 2^10 take the accumulator (N <= 16 * pairs); a
+    # 40 * 50 pairs at N = 2^10 take the accumulator (N <= 8 * pairs); a
     # pair block of 50, 500 or 1000 adds them in 40, 4 or 2 blocks
     x, y = _operands_40_by_50(1 << 10, 5)
     want = dense_fft_multiply(x, y)
@@ -282,3 +283,79 @@ def test_poly_backends_agree_on_mixed_lengths():
     v = vec(9, {1: 4, 8: 1})
     assert poly_multiply_naive(u, v) == poly_multiply_dense(u, v)
     assert poly_multiply_naive(u, v).length == 18
+
+
+def _dict_sum(idx, val):
+    """Plain reference for _reduce_terms: sums per index, zeros dropped."""
+    acc = {}
+    for i, c in zip(idx.tolist(), val.tolist()):
+        acc[i] = acc.get(i, 0) + c
+    keys = sorted(i for i, c in acc.items() if c)
+    return keys, [acc[i] for i in keys]
+
+
+def _assert_reduces_like_dict_sum(idx, val):
+    idx = np.asarray(idx, dtype=np.int64)
+    val = np.asarray(val, dtype=np.int64)
+    idx_in, val_in = idx.copy(), val.copy()
+    si, sv = vectors._reduce_terms(idx, val)
+    assert si.dtype == sv.dtype == np.int64
+    assert (si.tolist(), sv.tolist()) == _dict_sum(idx, val)
+    assert np.array_equal(idx, idx_in) and np.array_equal(val, val_in)
+
+
+_TOP = MAX_DIMENSION - 1
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257,
+                                  (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+def test_reduce_terms_at_the_edges_of_the_key_shift(size):
+    # the key shifts each index by bit_length(size - 1), so sizes at and
+    # next to powers of two are its edges; the top index 2^26 - 1 sits
+    # among random indices, half of them from a small range to repeat
+    rng = np.random.default_rng(size)
+    idx = np.where(rng.random(size) < 0.5, rng.integers(0, 8, size),
+                   rng.integers(0, MAX_DIMENSION, size))
+    idx[rng.integers(size)] = _TOP
+    _assert_reduces_like_dict_sum(idx, rng.integers(-9, 10, size))
+
+
+@pytest.mark.parametrize("case", ["all_equal", "sorted_rows", "reversed",
+                                  "cancel_to_zero", "near_2_to_60"])
+def test_reduce_terms_fixed_cases(case):
+    if case == "all_equal":
+        idx = np.full(1025, _TOP)
+        val = np.arange(1, 1026)
+    elif case == "sorted_rows":
+        # the pair rows of a telescoping product: each row sorted, and
+        # all but 2 * runs of the sums cancel
+        u, v, product = blocked_telescoping_instance(8, runs=4)
+        idx = np.add.outer(u.indices, v.indices).ravel()
+        val = np.multiply.outer(u.coeffs, v.coeffs).ravel()
+        assert len(_dict_sum(idx, val)[0]) == product.l0 == 8
+    elif case == "reversed":
+        idx = np.repeat(np.arange(_TOP - 300, _TOP + 1), 3)[::-1]
+        val = np.tile([5, -2, 1], 301)
+    elif case == "cancel_to_zero":
+        idx = np.array([_TOP, 0, _TOP, 7, 0, 7, 7])
+        val = np.array([3, -4, -3, 2, 4, -1, -1])
+        assert _dict_sum(idx, val) == ([], [])
+    else:
+        # 1024 terms of 2^50 sum to 2^60; 2^60 - 1 and 1 meet again there
+        idx = np.concatenate([np.full(1024, 5), [_TOP, 0, _TOP]])
+        val = np.concatenate([np.full(1024, 1 << 50),
+                              [(1 << 60) - 1, -(1 << 60), 1]])
+        assert _dict_sum(idx, val) == ([0, 5, _TOP],
+                                       [-(1 << 60), 1 << 60, 1 << 60])
+    _assert_reduces_like_dict_sum(idx, val)
+
+
+@given(st.lists(st.tuples(st.one_of(st.integers(0, 15),
+                                    st.integers(0, _TOP)),
+                          st.integers(-(1 << 40), 1 << 40)),
+                max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_reduce_terms_matches_dict_sum(pairs):
+    idx = np.array([p[0] for p in pairs], dtype=np.int64)
+    val = np.array([p[1] for p in pairs], dtype=np.int64)
+    _assert_reduces_like_dict_sum(idx, val)
