@@ -48,26 +48,20 @@ def _power_table(base: int, size: int, p: np.uint64) -> np.ndarray:
     return table
 
 
-def eval_sparse_poly_mod(f: SparseVector, point: int, modulus: int) -> int:
-    """Evaluate sum of coeff_j * point**j over the stored terms, mod modulus.
+def eval_sparse_poly_mod(f: SparseVector, baby: np.ndarray,
+                         giant: np.ndarray, modulus: int) -> int:
+    """Evaluate sum of coeff_j * r**j over the stored terms, mod modulus.
 
-    Baby-step/giant-step in uint64 numpy, all terms at once: with
-    k = ceil(bits / 2) of the top index, point**j = giant[j >> k] *
-    baby[j mod 2^k] for tables of point**a and point**(a * 2^k), a < 2^k.
-    A call costs l0 + 2^(k+1) <= l0 + 2^14 modular products. Residues are
-    below p < 2^32, so a product of two stays below 2^64, and the sum of
-    at most MAX_DIMENSION = 2^26 of them below 2^58: plain uint64
-    arithmetic is exact. f must be canonical (check_canonical).
+    baby holds r**a and giant r**(a * 2^k) mod modulus for a < 2^k, and
+    f's top index is below 4^k: r**j = giant[j >> k] * baby[j mod 2^k],
+    for all terms at once in uint64 numpy. Residues are below p < 2^32, so
+    a product of two stays below 2^64, and a sum of at most 2^26 of them
+    below 2^58: plain uint64 arithmetic is exact. f must be canonical.
     """
     if not 2 <= modulus < 1 << 32:
         raise ValueError(f"modulus must be in [2, 2^32), got {modulus}")
-    if f.is_zero:
-        return 0
     p = np.uint64(modulus)
-    point = point % modulus
-    k = (int(f.indices[-1]).bit_length() + 1) // 2
-    baby = _power_table(point, 1 << k, p)
-    giant = _power_table(pow(point, 1 << k, modulus), 1 << k, p)
+    k = len(baby).bit_length() - 1
     powers = giant[f.indices >> k]
     powers *= baby[f.indices & ((1 << k) - 1)]
     terms = np.mod(f.coeffs, np.int64(modulus)).view(np.uint64)
@@ -84,7 +78,10 @@ def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,
     returns True. An inequality survives with probability at most delta:
     x * y - w is then a nonzero polynomial of degree < N and p is prime
     (miller_rabin is exact below 2^64), so all eval_rounds points are its
-    roots with probability at most q * delta / 3, q = N / 2^30.
+    roots with probability at most q * delta / 3, q = N / 2^30. Each point
+    builds one baby and one giant table of 2^k powers, k = ceil(b / 2) for
+    the largest top index of b bits among x, y and w, and evaluates all
+    three from them: 2^(k+1) + l0(x) + l0(y) + l0(w) modular products.
     Running out of prime draws (probability below 1e-9) raises
     PrimeSamplingError: an explicit failure, never an answer.
     """
@@ -94,12 +91,15 @@ def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,
     check_operand(y, "y")
     check_canonical(w, "w")
     rounds = eval_rounds(delta, x.length)
+    top = max(int(f.indices[-1]) if f.l0 else 0 for f in (x, y, w))
+    k = (top.bit_length() + 1) // 2
     p = random_prime_in_range(1 << _FIELD_BITS, 2 << _FIELD_BITS, rng)
     for _ in range(rounds):
         r = int(rng.integers(0, p))
-        fx = eval_sparse_poly_mod(x, r, p)
-        fy = eval_sparse_poly_mod(y, r, p)
-        fw = eval_sparse_poly_mod(w, r, p)
+        baby = _power_table(r, 1 << k, np.uint64(p))
+        giant = _power_table(pow(r, 1 << k, p), 1 << k, np.uint64(p))
+        fx, fy, fw = (eval_sparse_poly_mod(f, baby, giant, p)
+                      for f in (x, y, w))
         if fx * fy % p != fw:
             return False
     return True

@@ -36,7 +36,7 @@ HEAVY_THRESHOLD = 0.5
 
 @dataclass
 class LocateReport:
-    """Diagnostics for one locate call (primarily for tests)."""
+    """One locate call's record, read by the driver and perfbench's tracer."""
 
     aborted_rep: int | None = None   # 0 when the fold tripped the budget
     heavy_counts: list[int] = field(default_factory=list)

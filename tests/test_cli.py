@@ -105,6 +105,15 @@ def test_verify_rejects_wrong_product(telescoping, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "no"
 
 
+def test_verify_header_only_files(tmp_path, capsys):
+    # zero operands and a zero claimed product: 0 * 0 = 0
+    a, b, p = (tmp_path / "a.poly", tmp_path / "b.poly", tmp_path / "p.poly")
+    for path, header in ((a, "N 4\n"), (b, "N 4\n"), (p, "N 8\n")):
+        path.write_text(header, encoding="utf-8")
+    assert main(["verify", str(a), str(b), str(p), "--seed", "3"]) == 0
+    assert capsys.readouterr().out == "yes\n"
+
+
 def test_verify_requires_embedded_dimension(telescoping, tmp_path, capsys):
     a, b = telescoping
     short = write_poly(tmp_path, "short.poly", 4, [(0, -1)])

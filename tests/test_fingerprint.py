@@ -5,12 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseconv.fingerprint import (eval_rounds, eval_sparse_poly_mod,
-                                    equality_test)
+from sparseconv import fingerprint
+from sparseconv.fingerprint import (_power_table, eval_rounds,
+                                    eval_sparse_poly_mod, equality_test)
 from sparseconv.primes import random_prime_in_range
 from sparseconv.vectors import (MAX_DIMENSION, cyclic_convolve_naive,
                                 embed_for_product, from_arrays,
                                 make_sparse_vector, zero_vector)
+
+
+def tables(point, k, modulus):
+    """The baby and giant tables equality_test builds at one point."""
+    point %= modulus
+    return (_power_table(point, 1 << k, np.uint64(modulus)),
+            _power_table(pow(point, 1 << k, modulus), 1 << k,
+                         np.uint64(modulus)))
+
+
+def evaluate(f, point, modulus):
+    """eval_sparse_poly_mod at point, on tables sized by f's top index."""
+    k = ((int(f.indices[-1]) if f.l0 else 0).bit_length() + 1) // 2
+    return eval_sparse_poly_mod(f, *tables(point, k, modulus), modulus)
 
 
 def reference_eval(f, point, modulus):
@@ -20,18 +35,18 @@ def reference_eval(f, point, modulus):
 
 def test_eval_known_values():
     f = make_sparse_vector(8, [(0, 1), (1, 1), (2, 1), (3, 1)])
-    assert eval_sparse_poly_mod(f, 2, 101) == 15  # 1 + 2 + 4 + 8
+    assert evaluate(f, 2, 101) == 15  # 1 + 2 + 4 + 8
     g = make_sparse_vector(8, [(3, 5)])
-    assert eval_sparse_poly_mod(g, 2, 1000) == 40
-    assert eval_sparse_poly_mod(zero_vector(8), 2, 101) == 0
+    assert evaluate(g, 2, 1000) == 40
+    assert evaluate(zero_vector(8), 2, 101) == 0
 
 
 def test_eval_negative_coefficients():
     f = make_sparse_vector(4, [(0, -1), (1, 1)])
     # f(3) = 2 regardless of modulus
-    assert eval_sparse_poly_mod(f, 3, 97) == 2
+    assert evaluate(f, 3, 97) == 2
     f2 = make_sparse_vector(4, [(0, -5)])
-    assert eval_sparse_poly_mod(f2, 0, 7) == 2  # -5 mod 7
+    assert evaluate(f2, 0, 7) == 2  # -5 mod 7
 
 
 def test_eval_matches_builtin_pow():
@@ -45,7 +60,7 @@ def test_eval_matches_builtin_pow():
         f = from_arrays(n, idx, val)
         p = 10007
         r = int(rng.integers(0, p))
-        assert eval_sparse_poly_mod(f, r, p) == reference_eval(f, r, p)
+        assert evaluate(f, r, p) == reference_eval(f, r, p)
 
 
 def test_eval_power_tables_agree_across_dimensions():
@@ -55,11 +70,24 @@ def test_eval_power_tables_agree_across_dimensions():
     dense = make_sparse_vector(64, [(j, j + 1) for j in range(32)])
     sparse = make_sparse_vector(1 << 22,
                                 [(j, j + 1) for j in range(32)])
-    assert (eval_sparse_poly_mod(dense, r, p)
-            == eval_sparse_poly_mod(sparse, r, p))
+    assert evaluate(dense, r, p) == evaluate(sparse, r, p)
     lone = make_sparse_vector(1 << 22, [((1 << 22) - 1, 9)])
     want = 9 * pow(r, (1 << 22) - 1, p) % p
-    assert eval_sparse_poly_mod(lone, r, p) == want
+    assert evaluate(lone, r, p) == want
+
+
+def test_eval_on_tables_wider_than_its_top_index():
+    # equality_test sizes one pair of tables for x, y and w together, so
+    # a short polynomial is read from tables sized for a longer one
+    rng = np.random.default_rng(12)
+    p = 2147483647
+    for top in (0, 1, 5, 300, 1 << 13):
+        idx = np.unique(np.append(rng.integers(0, top + 1, 8), top))
+        f = from_arrays(1 << 26, idx, rng.integers(-50, 51, idx.size) | 1)
+        r = int(rng.integers(0, p))
+        for k in range((top.bit_length() + 1) // 2, 14):
+            got = eval_sparse_poly_mod(f, *tables(r, k, p), p)
+            assert got == reference_eval(f, r, p)
 
 
 def test_eval_single_terms_match_builtin_pow():
@@ -71,7 +99,7 @@ def test_eval_single_terms_match_builtin_pow():
         mod = int(rng.integers(2, 1 << 32))
         base = int(rng.integers(0, 1 << 40))
         f = make_sparse_vector(MAX_DIMENSION, [(j, 1)])
-        assert eval_sparse_poly_mod(f, base, mod) == pow(base, j, mod)
+        assert evaluate(f, base, mod) == pow(base, j, mod)
 
 
 def test_eval_iterated_squaring_oracle():
@@ -81,7 +109,7 @@ def test_eval_iterated_squaring_oracle():
     for _ in range(25):
         acc = acc * acc % mod
     f = make_sparse_vector(MAX_DIMENSION, [(1 << 25, 1)])
-    assert eval_sparse_poly_mod(f, 3, mod) == acc
+    assert evaluate(f, 3, mod) == acc
 
 
 @st.composite
@@ -111,7 +139,7 @@ def eval_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_eval_matches_reference_property(case):
     f, point, modulus = case
-    assert eval_sparse_poly_mod(f, point, modulus) == reference_eval(
+    assert evaluate(f, point, modulus) == reference_eval(
         f, point, modulus)
 
 
@@ -124,7 +152,7 @@ def test_eval_top_of_the_field_matches_builtin_pow():
                                            (top - 1, 1 << 60),
                                            (top, -(1 << 60))])
     for point in (p - 1, p - 2, 3, 1 << 31):
-        assert eval_sparse_poly_mod(f, point, p) == reference_eval(f, point, p)
+        assert evaluate(f, point, p) == reference_eval(f, point, p)
 
 
 def test_eval_rounds_formula():
@@ -149,10 +177,11 @@ def test_eval_rounds_meets_the_failure_bound(delta):
 
 def test_rejects_bad_arguments():
     v = make_sparse_vector(4, [(0, 1)])
+    one = np.ones(1, dtype=np.uint64)
     with pytest.raises(ValueError):
-        eval_sparse_poly_mod(v, 2, 1)
+        eval_sparse_poly_mod(v, one, one, 1)
     with pytest.raises(ValueError, match="2\\^32"):
-        eval_sparse_poly_mod(v, 2, 1 << 32)
+        eval_sparse_poly_mod(v, one, one, 1 << 32)
     with pytest.raises(ValueError):
         equality_test(v, v, make_sparse_vector(8, [(0, 1)]), 0.1,
                       np.random.default_rng(0))
@@ -216,6 +245,52 @@ def test_equality_is_deterministic_per_seed():
     outcomes = {equality_test(x, y, w, 0.05, np.random.default_rng(3))
                 for _ in range(5)}
     assert outcomes == {True}
+
+
+@pytest.mark.parametrize("zero, want", [("xyw", True), ("xy", False),
+                                        ("x", False), ("xw", True)])
+def test_zero_operands(zero, want):
+    # the tables are sized from the largest top index among the nonzero
+    # vectors, and from index 0 when all three are zero
+    x, y, w = random_triple(7)
+    x, y, w = (zero_vector(f.length) if name in zero else f
+               for name, f in zip("xyw", (x, y, w)))
+    for seed in range(10):
+        assert equality_test(x, y, w, 0.01,
+                             np.random.default_rng(seed)) is want
+
+
+def count_calls(monkeypatch, name, inner):
+    """Replace fingerprint.<name> with a counting wrapper of inner."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(fingerprint, name, counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_two_tables_one_pow_three_evaluations_per_point(monkeypatch,
+                                                        corrupt):
+    x, y, w = random_triple(3, n=1 << 20, k=40)
+    if corrupt:
+        j, c = w.to_pairs()[0]
+        w = make_sparse_vector(w.length, w.to_pairs() + [(j, -c)])
+    tables_built = count_calls(monkeypatch, "_power_table", _power_table)
+    evals = count_calls(monkeypatch, "eval_sparse_poly_mod",
+                        eval_sparse_poly_mod)
+    pows = count_calls(monkeypatch, "pow", pow)
+    verdict = equality_test(x, y, w, 0.01, np.random.default_rng(9))
+    assert verdict is not corrupt
+    points = len(pows)
+    assert points == (1 if corrupt else eval_rounds(0.01, x.length))
+    assert len(tables_built) == 2 * points
+    assert [f for f, *_ in evals] == [x, y, w] * points
+    # every table at every point has 2^k entries, k from w's top index
+    k = (int(w.indices[-1]).bit_length() + 1) // 2
+    assert {args[1] for args in tables_built} == {1 << k}
 
 
 def reference_equality(x, y, w, delta, rng):

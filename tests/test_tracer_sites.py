@@ -12,6 +12,8 @@ import subprocess
 import sys
 
 import sparseconv
+from sparseconv import poly_multiply_naive
+from sparseconv.instances import blocked_telescoping_instance
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sparseconv.__file__)))
@@ -70,7 +72,13 @@ def test_tracer_counts_a_telescoping_product():
     assert metrics["locate.reps"] == metrics["locate.calls"] > 0
     assert metrics["locate.heavy_buckets"] > 0
     assert metrics["locate.recovered_terms"] >= 32
-    assert metrics["fingerprint.accepts"] == 1
+    assert metrics["fingerprint.calls"] == metrics["fingerprint.accepts"] == 1
+    # the tracer counts three evaluations per point, each of one operand
+    u, v = blocked_telescoping_instance(10)[:2]
+    terms = u.l0 + v.l0 + poly_multiply_naive(u, v).l0
+    assert metrics["fingerprint.points"] >= 1
+    assert (metrics["fingerprint.terms_evaluated"]
+            == metrics["fingerprint.points"] * terms)
 
 
 def test_tracer_counts_a_product_whose_first_fold_aborts():
