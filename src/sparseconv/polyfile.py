@@ -7,7 +7,14 @@ blank lines are ignored. Written files round-trip exactly.
 
 from __future__ import annotations
 
-from .vectors import SparseVector, make_sparse_vector
+import numpy as np
+
+from .vectors import SparseVector, check_canonical, make_sparse_vector
+
+# Terms per block of write_poly_file's formatter. Its arrays take a few
+# tens of bytes per term of one block, so this bounds the writer's extra
+# memory at every vector size.
+_WRITE_BLOCK = 1 << 14
 
 
 class PolyFileError(ValueError):
@@ -69,7 +76,54 @@ def parse_poly_file(path) -> SparseVector:
 
 
 def write_poly_file(v: SparseVector, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"N {v.length}\n")
-        handle.writelines(f"{index} {coeff}\n" for index, coeff
-                          in zip(v.indices.tolist(), v.coeffs.tolist()))
+    """Write v in the format above, with "\\n" line endings in binary mode,
+    so the bytes are the same on every platform.
+
+    Raises ValueError, before the path is opened, unless v is canonical
+    (check_canonical).
+    """
+    check_canonical(v, "v")
+    with open(path, "wb") as handle:
+        handle.write(f"N {v.length}\n".encode())
+        for a in range(0, v.l0, _WRITE_BLOCK):
+            handle.write(_format_terms(v.indices[a:a + _WRITE_BLOCK],
+                                       v.coeffs[a:a + _WRITE_BLOCK]))
+
+
+def _format_terms(idx: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The lines "<index> <coefficient>\\n" of a nonempty run of canonical
+    terms, as one uint8 array.
+
+    Each term gets a row of fixed width: the index digits, a space, a sign
+    slot, the coefficient digits and a newline, digits right-aligned to the
+    widest value of the run. A mask then drops the leading zeros and the
+    sign slot of a positive coefficient.
+    """
+    # np.abs wraps -2^63 to itself, whose uint64 reading is 2^63
+    mag = np.abs(val).view(np.uint64)
+    iw = len(str(int(idx[-1])))
+    cw = len(str(int(mag.max())))
+    lines = np.empty((idx.size, iw + cw + 3), dtype=np.uint8)
+    keep = np.ones(lines.shape, dtype=bool)
+    _put_digits(idx.astype(np.uint64), lines[:, :iw], keep[:, :iw])
+    lines[:, iw] = ord(" ")
+    lines[:, iw + 1] = ord("-")
+    keep[:, iw + 1] = val < 0
+    _put_digits(mag, lines[:, iw + 2:-1], keep[:, iw + 2:-1])
+    lines[:, -1] = ord("\n")
+    return lines[keep]
+
+
+def _put_digits(q: np.ndarray, digits: np.ndarray, keep: np.ndarray) -> None:
+    """Write the decimal digits of the uint64 values q into the columns of
+    digits, right-aligned, as ASCII, one digit position per pass; clear
+    keep at every leading zero. The last column is always kept, so 0
+    prints as "0"."""
+    for col in range(digits.shape[1] - 1, 0, -1):
+        rest = q // 10
+        digit = q - rest * 10
+        digit += ord("0")
+        digits[:, col] = digit
+        keep[:, col - 1] = rest != 0
+        q = rest
+    digits[:, 0] = q + ord("0")

@@ -212,8 +212,11 @@ def check_operand(v: SparseVector, what: str) -> None:
 def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
     """Exact cyclic convolution by enumerating all term pairs.
 
-    Cost is l0(x) * l0(y) pair operations; used as the ground-truth oracle
-    for every other backend.
+    Cost is l0(x) * l0(y) pair operations. It is the body of
+    poly_multiply_naive, the ground-truth oracle for every other backend,
+    and it is the driver's proven pair reading in hash_and_iterate, which
+    every product with few enough term pairs takes (the crossover product
+    among them).
     """
     if x.length != y.length:
         raise ValueError("length mismatch")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from sparseconv import driver
-from sparseconv.cli import main
+from sparseconv.cli import ALGOS, main
 from sparseconv.driver import MultiplicationFailed
+from sparseconv.instances import InstanceSpec, gen_instance
 from sparseconv.polyfile import parse_poly_file, write_poly_file
 from sparseconv.primes import PrimeSamplingError
 from sparseconv.vectors import make_sparse_vector, poly_multiply_naive
@@ -55,6 +56,33 @@ def test_multiply_backends_agree(telescoping, tmp_path, algo, capsys):
     write_poly_file(poly_multiply_naive(parse_poly_file(c),
                                         parse_poly_file(d)), want)
     assert out.read_bytes() == want.read_bytes()
+
+
+def reference_bytes(v) -> bytes:
+    """The .poly format of v, one f-string per term."""
+    return (f"N {v.length}\n" + "".join(
+        f"{i} {c}\n" for i, c in zip(v.indices.tolist(),
+                                      v.coeffs.tolist()))).encode()
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_gen_and_multiply_write_reference_bytes(tmp_path, algo, capsys):
+    # test_multiply_backends_agree compares the CLI's file with
+    # write_poly_file's own output; these bytes come from the format itself
+    a, b, p = (tmp_path / name for name in ("a.poly", "b.poly", "p.poly"))
+    assert main(["gen", "--n", str(1 << 14), "--terms", "160",
+                 "--coeff-bound", "100", "--seed", "4",
+                 "-o", str(a), "-o2", str(b)]) == 0
+    u, v = gen_instance(InstanceSpec(n=1 << 14, terms=160, coeff_bound=100,
+                                     cancel_fraction=0.0, seed=4))
+    assert a.read_bytes() == reference_bytes(u)
+    assert b.read_bytes() == reference_bytes(v)
+    assert main(["multiply", str(a), str(b), "--algo", algo, "-o", str(p),
+                 "--seed", "4"]) == 0
+    want = poly_multiply_naive(u, v)
+    assert want.l0 >= 10_000
+    assert capsys.readouterr().out == f"{want.l0}\n"
+    assert p.read_bytes() == reference_bytes(want)
 
 
 def test_multiply_same_seed_byte_identical(telescoping, tmp_path, capsys):

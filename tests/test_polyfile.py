@@ -1,11 +1,35 @@
-"""Polynomial file format: round trips and line-numbered diagnostics."""
+"""Polynomial file format: round trips, written bytes and line-numbered
+diagnostics."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparseconv
+from sparseconv import polyfile
 from sparseconv.polyfile import (PolyFileError, parse_poly_file,
                                  write_poly_file)
-from sparseconv.vectors import from_arrays, make_sparse_vector, zero_vector
+from sparseconv.vectors import (SparseVector, from_arrays, make_sparse_vector,
+                                zero_vector)
+
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
+
+def reference_bytes(length, pairs) -> bytes:
+    """The file format, one f-string per term."""
+    return (f"N {length}\n"
+            + "".join(f"{i} {c}\n" for i, c in pairs)).encode()
+
+
+def raw_vector(length, pairs) -> SparseVector:
+    """A SparseVector with the given terms and no envelope check, so the
+    writer sees lengths and coefficients beyond the operand envelope."""
+    return SparseVector(length, np.array([p[0] for p in pairs], np.int64),
+                        np.array([p[1] for p in pairs], np.int64))
 
 
 def write_text(tmp_path, name, text):
@@ -94,3 +118,132 @@ def test_coefficient_outside_int64_rejected(tmp_path):
                       f"N 4\n0 {-(1 << 63)}\n1 {(1 << 63) - 1}\n")
     assert parse_poly_file(path).to_pairs() == [(0, -(1 << 63)),
                                                 (1, (1 << 63) - 1)]
+
+
+EDGE_COEFFS = [1, -1, 9, -9, 10, -10, 99, -99, 100, -100, INT64_MAX, INT64_MIN]
+
+
+@pytest.mark.parametrize("length,pairs", [
+    (1 << 26, [(0, 1), ((1 << 26) - 1, -1)]),
+    (1 << 26, list(enumerate(EDGE_COEFFS))),
+    (1 << 26, [(i, c) for i, c in zip(range(3, 1 << 26, 5_000_000),
+                                      EDGE_COEFFS[::-1])]),
+    (100, [(3, -7), (10, -1), (99, INT64_MIN), (7, -100)]),   # all negative
+    (1, [(0, 5)]),
+    (1 << 26, [((1 << 26) - 1, INT64_MIN)]),
+    (1 << 63, [(0, 1), (INT64_MAX, INT64_MAX)]),
+    (1, []),
+    (8, []),
+    (1 << 26, []),
+])
+def test_written_bytes_match_reference(tmp_path, length, pairs):
+    pairs = sorted(pairs)
+    path = tmp_path / "v.poly"
+    write_poly_file(raw_vector(length, pairs), path)
+    assert path.read_bytes() == reference_bytes(length, pairs)
+
+
+def test_written_bytes_match_reference_over_widths(tmp_path):
+    # index and coefficient widths of 1 to 19 digits, both signs, in
+    # vectors of 1-40 terms
+    rng = np.random.default_rng(24)
+    path = tmp_path / "v.poly"
+    for _ in range(300):
+        length = int(rng.integers(1, 1 << int(rng.integers(1, 63)),
+                                  endpoint=True))
+        terms = int(rng.integers(1, min(40, length), endpoint=True))
+        idx = np.unique(rng.integers(0, length, size=terms, dtype=np.int64))
+        bits = rng.integers(0, 64, size=idx.size)
+        val = rng.integers(0, INT64_MAX, size=idx.size, dtype=np.int64) >> bits
+        val = np.where(rng.random(idx.size) < 0.5, -val - 1, val + 1)
+        pairs = list(zip(idx.tolist(), val.tolist()))
+        write_poly_file(raw_vector(length, pairs), path)
+        assert path.read_bytes() == reference_bytes(length, pairs)
+
+
+def test_written_bytes_match_reference_across_blocks(tmp_path):
+    # about three and a half formatter blocks, whose index and coefficient
+    # widths differ from block to block
+    block = polyfile._WRITE_BLOCK
+    terms = 3 * block + block // 2
+    rng = np.random.default_rng(7)
+    idx = np.sort(rng.choice(1 << 26, size=terms, replace=False))
+    idx[:block] //= 1 << 20
+    idx = np.unique(idx)
+    val = rng.integers(1, INT64_MAX, size=idx.size, dtype=np.int64)
+    val >>= np.repeat(np.array([60, 0, 40, 20]), block)[:idx.size]
+    val |= 1
+    val[1::3] *= -1
+    v = SparseVector(1 << 26, idx, val)
+    path = tmp_path / "v.poly"
+    write_poly_file(v, path)
+    assert path.read_bytes() == reference_bytes(
+        v.length, zip(idx.tolist(), val.tolist()))
+
+
+@pytest.mark.parametrize("indices,coeffs,message", [
+    ([3, 3], [1, 2], "increase strictly"),
+    ([5, 3], [1, 2], "increase strictly"),
+    ([3, 8], [1, 2], "increase strictly"),
+    ([-1, 3], [1, 2], "increase strictly"),
+    ([1, 3], [1, 0], "zero coefficient"),
+    ([1, 3], [1.0, 2.0], "int64 arrays"),
+    ([1, 3], [1], "int64 arrays"),
+])
+def test_non_canonical_vector_is_rejected_before_the_file(
+        tmp_path, indices, coeffs, message):
+    v = SparseVector(8, np.array(indices, np.int64), np.array(coeffs))
+    existing = tmp_path / "existing.poly"
+    existing.write_bytes(b"N 4\n0 1\n")
+    with pytest.raises(ValueError, match=message):
+        write_poly_file(v, existing)
+    assert existing.read_bytes() == b"N 4\n0 1\n"
+    fresh = tmp_path / "fresh.poly"
+    with pytest.raises(ValueError, match=message):
+        write_poly_file(v, fresh)
+    assert not fresh.exists()
+
+
+def test_write_memory_at_2_to_the_22_terms(tmp_path):
+    # 2^22 terms at length 2^26, with 8-digit indices and coefficients
+    # spread over all of int64: a 117 MiB file. On a 2-core Xeon with numpy
+    # 2.4 the blocked writer peaks near 214 MiB of address space, 4 MiB
+    # above the process before the call; a writer that turned the arrays
+    # into two lists of Python ints peaked near 589 MiB, so this 384 MiB
+    # limit fails if the writer ever holds per-term Python objects.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparseconv.__file__)))
+    terms = 1 << 22
+    path = tmp_path / "big.poly"
+    # the vector's arrays, built from this one source in both processes
+    make = ("import numpy as np\n"
+            f"idx = np.arange({terms}, dtype=np.int64) * 16 + 15\n"
+            f"val = np.random.default_rng(0).integers({INT64_MIN}, "
+            f"{INT64_MAX}, size={terms}, dtype=np.int64, endpoint=True) | 1\n")
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (384 << 20, 384 << 20))\n"
+            + make +
+            "from sparseconv.polyfile import write_poly_file\n"
+            "from sparseconv.vectors import SparseVector\n"
+            f"write_poly_file(SparseVector(1 << 26, idx, val), {str(path)!r})\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    scope = {}
+    exec(make, scope)
+    idx, val = scope["idx"], scope["val"]
+    head = reference_bytes(1 << 26, zip(idx[:1000].tolist(),
+                                        val[:1000].tolist()))
+    tail = reference_bytes(1 << 26, zip(idx[-1000:].tolist(),
+                                        val[-1000:].tolist()))
+    tail = tail[len("N 67108864\n"):]
+    newlines = 0
+    with open(path, "rb") as handle:
+        assert handle.read(len(head)) == head
+        handle.seek(-len(tail), os.SEEK_END)
+        assert handle.read() == tail
+        handle.seek(0)
+        while chunk := handle.read(1 << 24):
+            newlines += chunk.count(b"\n")
+    assert newlines == terms + 1
