@@ -28,7 +28,7 @@ import numpy as np
 
 from . import folding
 from .primes import uniform_prime_below
-from .vectors import SparseVector, _canonical, zero_vector
+from .vectors import SparseVector, zero_vector
 
 ISOLATION_CONSTANT = 16          # bucket budget per residual term
 HEAVY_THRESHOLD = 0.5
@@ -127,4 +127,4 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
         return zero_vector(n), report
     index, value = _decode_heavy(ids, vals, n, p)
     order = np.argsort(index)
-    return _canonical(n, index[order], value[order]), report
+    return SparseVector(n, index[order], value[order]), report

@@ -1,15 +1,16 @@
 """Plain-text sparse polynomial files.
 
 Format: a header line "N <length>", then one "<index> <coefficient>" line
-per nonzero term in ascending index order. Lines starting with '#' and
-blank lines are ignored. Written files round-trip exactly.
+per nonzero term in ascending index order, every number in ASCII decimal
+digits with no '_' separators. Lines starting with '#' and blank lines are
+ignored. Written files round-trip exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .vectors import SparseVector, check_canonical, make_sparse_vector
+from .vectors import SparseVector, check_canonical, from_arrays
 
 # Terms per block of write_poly_file's formatter. Its arrays take a few
 # tens of bytes per term of one block, so this bounds the writer's extra
@@ -26,10 +27,17 @@ class PolyFileError(ValueError):
         self.line_no = line_no
 
 
+def _decimal(text: str) -> int:
+    """int(text), or ValueError unless text is ASCII with no '_': int()
+    alone also reads '1_0' and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_poly_file(path) -> SparseVector:
     length = None
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
+    terms: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -41,7 +49,7 @@ def parse_poly_file(path) -> SparseVector:
                     raise PolyFileError(path, line_no,
                                         "expected header line 'N <length>'")
                 try:
-                    length = int(fields[1])
+                    length = _decimal(fields[1])
                 except ValueError:
                     raise PolyFileError(path, line_no,
                                         f"bad length {fields[1]!r}") from None
@@ -52,8 +60,8 @@ def parse_poly_file(path) -> SparseVector:
                 raise PolyFileError(path, line_no,
                                     "expected '<index> <coefficient>'")
             try:
-                index = int(fields[0])
-                coeff = int(fields[1])
+                index = _decimal(fields[0])
+                coeff = _decimal(fields[1])
             except ValueError:
                 raise PolyFileError(path, line_no,
                                     f"non-integer term {line!r}") from None
@@ -66,13 +74,12 @@ def parse_poly_file(path) -> SparseVector:
             if coeff == 0:
                 raise PolyFileError(path, line_no,
                                     f"zero coefficient at index {index}")
-            if index in seen:
+            if index in terms:
                 raise PolyFileError(path, line_no, f"duplicate index {index}")
-            seen.add(index)
-            pairs.append((index, coeff))
+            terms[index] = coeff
     if length is None:
         raise PolyFileError(path, 1, "missing header line 'N <length>'")
-    return make_sparse_vector(length, pairs)
+    return from_arrays(length, list(terms), list(terms.values()))
 
 
 def write_poly_file(v: SparseVector, path) -> None:

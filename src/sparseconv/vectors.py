@@ -29,7 +29,10 @@ class SparseVector:
     """Vector in Z^length with explicitly stored nonzero terms.
 
     Canonical form: indices strictly increasing, all coefficients nonzero,
-    both arrays int64. Use make_sparse_vector to build one from raw pairs.
+    both arrays int64. The constructor checks nothing: pass it only arrays
+    already in that form. Use from_arrays to build one from any index and
+    coefficient arrays, and make_sparse_vector from (index, coefficient)
+    pairs.
     """
 
     length: int
@@ -146,11 +149,6 @@ def from_arrays(length: int, indices, coeffs) -> SparseVector:
     return SparseVector(length, idx, val)
 
 
-def _canonical(length: int, idx: np.ndarray, val: np.ndarray) -> SparseVector:
-    """Trusted constructor: arrays already sorted, unique, nonzero."""
-    return SparseVector(length, idx, val)
-
-
 def add(x: SparseVector, y: SparseVector) -> SparseVector:
     if x.length != y.length:
         raise ValueError("length mismatch")
@@ -158,17 +156,11 @@ def add(x: SparseVector, y: SparseVector) -> SparseVector:
         return y if x.is_zero else x
     idx = np.concatenate([x.indices, y.indices])
     val = np.concatenate([x.coeffs, y.coeffs])
-    return _canonical(x.length, *_reduce_terms(idx, val))
+    return SparseVector(x.length, *_reduce_terms(idx, val))
 
 
 def subtract(x: SparseVector, y: SparseVector) -> SparseVector:
-    if x.length != y.length:
-        raise ValueError("length mismatch")
-    if y.is_zero:                       # already canonical: no sort
-        return x
-    idx = np.concatenate([x.indices, y.indices])
-    val = np.concatenate([x.coeffs, -y.coeffs])
-    return _canonical(x.length, *_reduce_terms(idx, val))
+    return add(x, SparseVector(y.length, y.indices, -y.coeffs))
 
 
 def check_canonical(v: SparseVector, what: str) -> None:
@@ -241,7 +233,7 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
         idx = np.add.outer(xi, yi).ravel()
         idx[idx >= n] -= n
         val = np.multiply.outer(xv, yv).ravel()
-        return _canonical(n, *_reduce_terms(idx, val))
+        return SparseVector(n, *_reduce_terms(idx, val))
     acc = np.zeros(n, dtype=np.int64)
     step = _PAIR_BLOCK // yi.size
     for a in range(0, xi.size, step):
@@ -249,7 +241,7 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
         idx[idx >= n] -= n
         np.add.at(acc, idx, (xv[a:a + step, None] * yv[None, :]).ravel())
     nz = np.flatnonzero(acc)
-    return _canonical(n, nz.astype(np.int64), acc[nz])
+    return SparseVector(n, nz.astype(np.int64), acc[nz])
 
 
 def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:
@@ -276,7 +268,7 @@ def _rounded_fft_product(x: SparseVector, y: SparseVector):
     conv = np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b), size)
     rounded = np.rint(conv)
     nz = np.flatnonzero(rounded)
-    product = _canonical(n, nz.astype(np.int64), rounded[nz].astype(np.int64))
+    product = SparseVector(n, nz.astype(np.int64), rounded[nz].astype(np.int64))
     return product, conv
 
 
@@ -314,8 +306,8 @@ def embed_for_product(u: SparseVector, v: SparseVector) -> tuple[SparseVector, S
     n = max(u.length, v.length)
     if 2 * n > MAX_DIMENSION:
         raise EnvelopeError(f"embedded dimension {2 * n} exceeds {MAX_DIMENSION}")
-    x = _canonical(2 * n, u.indices, u.coeffs)
-    y = _canonical(2 * n, v.indices, v.coeffs)
+    x = SparseVector(2 * n, u.indices, u.coeffs)
+    y = SparseVector(2 * n, v.indices, v.coeffs)
     return x, y
 
 

@@ -161,6 +161,17 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_non_ascii_digit_is_input_error(tmp_path, capsys):
+    # int() reads U+0663 as 3; the file format does not
+    a = write_poly(tmp_path, "a.poly", 8, [(1, 2)])
+    bad = tmp_path / "bad.poly"
+    bad.write_text("N 8\n\u0663 5\n", encoding="utf-8")
+    out = tmp_path / "p.poly"
+    assert main(["multiply", str(bad), a, "-o", str(out)]) == 2
+    assert "non-integer term" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oversized_coefficient_is_input_error(tmp_path, capsys):
     a = write_poly(tmp_path, "a.poly", 4, [(0, 1)])
     big = tmp_path / "big.poly"

@@ -1,5 +1,7 @@
 """Instance generators and the deterministic seeding layer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,68 @@ def test_blocked_telescoping_validation():
         blocked_telescoping_instance(5)
     with pytest.raises(ValueError):
         blocked_telescoping_instance(8, runs=0)
+
+
+def generated_digest(vectors) -> str:
+    """sha256 prefix over each vector's length, term count, dtypes and the
+    bytes of its index and coefficient arrays."""
+    h = hashlib.sha256()
+    for v in vectors:
+        h.update(f"{v.length} {v.indices.size} {v.indices.dtype.str} "
+                 f"{v.coeffs.dtype.str};".encode())
+        h.update(v.indices.tobytes())
+        h.update(v.coeffs.tobytes())
+    return h.hexdigest()[:32]
+
+
+# Digests of the generators' outputs, recorded from the slot-loop and
+# pair-list generators. They pin the bytes of the perfbench instances and
+# of `sparseconv gen`: a rewrite must reproduce every one.
+BLOCKED_RUNS = (1, 2, 3, 16, 17, 64, 1024)
+BLOCKED_DIGESTS = {
+    6: "89b98a92f9eb2293f9b3f2e6f10890d6",
+    7: "bb82e854dc2e3a3a95e24aad74501e78",
+    8: "1fd84a00803e208faf8c905f02d620af",
+    9: "ddb874f5963080c7e739f397ba74741c",
+    10: "554d2cea67c02ec150c6fa7444c115d2",
+    11: "918d80e5425641947c3f2c087e3d2aa4",
+    12: "e5c289976ea6bf676e3da5cf5a7b378a",
+    13: "0a794bca5f9a217e12c951ccaca3624f",
+    14: "b37701369f09c22342ec1018a26455e8",
+}
+GEN_TERMS = (1, 2, 3, 5, 64, 1000)
+GEN_CANCEL = (0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0)
+GEN_DIGESTS = {
+    1: "e8edce4670b8e0feedc127a4177e7219",
+    2: "a74e9b20365baead57d2cf81cbe6a22c",
+    3: "65c6a499d6e754e7ab295bf8628372ae",
+    1000: "3dfcd565ac5afd202c466e9cc8b9d3ac",
+    1 << 20: "1153755105b3697ca2a99dc7cbca0c80",
+}
+
+
+@pytest.mark.parametrize("log2_terms", sorted(BLOCKED_DIGESTS))
+def test_blocked_telescoping_bytes_are_pinned(log2_terms):
+    made = [blocked_telescoping_instance(log2_terms, runs)
+            for runs in BLOCKED_RUNS]
+    assert generated_digest([w for triple in made for w in triple]) \
+        == BLOCKED_DIGESTS[log2_terms]
+
+
+def test_blocked_telescoping_all_holes():
+    # m = 15 slots and 15 holes: v and the product are zero
+    u, v, product = blocked_telescoping_instance(6, runs=16)
+    assert u.l0 == 32
+    assert v.is_zero and product.is_zero
+    assert poly_multiply_naive(u, v) == product
+
+
+@pytest.mark.parametrize("n", sorted(GEN_DIGESTS))
+def test_gen_instance_bytes_are_pinned(n):
+    specs = [InstanceSpec(n, terms, bound, cancel, seed)
+             for terms in GEN_TERMS if terms <= n
+             for cancel in GEN_CANCEL
+             for seed in (0, 1, 7)
+             for bound in (1, 1 << 20)]
+    assert generated_digest([w for spec in specs for w in gen_instance(spec)]) \
+        == GEN_DIGESTS[n]

@@ -95,11 +95,28 @@ def test_error_carries_line_number(tmp_path):
     ("N 8\n3 1 9\n", "expected"),
     ("N zero\n", "bad length"),
     ("N 0\n", "positive"),
+    # int() reads these; the format does not
+    ("N 8\n\u0663 5\n", "non-integer term"),       # ARABIC-INDIC DIGIT THREE
+    ("N 8\n1 \uff15\n", "non-integer term"),       # FULLWIDTH DIGIT FIVE
+    ("N 16\n1_0 5\n", "non-integer term"),
+    ("N 16\n10 5_0\n", "non-integer term"),
+    ("N 1_6\n", "bad length"),
+    ("N \u0661\u0666\n", "bad length"),
+    ("N 8\n5 1\n3 2\n# note\n\n5 4\n", "duplicate index 5"),
 ])
 def test_malformed_files_rejected(tmp_path, body, message):
     path = write_text(tmp_path, "m.poly", body)
-    with pytest.raises(PolyFileError, match=message):
+    with pytest.raises(PolyFileError, match=message) as info:
         parse_poly_file(path)
+    assert info.value.line_no == body.count("\n")
+
+
+def test_terms_in_any_order_parse_to_canonical(tmp_path):
+    path = write_text(tmp_path, "o.poly",
+                      "# \u0663 \u00e9t\u00e9 \u2014 1_0\nN 64\n40 -2\n"
+                      "# between \u00fc\n3 7\n\n63 1\n# again\n0 -9\n")
+    assert parse_poly_file(path) == from_arrays(64, [0, 3, 40, 63],
+                                                [-9, 7, -2, 1])
 
 
 def test_negative_and_large_coefficients(tmp_path):
