@@ -54,19 +54,26 @@ def eval_sparse_poly_mod(f: SparseVector, baby: np.ndarray,
 
     baby holds r**a and giant r**(a * 2^k) mod modulus for a < 2^k, and
     f's top index is below 4^k: r**j = giant[j >> k] * baby[j mod 2^k],
-    for all terms at once in uint64 numpy. Residues are below p < 2^32, so
-    a product of two stays below 2^64, and a sum of at most 2^26 of them
-    below 2^58: plain uint64 arithmetic is exact. f must be canonical.
+    for all terms at once in uint64 numpy. Every reduction is
+    a - a // p * p, as numpy divides an array by one scalar far faster
+    than it takes a % p. Residues are below p < 2^32, so a product of two
+    stays below 2^64, and a sum of at most 2^26 of them below 2^58: plain
+    uint64 arithmetic is exact. An int64 coefficient c reduces to
+    c - c // p * p in [0, p), equal to c mod p even at c = -2^63, where
+    (c // p) * p wraps: the difference is exact modulo 2^64. f must be
+    canonical.
     """
     if not 2 <= modulus < 1 << 32:
         raise ValueError(f"modulus must be in [2, 2^32), got {modulus}")
-    p = np.uint64(modulus)
+    p, m = np.uint64(modulus), np.int64(modulus)
     k = len(baby).bit_length() - 1
     powers = giant[f.indices >> k]
     powers *= baby[f.indices & ((1 << k) - 1)]
-    terms = np.mod(f.coeffs, np.int64(modulus)).view(np.uint64)
-    terms *= powers % p
-    return int(np.sum(terms % p, dtype=np.uint64)) % modulus
+    powers -= powers // p * p
+    terms = (f.coeffs - f.coeffs // m * m).view(np.uint64)
+    terms *= powers
+    terms -= terms // p * p
+    return int(np.sum(terms, dtype=np.uint64)) % modulus
 
 
 def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,

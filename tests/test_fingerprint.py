@@ -144,15 +144,17 @@ def test_eval_matches_reference_property(case):
 
 
 def test_eval_top_of_the_field_matches_builtin_pow():
-    # the largest residues: coefficients of +-2^60, the top index, and the
-    # largest prime below 2^32
-    p = 4294967291
+    # the largest residues: coefficients of +-2^60 and the int64 extremes
+    # (at -2^63, (c // p) * p wraps) at the top index, with the largest
+    # prime below 2^32 and the largest modulus the guard allows
     top = MAX_DIMENSION - 1
-    f = make_sparse_vector(MAX_DIMENSION, [(0, -(1 << 60)), (1, 1 << 60),
-                                           (top - 1, 1 << 60),
-                                           (top, -(1 << 60))])
-    for point in (p - 1, p - 2, 3, 1 << 31):
-        assert evaluate(f, point, p) == reference_eval(f, point, p)
+    for p in (4294967291, (1 << 32) - 1):
+        for top_coeff in (-(1 << 60), (1 << 63) - 1, -(1 << 63)):
+            f = make_sparse_vector(MAX_DIMENSION,
+                                   [(0, -(1 << 60)), (1, 1 << 60),
+                                    (top - 1, 1 << 60), (top, top_coeff)])
+            for point in (p - 1, p - 2, 3, 1 << 31):
+                assert evaluate(f, point, p) == reference_eval(f, point, p)
 
 
 def test_eval_rounds_formula():
