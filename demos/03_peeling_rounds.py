@@ -3,7 +3,7 @@
 
 sparse_multiply never knows the product sparsity up front. It guesses a
 bucket budget, runs the peeling recovery at that budget, fingerprints
-the accumulated vector unless the peel read it from the term pairs or
+the accumulated vector unless the peel read it exactly (see below) or
 left it empty (a product of nonzero polynomials is never zero), and on
 rejection doubles the budget, or jumps
 to the heavy-bucket count at which the peel's first locate call
@@ -12,9 +12,10 @@ the count never exceeds the product's term count. At a budget whose
 exact-read limit covers the term pairs, or a dense transform at N, the
 peel reads the product exactly and calls no locate at all (an exact
 reading is kept whatever its size). A reading from the term pairs is
-integer-exact, so it is proven and returned with no fingerprint; a
-reading from the dense transform rounds floats, so it is fingerprinted
-like every folded peel. Otherwise it runs locate rounds
+integer-exact, and one from the dense transform is checked: its float
+error bound and rounding residues are below 0.25. Either is proven and
+returned with no fingerprint; a dense reading that fails that check is
+fingerprinted like every folded peel. Otherwise it runs locate rounds
 with halving budgets, subtracting everything recovered so far, until a
 round sees no heavy bucket at all or aborts on more heavy buckets than
 its budget. A locate call folds once, at one random prime: a term it
@@ -85,10 +86,11 @@ while True:
 w, trace, proven = hash_and_iterate(x, y, budget, substream(32, "multiply"))
 print(f"\nper-round trace at budget {budget}:")
 if proven:
-    print("pair reading, no locate call: integer-exact, so it is returned "
-          "without a fingerprint")
+    print("exact reading (term pairs, or the checked dense product at N), "
+          "no locate call: returned without a fingerprint")
 elif not trace:
-    print("dense reading at N, no locate call: the fingerprint checks it")
+    print("dense reading at N that failed its exactness check, no locate "
+          "call: the fingerprint checks it")
 else:
     print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
           f"{'recovered':>9}  {'residual':>8}")
@@ -105,4 +107,4 @@ assert w == exact
 # count of the abort lets the driver skip the budgets in between.
 print("\nundersized budgets abort instead of decoding garbage; the "
       "fingerprint gate is what lets the driver trust every success it "
-      "did not read from the term pairs")
+      "did not read exactly")

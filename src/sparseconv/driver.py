@@ -5,12 +5,12 @@ For each guess it reads the product exactly when the budget covers its
 term pairs or a dense transform at N, and otherwise peels the product out
 of phase-folded buckets over a logarithmic number of halving rounds (each
 round recovers most of what is still missing, so the residual support
-contracts geometrically). A reading from the term pairs is integer-exact
-and returned as it is; every other result, the dense reading at N too, is
-fingerprinted against the operands, and the first that verifies is
-returned. Nothing unproven and unverified ever escapes. On rejection the
-budget doubles, or jumps to the heavy count of the peel's first locate
-call if larger: a lower bound on the product sparsity.
+contracts geometrically). A reading from the term pairs is integer-exact,
+one from the dense transform at N checked; either is returned as it is.
+Every other result is fingerprinted against the operands, and the first
+that verifies is returned. Nothing unproven and unverified ever escapes.
+On rejection the budget doubles, or jumps to the heavy count of the
+peel's first locate call if larger: a lower bound on the product sparsity.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     dense real product when 4E >= N, where one real transform of length
     at most N costs about what the folds would. An exact reading calls no
     locate, draws nothing and is returned whatever its size. The pair
-    reading is integer-exact under the int64 envelope, so it is proven:
-    the caller returns it with no fingerprint. The dense one rounds floats
-    unchecked, so the caller fingerprints it. Otherwise N > 4E >= 2L, L =
+    reading is integer-exact under the int64 envelope, and the dense one
+    is proven when _rounded_fft_product finds it exact (see
+    sparse_multiply): the caller returns either with no fingerprint.
+    Otherwise N > 4E >= 2L, L =
     locate.prime_range_for(B), so every prime a locate call draws is
     below N/2.
 
@@ -73,9 +74,10 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     nonzero residual looks quiet only if all its terms share buckets
     (see locate_with_report), which ends the peel with an incomplete w.
     Returns (w, trace, proven): trace holds (w so far, LocateReport) per
-    locate round, empty for an exact reading; proven is True only for the
-    pair reading. The caller fingerprints every other w that is nonzero:
-    x and y are nonzero, so an empty w is never their product.
+    locate round, empty for an exact reading; proven is True for the pair
+    reading and an exact dense one. The caller fingerprints every other
+    w that is nonzero: x and y are nonzero, so an empty w is never their
+    product.
     """
     if bucket_budget < 1:
         raise ValueError("bucket budget must be positive")
@@ -83,7 +85,8 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     if x.l0 * y.l0 <= exact:
         return cyclic_convolve_naive(x, y), [], True
     if 4 * exact >= x.length:
-        return _rounded_fft_product(x, y)[0], [], False
+        w, proven = _rounded_fft_product(x, y)
+        return w, [], proven
     w = zero_vector(x.length)
     trace: list[tuple[SparseVector, LocateReport]] = []
     for r in range(max(1, (bucket_budget - 1).bit_length())):
@@ -121,16 +124,20 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     embed_for_product has checked that both operands are canonical int64
     vectors inside the envelope, which keeps its int64 sums exact
     (MAX_TERMS * MAX_COEFF_ABS^2 <= 2^60), so it adds no failure term and
-    the bound below is unchanged.
+    the bound below is unchanged. So is a dense reading at N that
+    _rounded_fft_product finds exact: its bound 16 * 2^-53 * lg * ||x||_2
+    ||y||_2 (lg = ceil(log2 N)) and its residues are below 0.25. As
+    ||x||_2^2 <= max|c| ||x||_1, the envelope gives ||x||_2 ||y||_2 <=
+    2^20 * 2^22.5, so the bound is at most lg * 2^-6.5 < 0.25 for N <=
+    2^22; at N > 2^22 it fails only within 13% of that (0.87 * 2^42.5 at
+    N = 2^26). In that gap the reading is fingerprinted like a peel.
     An empty w (a peel whose first call aborted) is rejected with no
     fingerprint: at N = 2n the cyclic product is the polynomial product,
     and over Z the product of two nonzero polynomials is nonzero.
     The fingerprint accepts an exact w always and an inexact one in round
     r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
-    c * pi^2 / 6 < 0.0042 over all rounds. So a rounding error in the
-    dense reading at N (see hash_and_iterate) costs rejected rounds, or
-    MultiplicationFailed, never a wrong vector; the bound takes that
-    reading as exact. Otherwise a call fails only if no peel is exact.
+    c * pi^2 / 6 < 0.0042 over all rounds. Otherwise a call fails only if
+    no peel is exact.
     Let k = l0(x * y) and r0 the first round with 2^r0 >= k. A rejected
     round r goes next to round max(r + 1, r'), r' the least with
     C * 2^r' >= h1, the heavy count at which the peel's first locate call

@@ -1,9 +1,10 @@
 """Plain-text sparse polynomial files.
 
 Format: a header line "N <length>", then one "<index> <coefficient>" line
-per nonzero term in ascending index order, every number in ASCII decimal
-digits with no '_' separators. Lines starting with '#' and blank lines are
-ignored. Written files round-trip exactly.
+per nonzero term in ascending index order, every number in decimal
+digits with no '_' separators. Header and term lines are ASCII; lines
+starting with '#' (free text) and blank lines are ignored. Written files
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ class PolyFileError(ValueError):
 
 
 def _decimal(text: str) -> int:
-    """int(text), or ValueError unless text is ASCII with no '_': int()
-    alone also reads '1_0' and non-ASCII digits."""
-    if not text.isascii() or "_" in text:
+    """int(text) of an ASCII token, or ValueError if it holds '_', which
+    int() alone also reads ('1_0')."""
+    if "_" in text:
         raise ValueError(text)
     return int(text)
 
@@ -43,6 +44,12 @@ def parse_poly_file(path) -> SparseVector:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            if not raw.isascii():
+                # str.split and int() also read non-ASCII spaces and digits
+                what = "bad length" if length is None else "non-integer term"
+                text = raw.rstrip("\n")
+                raise PolyFileError(path, line_no,
+                                    f"{what} {text!r}: not ASCII")
             fields = line.split()
             if length is None:
                 if len(fields) != 2 or fields[0] != "N":

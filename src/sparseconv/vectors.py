@@ -96,8 +96,8 @@ def _reduce_terms(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def zero_vector(length: int) -> SparseVector:
-    if length < 1:
-        raise ValueError("length must be positive")
+    if not isinstance(length, (int, np.integer)) or length < 1:
+        raise ValueError("length must be a positive integer")
     return SparseVector(length, *_empty_terms())
 
 
@@ -130,10 +130,11 @@ def from_arrays(length: int, indices, coeffs) -> SparseVector:
     Duplicate indices are summed; zero coefficients are dropped. Raises
     ValueError for non-integral values and for indices outside
     [0, length), and EnvelopeError for a length above MAX_DIMENSION or
-    more than MAX_TERMS terms after reduction.
+    more than MAX_TERMS terms after reduction. The length must be a
+    Python or numpy integer.
     """
-    if length < 1:
-        raise ValueError("length must be positive")
+    if not isinstance(length, (int, np.integer)) or length < 1:
+        raise ValueError("length must be a positive integer")
     if length > MAX_DIMENSION:
         raise EnvelopeError(f"length {length} exceeds {MAX_DIMENSION}")
     idx = _int64_array(indices, "indices")
@@ -164,11 +165,14 @@ def subtract(x: SparseVector, y: SparseVector) -> SparseVector:
 
 
 def check_canonical(v: SparseVector, what: str) -> None:
-    """Raise ValueError unless v is in canonical form: 1-d int64 arrays of
-    equal size, indices strictly increasing in [0, length), coefficients
-    nonzero. O(l0). The SparseVector constructor checks nothing, so every
-    entry point calls this, through check_operand or directly.
+    """Raise ValueError unless v is in canonical form: a positive integer
+    length, 1-d int64 arrays of equal size, indices strictly increasing in
+    [0, length), coefficients nonzero. O(l0). The SparseVector constructor
+    checks nothing, so every entry point calls this, through check_operand
+    or directly.
     """
+    if not isinstance(v.length, (int, np.integer)) or v.length < 1:
+        raise ValueError(f"{what}: length must be a positive integer")
     idx, val = v.indices, v.coeffs
     if not (isinstance(idx, np.ndarray) and isinstance(val, np.ndarray)
             and idx.dtype == val.dtype == np.int64
@@ -245,7 +249,19 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
 
 
 def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:
-    """Conservative per-coefficient error estimate for float64 FFT multiply."""
+    """16 eps lg ||x||_2 ||y||_2, eps = 2^-53 and lg = ceil(log2 N): the
+    error bound of _rounded_fft_product, whose length is at most 2^lg.
+
+    Percival (Math. Comp. 72, 2003, Thm. 5.1) bounds a radix-2 FFT
+    convolution of length 2^lg by about (3 + 3 sqrt5 + 3 beta/eps) lg eps
+    ||x||_2 ||y||_2, beta the twiddle error: within twice this, so below
+    0.5 where this reads under 0.25, for beta < 7.4 eps. numpy's pocketfft
+    runs real-data radix-4 passes (one radix-2 pass for odd lg), each with
+    half the twiddle products of two radix-2 passes. The argument does not
+    close: the theorem is for complex data, and pocketfft's twiddles
+    (products of two libm table entries) may reach about 7 eps. So the
+    residue check stays the guard.
+    """
     nx = float(np.sqrt(np.sum(x.coeffs.astype(np.float64) ** 2)))
     ny = float(np.sqrt(np.sum(y.coeffs.astype(np.float64) ** 2)))
     lg = max(1, int(x.length - 1).bit_length())
@@ -253,14 +269,15 @@ def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:
 
 
 def _rounded_fft_product(x: SparseVector, y: SparseVector):
-    """(x * y rounded to integers, the float product it was rounded from)
-    for nonzero x and y, from one real FFT of length N, or of the power of
-    two L < N above the top product index if there is one: then nothing
-    wraps, and L is smooth where N = 2n may have large prime factors.
+    """(x * y rounded to integers, exact) for nonzero x and y, from one
+    real FFT of length N, or of the power of two above the top product
+    index if that is below N: then nothing wraps, and the length is a
+    power of two, as the analysis in _fft_error_bound assumes. exact is
+    True iff that bound and every rounding residue are below 0.25.
     """
     n = x.length
     top = int(x.indices[-1]) + int(y.indices[-1])
-    size = min(n, 1 << top.bit_length())
+    size = n if top >= n else 1 << top.bit_length()
     a = np.zeros(size, dtype=np.float64)
     b = np.zeros(size, dtype=np.float64)
     a[x.indices] = x.coeffs
@@ -269,7 +286,9 @@ def _rounded_fft_product(x: SparseVector, y: SparseVector):
     rounded = np.rint(conv)
     nz = np.flatnonzero(rounded)
     product = SparseVector(n, nz.astype(np.int64), rounded[nz].astype(np.int64))
-    return product, conv
+    conv[product.indices] -= product.coeffs     # the rounding residues
+    return product, (_fft_error_bound(x, y) < 0.25
+                     and np.abs(conv, out=conv).max() < 0.25)
 
 
 def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
@@ -288,9 +307,8 @@ def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
     if _fft_error_bound(x, y) >= 0.25:
         raise EnvelopeError(
             "coefficient mass too large for float64 FFT rounding budget")
-    product, conv = _rounded_fft_product(x, y)
-    conv[product.indices] -= product.coeffs     # the rounding residues
-    if np.abs(conv, out=conv).max() >= 0.25:
+    product, exact = _rounded_fft_product(x, y)
+    if not exact:
         raise EnvelopeError("FFT rounding residue exceeded the error budget")
     return product
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sparseconv
-from sparseconv import driver, primes
+from sparseconv import driver, primes, vectors
 from sparseconv.driver import (OUTER_FAILURE_CONSTANT, MultiplicationFailed,
                                exact_read_limit, hash_and_iterate,
                                sparse_multiply)
@@ -20,7 +20,7 @@ from sparseconv.locate import ISOLATION_CONSTANT, LocateReport, prime_range_for
 from sparseconv.primes import PrimeSamplingError, uniform_prime_below
 from sparseconv.vectors import (EnvelopeError, add, cyclic_convolve_naive,
                                 embed_for_product, from_arrays,
-                                make_sparse_vector,
+                                make_sparse_vector, poly_multiply_dense,
                                 poly_multiply_naive, subtract, zero_vector)
 
 
@@ -476,26 +476,127 @@ def test_misread_term_is_recovered_by_the_next_call():
 
 def test_dense_reading_at_n_is_fingerprinted(monkeypatch):
     # 128 * 128 pairs at N = 2^14: at budgets 32 and 64 they outnumber E
-    # and 4E >= N, so those peels read the dense real product, here
-    # corrupted by one unit; the fingerprint rejects both, and the peel at
-    # budget 128, whose E covers the pairs, returns the product
+    # and 4E >= N, so those peels read the dense real product. An exact
+    # reading is returned by the first peel with no fingerprint. With the
+    # error bound forced to 0.25 the reading is not exact, so it is
+    # fingerprinted (and accepted); corrupted by one unit as well, it is
+    # rejected at budgets 32 and 64, and the peel at budget 128, whose E
+    # covers the pairs, returns the product
+    u = make_sparse_vector(1 << 13, [(32 * j, 1 + j % 7) for j in range(128)])
+    limit = exact_read_limit(ISOLATION_CONSTANT << 1, 1 << 14)
+    assert u.l0 * u.l0 > limit and 4 * limit >= 1 << 14
+    want = poly_multiply_naive(u, u)
+    peels = _record_peels(monkeypatch)
+    verdicts = _count_fingerprints(monkeypatch)
+    assert sparse_multiply(u, u, np.random.default_rng(6)) == want
+    assert peels == [(32, [])] and verdicts == []
+
+    monkeypatch.setattr(vectors, "_fft_error_bound", lambda x, y: 0.25)
+    peels.clear()
+    assert sparse_multiply(u, u, np.random.default_rng(6)) == want
+    assert peels == [(32, [])] and verdicts == [(want, True)]
+
     real_product = driver._rounded_fft_product
     corrupted = []
 
     def off_by_one(x, y):
-        product, conv = real_product(x, y)
+        product, exact = real_product(x, y)
+        assert not exact
         corrupted.append(add(product, make_sparse_vector(x.length, [(0, 1)])))
-        return corrupted[-1], conv
+        return corrupted[-1], exact
 
     monkeypatch.setattr(driver, "_rounded_fft_product", off_by_one)
-    verdicts = _count_fingerprints(monkeypatch)
-    u = make_sparse_vector(1 << 13, [(32 * j, 1 + j % 7) for j in range(128)])
-    limit = exact_read_limit(ISOLATION_CONSTANT << 1, 1 << 14)
-    assert u.l0 * u.l0 > limit and 4 * limit >= 1 << 14
-    got = sparse_multiply(u, u, np.random.default_rng(6))
-    assert got == poly_multiply_naive(u, u)
+    verdicts.clear()
+    assert sparse_multiply(u, u, np.random.default_rng(6)) == want
     assert len(corrupted) == 2
     assert verdicts == [(w, False) for w in corrupted]
+
+
+def _mass_corner(n, rng):
+    """An operand in dimension N = 2n with five coefficients 2^20, one of
+    681061 and 100 of +-1, one of them at index n - 1. Two of them have an
+    l1 mass product of 2^44.996, inside the 2^45 float budget."""
+    idx = np.append(rng.choice(n - 1, size=106, replace=False), n - 1)
+    return from_arrays(2 * n, idx, np.concatenate(
+        [[1 << 20] * 5, [681061], rng.choice([-1, 1], size=101)]))
+
+
+@pytest.mark.parametrize("log2_n, exact", [(22, True), (24, False)])
+def test_dense_reading_at_the_mass_corner(monkeypatch, log2_n, exact):
+    # The top index 2n - 2 puts the transform at N. The error bound reads
+    # 0.233 at N = 2^22 and 0.254 at N = 2^24, where the reading is not
+    # exact, so the driver fingerprints it; both readings are correct. The
+    # largest rounding residue of the float product, 1.7e-4 and 1.5e-4
+    # (seed 28), stays below a hundredth of the bound.
+    n = 1 << (log2_n - 1)
+    rng = np.random.default_rng(28)
+    x, y = _mass_corner(n, rng), _mass_corner(n, rng)
+    driver._check_float_budget(x, y)
+    floats = []
+    real_irfft = np.fft.irfft
+
+    def irfft(*args):
+        floats.append(real_irfft(*args))
+        return floats[-1].copy()    # the caller writes residues into it
+
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    product, got = vectors._rounded_fft_product(x, y)
+    bound = vectors._fft_error_bound(x, y)
+    assert (bound < 0.25) == got == exact
+    (conv,) = floats
+    assert conv.size == 2 * n
+    residue = float(np.abs(conv - np.rint(conv)).max())
+    assert residue < bound / 100, (residue, bound)
+    assert product == cyclic_convolve_naive(x, y)
+
+
+def test_residue_check_and_bound_refusal_of_the_dense_product(monkeypatch):
+    # A float product off by 0.3 at one index still rounds right and its
+    # bound passes, but its residue does not: the reading is not exact,
+    # and dense_fft_multiply raises its residue error. With the bound at
+    # 0.25 it refuses before the transform.
+    x = make_sparse_vector(64, [(0, 3), (5, -2), (9, 7)])
+    real_irfft = np.fft.irfft
+
+    def off_by_three_tenths(*args):
+        conv = real_irfft(*args)
+        conv[3] += 0.3
+        return conv
+
+    monkeypatch.setattr(np.fft, "irfft", off_by_three_tenths)
+    product, exact = vectors._rounded_fft_product(x, x)
+    assert product == cyclic_convolve_naive(x, x) and not exact
+    with pytest.raises(EnvelopeError, match="FFT rounding residue exceeded"):
+        vectors.dense_fft_multiply(x, x)
+    monkeypatch.setattr(vectors, "_fft_error_bound", lambda x, y: 0.25)
+    with pytest.raises(EnvelopeError, match="coefficient mass too large"):
+        vectors.dense_fft_multiply(x, x)
+
+
+def test_unwrapped_product_at_a_large_prime_factor_runs_at_a_power_of_two(
+        monkeypatch):
+    # n = 65521 is prime, so N = 2n has a large prime factor. The top
+    # index 2n - 2 lies in [2^16, N), so the power of two above it is
+    # 2^17 > N, and nothing wraps there: both the dense baseline and the
+    # driver's reading at N (budget 128, where 4E >= N and the pairs
+    # outnumber E) transform at 2^17, not at N
+    n = 65521
+    rng = np.random.default_rng(21)
+    u, v = (from_arrays(n, np.append(rng.choice(n - 1, 199, replace=False),
+                                     n - 1), rng.integers(1, 100, 200))
+            for _ in range(2))
+    x, y = embed_for_product(u, v)
+    limit = exact_read_limit(128, 2 * n)
+    assert x.l0 * y.l0 > limit and 4 * limit >= 2 * n
+    sizes = []
+    real_rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda a: sizes.append(a.size) or real_rfft(a))
+    want = poly_multiply_naive(u, v)
+    assert poly_multiply_dense(u, v) == want
+    w, trace, proven = hash_and_iterate(x, y, 128, np.random.default_rng(0))
+    assert w == want and trace == [] and proven
+    assert sizes == [1 << 17] * 4
 
 
 def test_exact_read_limit_formula():
@@ -533,8 +634,8 @@ def test_peel_reads_exactly_when_pairs_fit_the_limit(monkeypatch):
 
 def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
     # 4E >= N: the dense real product reads the whole product, with no
-    # fold and no draw, and keeps it whatever its size, unproven, for the
-    # caller's fingerprint; N = 128 at budget
+    # fold and no draw, and keeps it whatever its size, proven, since its
+    # bound and residues are below 0.25; N = 128 at budget
     # 16 (E = 1792 >= N) and N = 2^14 at budget 32 (E = 7168: N/4 <= E < N)
     monkeypatch.setattr(driver, "locate_with_report", _no_locate)
     small = make_sparse_vector(128, [(j, 1 + j % 7) for j in range(64)])
@@ -547,7 +648,7 @@ def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
         state = rng.bit_generator.state
         w, trace, proven = hash_and_iterate(x, x, budget, rng)
         assert w == cyclic_convolve_naive(x, x) and w.l0 > budget
-        assert trace == [] and not proven
+        assert trace == [] and proven
         assert rng.bit_generator.state == state
 
 

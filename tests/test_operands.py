@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from sparseconv import (EnvelopeError, SparseVector, cyclic_convolve_naive,
                         dense_fft_multiply, equality_test, make_sparse_vector,
                         poly_multiply_dense, poly_multiply_naive,
-                        sparse_multiply)
+                        sparse_multiply, zero_vector)
+from sparseconv.vectors import from_arrays
 
 N = 1 << 12
 TERMS = 40
@@ -30,6 +31,7 @@ def _good_arrays():
 
 def _malformed(row):
     idx, val = _good_arrays()
+    length = N
     if row == "int16":
         val = np.full(TERMS, 300, dtype=np.int16)
     elif row == "uint8":
@@ -46,11 +48,16 @@ def _malformed(row):
         val[5] = 0
     elif row == "float":
         val = np.full(TERMS, 0.5)
-    return SparseVector(N, idx, val)
+    elif row == "float_length":
+        length = float(N)
+    elif row == "fractional_length":
+        length = N + 0.5
+    return SparseVector(length, idx, val)
 
 
 ROWS = ["int16", "uint8", "int32", "index_at_length", "negative_index",
-        "unsorted", "zero_coefficient", "float"]
+        "unsorted", "zero_coefficient", "float", "float_length",
+        "fractional_length"]
 
 
 def _good():
@@ -80,6 +87,17 @@ def test_malformed_operand_raises(entry, row):
     for args in ((_malformed(row), _good()), (_good(), _malformed(row))):
         with pytest.raises((EnvelopeError, ValueError)):
             call(*args)
+
+
+@pytest.mark.parametrize("length", [16.0, 10.5, np.float64(16), "16"])
+def test_constructors_refuse_a_non_integer_length(length):
+    # a float length used to build a vector whose products had float
+    # lengths, or raised a raw numpy UFuncTypeError
+    for build in (lambda: from_arrays(length, [1], [2]),
+                  lambda: zero_vector(length)):
+        with pytest.raises(ValueError, match="positive integer"):
+            build()
+    assert from_arrays(np.int64(16), [1], [2]) == from_arrays(16, [1], [2])
 
 
 @given(st.sampled_from(sorted(ENTRY_POINTS)), st.integers(0, TERMS - 2),

@@ -103,6 +103,14 @@ def test_error_carries_line_number(tmp_path):
     ("N 1_6\n", "bad length"),
     ("N \u0661\u0666\n", "bad length"),
     ("N 8\n5 1\n3 2\n# note\n\n5 4\n", "duplicate index 5"),
+    # str.split() reads these as separators; header and term lines are
+    # ASCII, checked on the raw line, so leading and trailing ones count
+    ("N 8\n3\u30005\n", "non-integer term .*not ASCII"),   # IDEOGRAPHIC SPACE
+    ("N 8\n1\u00a02\n", "non-integer term .*not ASCII"),   # NO-BREAK SPACE
+    ("N 8\n\u30003 5\n", "non-integer term .*not ASCII"),
+    ("N 8\n3 5\u00a0\n", "non-integer term .*not ASCII"),
+    ("N\u30008\n", "bad length .*not ASCII"),
+    ("N 8\u3000\n", "bad length .*not ASCII"),
 ])
 def test_malformed_files_rejected(tmp_path, body, message):
     path = write_text(tmp_path, "m.poly", body)
