@@ -13,14 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import GENERATION_STREAM, substream
-from .vectors import MAX_DIMENSION, SparseVector, from_arrays
+from .vectors import (MAX_DIMENSION, MAX_TERMS, EnvelopeError, SparseVector,
+                      from_arrays)
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
     """Parameters of one generated multiplication instance.
 
-    terms is the sparsity of each operand; cancel_fraction in [0, 1]
+    terms, at most MAX_TERMS, is the sparsity of each operand (more is an
+    EnvelopeError, as check_operand raises); cancel_fraction in [0, 1]
     moves from uniform random (0) to the pure telescoping family (1),
     where u is an all-ones run and v = z - 1 so the product telescopes
     to exactly two nonzeros.
@@ -37,6 +39,8 @@ class InstanceSpec:
             raise ValueError(f"n must be in [1, {MAX_DIMENSION // 2}]")
         if not 1 <= self.terms <= self.n:
             raise ValueError("terms must be in [1, n]")
+        if self.terms > MAX_TERMS:
+            raise EnvelopeError(f"{self.terms} terms exceed {MAX_TERMS}")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be positive")
         if not 0.0 <= self.cancel_fraction <= 1.0:

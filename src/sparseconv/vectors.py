@@ -68,6 +68,46 @@ def _empty_terms() -> tuple[np.ndarray, np.ndarray]:
     return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
+def _sum_runs(key: np.ndarray, val: np.ndarray,
+              b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical terms of the packed keys index << b | position, where
+    val[position] is the value: each index's values summed, zero sums
+    dropped. Sorts key in place and leaves it holding scratch.
+
+    Each index must be below 2^(63 - b) and key must be nonempty. A run's
+    sum is the difference of two entries of an int64 prefix sum: both
+    wrap modulo 2^64, so it is exact whenever the run's own sum fits in
+    int64, though the running total may not. One full-size array is new
+    here, besides a bool mask; the others have one entry per index.
+    """
+    key.sort()
+    buf = key >> b                              # the indices, sorted
+    ends = np.empty(key.size, dtype=bool)       # last entry of each run
+    np.not_equal(buf[1:], buf[:-1], out=ends[:-1])
+    ends[-1] = True
+    idx = buf[ends]
+    key &= (1 << b) - 1                         # the positions
+    # "clip" writes straight to out ("raise" would buffer it); positions
+    # are in range, so nothing is clipped
+    np.take(val, key, out=buf, mode="clip")
+    np.cumsum(buf, out=buf)
+    sums = buf[ends]
+    # Each array is released once dead, so that the next can reuse its
+    # pages: memory new to the process costs a page fault per 4 KiB.
+    del buf, ends
+    # A run's sum is its prefix sum less the run before's. key is spare
+    # now, so the differences go there and no array is made for them.
+    run = key[:sums.size]
+    run[0] = sums[0]
+    np.subtract(sums[1:], sums[:-1], out=run[1:])
+    if run.all():
+        sums[:] = run
+        return idx, sums
+    del sums
+    keep = run != 0
+    return idx[keep], run[keep]
+
+
 def _reduce_terms(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum duplicate indices and drop zero sums. Exact integer arithmetic.
 
@@ -81,18 +121,7 @@ def _reduce_terms(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndar
     b = (idx.size - 1).bit_length()
     key = idx << b
     key |= np.arange(idx.size, dtype=np.int64)
-    key.sort()
-    si = key >> b
-    key &= (1 << b) - 1
-    sv = val[key]
-    del key
-    starts = np.empty(si.size, dtype=bool)
-    starts[0] = True
-    np.not_equal(si[1:], si[:-1], out=starts[1:])
-    start_pos = np.flatnonzero(starts)
-    sums = np.add.reduceat(sv, start_pos)
-    keep = sums != 0
-    return si[start_pos][keep], sums[keep]
+    return _sum_runs(key, val, b)
 
 
 def zero_vector(length: int) -> SparseVector:
@@ -129,9 +158,10 @@ def from_arrays(length: int, indices, coeffs) -> SparseVector:
 
     Duplicate indices are summed; zero coefficients are dropped. Raises
     ValueError for non-integral values and for indices outside
-    [0, length), and EnvelopeError for a length above MAX_DIMENSION or
-    more than MAX_TERMS terms after reduction. The length must be a
-    Python or numpy integer.
+    [0, length), and EnvelopeError for a length above MAX_DIMENSION. The
+    length must be a Python or numpy integer. The term count is not
+    bounded here, since products may exceed MAX_TERMS: operands meet
+    that bound in check_operand.
     """
     if not isinstance(length, (int, np.integer)) or length < 1:
         raise ValueError("length must be a positive integer")
@@ -144,10 +174,7 @@ def from_arrays(length: int, indices, coeffs) -> SparseVector:
     if idx.size and (idx.min() < 0 or idx.max() >= length):
         bad = idx[(idx < 0) | (idx >= length)][0]
         raise ValueError(f"index {bad} out of range [0, {length})")
-    idx, val = _reduce_terms(idx, val)
-    if idx.size > MAX_TERMS:
-        raise EnvelopeError(f"{idx.size} terms exceed {MAX_TERMS}")
-    return SparseVector(length, idx, val)
+    return SparseVector(length, *_reduce_terms(idx, val))
 
 
 def add(x: SparseVector, y: SparseVector) -> SparseVector:
@@ -226,18 +253,25 @@ def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
     pairs = xi.size * yi.size
     # Sort the pairs when n > 8 * pairs, else add them into a dense int64
     # accumulator (np.add.at: exact, unlike float bincount), at every n:
-    # sorting takes 0.6-0.8x the accumulator's time at n = 8 * pairs,
-    # 0.9-1.6x at n = 4 * pairs and 0.35-0.5x at n = 16 * pairs (n = 2^18
-    # .. 2^26, one Xeon core, numpy 2.4). At n = 2^26 and 8x the sort adds
-    # 507 MiB of RSS against 752 MiB for the accumulator, and at 4x 979
-    # against 911 MiB. The sort route has pairs < n / 8 <= 2^23 =
-    # _PAIR_BLOCK, so it reads all of them at once with one _reduce_terms
-    # call; only the accumulator works in blocks.
+    # sorting takes 0.4-1.0x the accumulator's time at n = 8 * pairs,
+    # 0.8-1.6x at n = 4 * pairs (above 1 only at n <= 2^20) and 0.3-0.5x
+    # at n = 16 * pairs (n = 2^18 .. 2^26, one Xeon core, numpy 2.4). At
+    # n = 2^26 and 8x the sort adds 320 MiB of RSS against 757 MiB for the
+    # accumulator, and at 4x 627 against 924 MiB. The sort route has
+    # pairs < n / 8 <= 2^23 = _PAIR_BLOCK, so it reads all of them at once
+    # with one _sum_runs call; only the accumulator works in blocks.
     if n > 8 * pairs:
-        idx = np.add.outer(xi, yi).ravel()
-        idx[idx >= n] -= n
+        # One outer add packs index << b | position, position = row *
+        # l0(y) + column; only a top index of n or more needs the wrap.
+        b = (pairs - 1).bit_length()
+        key = np.add.outer(
+            (xi << b) + np.arange(0, pairs, yi.size, dtype=np.int64),
+            (yi << b) + np.arange(yi.size, dtype=np.int64)).ravel()
+        if xi[-1] + yi[-1] >= n:
+            wrap = n << b
+            np.subtract(key, wrap, out=key, where=key >= wrap)
         val = np.multiply.outer(xv, yv).ravel()
-        return SparseVector(n, *_reduce_terms(idx, val))
+        return SparseVector(n, *_sum_runs(key, val, b))
     acc = np.zeros(n, dtype=np.int64)
     step = _PAIR_BLOCK // yi.size
     for a in range(0, xi.size, step):

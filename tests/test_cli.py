@@ -11,7 +11,8 @@ from sparseconv.driver import MultiplicationFailed
 from sparseconv.instances import InstanceSpec, gen_instance
 from sparseconv.polyfile import parse_poly_file, write_poly_file
 from sparseconv.primes import PrimeSamplingError
-from sparseconv.vectors import make_sparse_vector, poly_multiply_naive
+from sparseconv.vectors import (MAX_TERMS, SparseVector, make_sparse_vector,
+                                poly_multiply_naive)
 
 
 def write_poly(tmp_path, name, length, pairs):
@@ -131,6 +132,32 @@ def test_verify_rejects_wrong_product(telescoping, tmp_path, capsys):
     wrong = write_poly(tmp_path, "wrong.poly", 8, [(0, -1), (4, 2)])
     assert main(["verify", a, b, wrong, "--seed", "2"]) == 1
     assert capsys.readouterr().out.strip() == "no"
+
+
+def test_verify_reads_a_product_above_the_operand_bound(tmp_path, capsys):
+    # 17 ones times 61681 ones 17 apart is one run of 17 * 61681 =
+    # MAX_TERMS + 1 ones: a true product with more terms than an operand
+    # may have, which the product file must still be allowed to hold
+    k = (MAX_TERMS + 1) // 17
+    assert 17 * k == MAX_TERMS + 1
+    n = 17 * (k - 1) + 1
+    files = []
+    for name, length, idx in (("a.poly", n, np.arange(17)),
+                              ("b.poly", n, 17 * np.arange(k)),
+                              ("p.poly", 2 * n, np.arange(17 * k))):
+        files.append(str(tmp_path / name))
+        write_poly_file(SparseVector(length, idx, np.ones_like(idx)),
+                        files[-1])
+    assert main(["verify", *files, "--seed", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "yes"
+
+
+def test_gen_refuses_more_terms_than_the_operand_bound(tmp_path, capsys):
+    a, b = (str(tmp_path / name) for name in ("a.poly", "b.poly"))
+    assert main(["gen", "--n", str(1 << 21), "--terms", str(MAX_TERMS + 1),
+                 "-o", a, "-o2", b]) == 2
+    assert f"terms exceed {MAX_TERMS}" in capsys.readouterr().err
+    assert not (tmp_path / "a.poly").exists()
 
 
 def test_verify_header_only_files(tmp_path, capsys):

@@ -834,14 +834,14 @@ def _naive_product_under_limit(terms: int, limit: int) -> list[str]:
 def test_pair_reading_memory_at_2_to_the_26():
     # n = 2^25 with 8192 terms per operand: 67 M term pairs at N = 2^26
     # and a 38 M-term product. The dense accumulator of N int64 words
-    # peaks near 1.7 GB of address space; sorting the pairs needed about
-    # 4.4 GB, which fails under this 2.25 GiB limit.
+    # peaks near 1.7 GB of address space; sorting the pairs runs out of
+    # memory under this 2.25 GiB limit.
     assert _naive_product_under_limit(8192, 9 << 28)[1] == "True"
 
 
 def test_sort_route_memory_at_2_to_the_26():
     # n = 2^25 with 2047 terms per operand: 4,190,209 term pairs, about
-    # N / 16, so the pairs are sorted. That peaks near 406 MiB of address
+    # N / 16, so the pairs are sorted. That peaks near 308 MiB of address
     # space; the dense accumulator at this size peaks near 784 MiB, so this
     # 640 MiB limit fails if the accumulator ever serves this size.
     assert _naive_product_under_limit(2047, 640 << 20)[1] == "True"
@@ -849,7 +849,7 @@ def test_sort_route_memory_at_2_to_the_26():
 
 def test_sort_route_memory_at_the_route_boundary():
     # n = 2^25 with 2896 terms per operand: 8,386,816 term pairs, the
-    # most below N / 8, so the pairs are sorted. That peaks near 655 MiB
+    # most below N / 8, so the pairs are sorted. That peaks near 464 MiB
     # of address space; the dense accumulator at this size peaks near
     # 901 MiB, so this 768 MiB limit fails if the accumulator ever serves
     # this size.

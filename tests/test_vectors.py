@@ -1,5 +1,7 @@
 """Exact-arithmetic baselines: canonical form, naive and FFT convolution."""
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,7 +186,7 @@ def test_fft_rejects_oversized_mass():
 
 def test_naive_sort_route_matches_dict_sum():
     # 500 * 500 pairs at n = 2^22 + 8 > 8 * pairs: the sort route, in one
-    # _reduce_terms call
+    # _sum_runs call
     n = (1 << 22) + 8
     rng = np.random.default_rng(3)
     xi = rng.choice(n, size=500, replace=False)
@@ -214,21 +216,35 @@ def _operands_40_by_50(n, seed):
 @pytest.mark.parametrize("block", [1, 100, 1000])
 def test_naive_sort_route_same_in_several_blocks(monkeypatch, block):
     # 40 * 50 pairs at N = 2^16 take the sort route (N > 8 * pairs). It
-    # has fewer than N / 8 pairs, so it reads them with one _reduce_terms
+    # has fewer than N / 8 pairs, so it reduces them with one _sum_runs
     # call whatever the pair block, which only the accumulator uses
     x, y = _operands_40_by_50(1 << 16, 4)
     want = dense_fft_multiply(x, y)
-    reduce_terms = vectors._reduce_terms
+    sum_runs = vectors._sum_runs
     calls = []
 
-    def counted(idx, val):
-        calls.append(idx.size)
-        return reduce_terms(idx, val)
+    def counted(key, val, b):
+        calls.append(key.size)
+        return sum_runs(key, val, b)
 
     monkeypatch.setattr(vectors, "_PAIR_BLOCK", block)
-    monkeypatch.setattr(vectors, "_reduce_terms", counted)
+    monkeypatch.setattr(vectors, "_sum_runs", counted)
     assert cyclic_convolve_naive(x, y) == want
     assert calls == [40 * 50]
+
+
+@pytest.mark.parametrize("shift", [0, 1, 2])
+def test_naive_sort_route_at_the_edge_of_the_wrap(shift):
+    # the top pair index is n - 1 (no wrap pass), n or n + 1; 40 * 50
+    # pairs at N = 2^16 take the sort route
+    n = 1 << 16
+    rng = np.random.default_rng(shift)
+    xi = np.append(rng.choice(n // 4, size=39, replace=False), n // 2 + shift)
+    yi = np.append(rng.choice(n // 4, size=49, replace=False), n // 2 - 1)
+    x = from_arrays(n, xi, rng.integers(-9, 10, size=40) | 1)
+    y = from_arrays(n, yi, rng.integers(-9, 10, size=50) | 1)
+    assert x.indices[-1] + y.indices[-1] == n - 1 + shift
+    assert cyclic_convolve_naive(x, y) == dense_fft_multiply(x, y)
 
 
 @pytest.mark.parametrize("block", [50, 500, 1000])
@@ -359,3 +375,67 @@ def test_reduce_terms_matches_dict_sum(pairs):
     idx = np.array([p[0] for p in pairs], dtype=np.int64)
     val = np.array([p[1] for p in pairs], dtype=np.int64)
     _assert_reduces_like_dict_sum(idx, val)
+
+
+_I64 = 1 << 63
+
+
+def _prefix_leaves_int64(idx, val):
+    """True if the running total of the sums per index, in index order,
+    leaves the int64 range, so that an int64 prefix sum over them wraps."""
+    return any(not -_I64 <= t < _I64
+               for t in accumulate(_dict_sum(np.array(idx), np.array(val))[1]))
+
+
+# Each index's sum fits in int64, the running total over them does not;
+# in "cancel" index 0 sums to zero.
+_WRAP_CASES = {
+    "up": ([3, 9, 12, 3, 9], [1 << 62, 1 << 62, 5, (1 << 62) - 1,
+                              (1 << 62) - 1]),
+    "down": ([1, 4, 8, 1], [-(1 << 62), -_I64, 7, -(1 << 62)]),
+    "cancel": ([0, 5, 6, 0, 6], [_I64 - 1, _I64 - 1, _I64 - 1, 1 - _I64,
+                                 -2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRAP_CASES))
+def test_sums_exact_where_the_prefix_sum_wraps(case):
+    idx, val = _WRAP_CASES[case]
+    assert _prefix_leaves_int64(idx, val)
+    want = _dict_sum(np.array(idx), np.array(val))
+    for order in (slice(None), slice(None, None, -1)):
+        got = from_arrays(16, idx[order], val[order])
+        assert (got.indices.tolist(), got.coeffs.tolist()) == want
+    # each index appears at most twice: the first in x, the second in y
+    half = len(set(idx))
+    x = from_arrays(16, idx[:half], val[:half])
+    y = from_arrays(16, idx[half:], val[half:])
+    assert add(x, y) == add(y, x) == from_arrays(16, idx, val)
+
+
+@st.composite
+def _sums_split_in_two(draw):
+    """Distinct indices, each with an int64 sum split into two int64
+    parts."""
+    idx = draw(st.lists(st.integers(0, _TOP), min_size=1, max_size=20,
+                        unique=True))
+    a, b = [], []
+    for _ in idx:
+        total = draw(st.integers(-_I64, _I64 - 1))
+        part = draw(st.integers(max(-_I64, total - _I64 + 1),
+                                min(_I64 - 1, total + _I64)))
+        a.append(part)
+        b.append(total - part)
+    return idx, a, b
+
+
+@given(_sums_split_in_two())
+@settings(max_examples=100, deadline=None)
+def test_from_arrays_and_add_exact_at_the_ends_of_int64(terms):
+    idx, a, b = terms
+    got = from_arrays(MAX_DIMENSION, idx + idx, a + b)
+    want = _dict_sum(np.array(idx + idx), np.array(a + b))
+    assert (got.indices.tolist(), got.coeffs.tolist()) == want
+    x = from_arrays(MAX_DIMENSION, idx, a)
+    y = from_arrays(MAX_DIMENSION, idx, b)
+    assert add(x, y) == got
