@@ -2,37 +2,38 @@
 """Inside the driver: growing budgets outside, peeling rounds inside.
 
 sparse_multiply never knows the product sparsity up front. It guesses a
-bucket budget, runs the peeling recovery at that budget, fingerprints
-the accumulated vector unless the peel read it exactly (see below) or
-left it empty (a product of nonzero polynomials is never zero), and on
-rejection doubles the budget, or jumps
-to the heavy-bucket count at which the peel's first locate call
-aborted, when that is larger: that call folds the product itself, so
-the count never exceeds the product's term count. At a budget whose
-exact-read limit covers the term pairs, or a dense transform at N, the
-peel reads the product exactly and calls no locate at all (an exact
+bucket budget and runs the peeling recovery at that budget. At a budget
+whose exact-read limit covers the term pairs, or a dense transform at N,
+the peel reads the product exactly and calls no locate at all (an exact
 reading is kept whatever its size). A reading from the term pairs is
 integer-exact, and one from the dense transform is checked: its float
 error bound and rounding residues are below 0.25. Either is proven and
 returned with no fingerprint; a dense reading that fails that check is
-fingerprinted like every folded peel. Otherwise it runs locate rounds
-with halving budgets, subtracting everything recovered so far, until a
-round sees no heavy bucket at all or aborts on more heavy buckets than
-its budget. A locate call folds once, at one random prime: a term it
-misses or misreads stays in the residual for the next round, and a peel
-that still ends wrong is rejected by the fingerprint, so one fold need
-not be reliable alone.
+fingerprinted. Otherwise the peel runs locate rounds with halving
+budgets, subtracting everything recovered so far. After a round that
+kept every heavy reading it fingerprints what it has, and stops if that
+verifies, so a peel that recovers the product in one round pays for no
+confirming fold. Failing that it stops at a round that sees no heavy
+bucket at all or aborts on more heavy buckets than its budget, and
+fingerprints what it ends with, unless that is empty (a product of
+nonzero polynomials is never zero) or was already rejected. A locate
+call folds once, at one random prime: a term it misses or misreads stays
+in the residual for the next round, and a peel that still ends wrong is
+rejected by the fingerprint, so one fold need not be reliable alone. A
+peel that ends unverified doubles the budget, or jumps to the
+heavy-bucket count at which its first locate call aborted, when that is
+larger: that call folds the product itself, so the count never exceeds
+the product's term count.
 
-This script replays that logic by hand on one instance, using the
-per-round trace that hash_and_iterate returns to show what each budget
-and each round actually did.
+This script replays the outer loop by hand on one instance, and then
+looks inside one peel that folds, using the per-round trace that
+hash_and_iterate returns.
 """
 
-import numpy as np
-
-from sparseconv import (InstanceSpec, embed_for_product, equality_test,
-                        gen_instance, poly_multiply_naive, substream)
-from sparseconv.driver import hash_and_iterate
+from sparseconv import (InstanceSpec, embed_for_product, gen_instance,
+                        poly_multiply_naive, substream)
+from sparseconv.driver import OUTER_FAILURE_CONSTANT, hash_and_iterate
+from sparseconv.instances import blocked_telescoping_instance
 from sparseconv.locate import ISOLATION_CONSTANT
 from sparseconv.vectors import subtract
 
@@ -49,57 +50,58 @@ x, y = embed_for_product(u, v)
 rng = substream(31, "multiply")
 verify_rng = substream(31, "verify")
 
-# Grow budgets the way the driver does, printing each verdict. A budget
-# below the number of occupied buckets makes the first locate call
-# abort, so the peel comes back empty, which is rejected with no
-# fingerprint; the heavy count that call saw sets the next budget. Here
-# that budget's exact-read limit already holds the operands' 36864 term
-# pairs, so the peel reads the whole product exactly from them: that
-# reading is proven, and the driver returns it without a fingerprint.
+# Grow budgets the way the driver does, printing each verdict. Round r
+# gives its peel the false-accept budget c / r^2, which the peel splits
+# over its fingerprints. A budget below the number of occupied buckets
+# makes the first locate call abort, so the peel comes back empty and
+# makes no fingerprint; the heavy count that call saw sets the next
+# budget. Here that budget's exact-read limit already holds the
+# operands' 36864 term pairs, so the peel reads the whole product
+# exactly from them: that reading is proven, with no fingerprint.
 print(f"\n{'budget':>7}  {'1st heavy':>9}  {'recovered':>9}  "
       f"{'residual':>8}  verdict")
 r = 1
 while True:
     budget = ISOLATION_CONSTANT << r
-    w, trace, proven = hash_and_iterate(x, y, budget, rng)
-    ok = proven or (not w.is_zero
-                    and equality_test(x, y, w, 0.01, verify_rng))
+    w, trace, verified = hash_and_iterate(x, y, budget, rng, verify_rng,
+                                          OUTER_FAILURE_CONSTANT / r ** 2)
     aborted = trace and trace[0][1].aborted_rep is not None
     heavy = trace[0][1].heavy_counts[-1] if aborted else 0
-    verdict = ("proven, no fingerprint" if proven
+    verdict = ("read exactly" if verified and not trace
+               else f"verified after round {len(trace)}" if verified
                else "empty, no fingerprint" if w.is_zero
-               else "fingerprint accepts" if ok else "fingerprint rejects")
+               else "rejected")
     print(f"{budget:>7}  {heavy:>9}  {w.l0:>9}  "
           f"{subtract(exact, w).l0:>8}  {verdict}")
-    if ok:
+    if verified:
         assert w == exact
         break
     cells = -(-heavy // ISOLATION_CONSTANT)   # least C * 2^r >= heavy
     r = max(r + 1, (cells - 1).bit_length())
 
-# Now look inside the successful budget: the per-round trace. Budgets
-# halve per round because the residual shrinks at least that fast, and
-# a round that sees no heavy bucket ends the peel. Here the term pairs
-# fit within the exact-read limit 16 * B * ceil(log2 N), so the peel
-# reads the whole product exactly from them, calls no locate, and its
-# trace is empty.
-w, trace, proven = hash_and_iterate(x, y, budget, substream(32, "multiply"))
-print(f"\nper-round trace at budget {budget}:")
-if proven:
-    print("exact reading (term pairs, or the checked dense product at N), "
-          "no locate call: returned without a fingerprint")
-elif not trace:
-    print("dense reading at N that failed its exactness check, no locate "
-          "call: the fingerprint checks it")
-else:
-    print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
-          f"{'recovered':>9}  {'residual':>8}")
+# Now look inside a peel that folds: a blocked-telescoping product of
+# 2048 and 2016 operand terms that cancels to 32. Its pairs outnumber the
+# exact-read limit, so the first budget folds. Budgets halve per round
+# because the residual shrinks at least that fast; here the first round
+# reads every product term, the fingerprint after it verifies, and the
+# peel stops without the fold that would only have seen an empty
+# residual.
+u, v, exact = blocked_telescoping_instance(12)
+x, y = embed_for_product(u, v)
+budget = ISOLATION_CONSTANT << 1
+w, trace, verified = hash_and_iterate(x, y, budget, substream(32, "multiply"),
+                                      substream(32, "verify"),
+                                      OUTER_FAILURE_CONSTANT)
+print(f"\nper-round trace at budget {budget}, l0(u) = {u.l0}, "
+      f"l0(v) = {v.l0}, product terms = {exact.l0}:")
+print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
+      f"{'recovered':>9}  {'residual':>8}")
 for r, (w_after, report) in enumerate(trace):
-    heavy = max(report.heavy_counts) if report.heavy_counts else 0
     round_budget = max(1, budget >> r)      # hash_and_iterate halves it
-    print(f"{r:>5}  {round_budget:>7}  {heavy:>10}  "
+    print(f"{r:>5}  {round_budget:>7}  {report.heavy_counts[0]:>10}  "
           f"{w_after.l0:>9}  {subtract(exact, w_after).l0:>8}")
-assert w == exact
+print("verified" if verified else "not verified")
+assert w == exact and verified
 
 # The abort gate is what keeps wrong budgets cheap: a locate call stops
 # as soon as it counts more heavy buckets than the budget allows, and the

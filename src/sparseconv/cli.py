@@ -1,7 +1,7 @@
 """Command-line front end: multiply, gen, verify, bench.
 
 Exit codes: 0 success / verified, 1 algorithm or verification failure,
-2 invalid input.
+2 invalid input, 3 out of memory.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .vectors import (EnvelopeError, SparseVector, embed_for_product,
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
+EXIT_OUT_OF_MEMORY = 3      # not 1: callers retry exit 1 with another seed
 
 ALGOS = ("naive", "dense", "sparse")
 
@@ -201,6 +202,10 @@ def main(argv=None) -> int:
     except GAVE_UP as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
+    except MemoryError as exc:
+        print(f"{args.command} ran out of memory: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

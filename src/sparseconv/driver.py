@@ -7,13 +7,18 @@ of phase-folded buckets over a logarithmic number of halving rounds (each
 round recovers most of what is still missing, so the residual support
 contracts geometrically). A reading from the term pairs is integer-exact,
 one from the dense transform at N checked; either is returned as it is.
-Every other result is fingerprinted against the operands, and the first
-that verifies is returned. Nothing unproven and unverified ever escapes.
-On rejection the budget doubles, or jumps to the heavy count of the
-peel's first locate call if larger: a lower bound on the product sparsity.
+The peel fingerprints its w against the operands after every round that
+kept all it read, and stops at the first that verifies, so a peel that
+recovers the product in one round pays for no confirming fold; whatever
+w it ends with is fingerprinted too. Nothing unproven and unverified ever
+escapes. When a peel ends unverified the budget doubles, or jumps to the
+heavy count of the peel's first locate call if larger: a lower bound on
+the product sparsity.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -45,60 +50,80 @@ def exact_read_limit(bucket_budget: int, dimension: int) -> int:
 
 
 def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
-                     rng: np.random.Generator):
-    """Peeling recovery of x * y at a fixed sparsity budget.
+                     rng: np.random.Generator,
+                     verify_rng: np.random.Generator, delta: float):
+    """Peeling recovery of x * y at a fixed sparsity budget, verified as it
+    goes.
 
     First it decides whether to read the product exactly instead, with
     E = exact_read_limit(B, N): from the term pairs (the structural
     enumeration of Arnold & Roche) when l0(x) * l0(y) <= E, or from the
     dense real product when 4E >= N, where one real transform of length
     at most N costs about what the folds would. An exact reading calls no
-    locate, draws nothing and is returned whatever its size. The pair
+    locate, draws nothing from rng and is kept whatever its size. The pair
     reading is integer-exact under the int64 envelope, and the dense one
     is proven when _rounded_fft_product finds it exact (see
-    sparse_multiply): the caller returns either with no fingerprint.
-    Otherwise N > 4E >= 2L, L =
-    locate.prime_range_for(B), so every prime a locate call draws is
-    below N/2.
+    sparse_multiply); a dense reading that is not is fingerprinted.
+    Otherwise N > 4E >= 2L, L = locate.prime_range_for(B), so every prime
+    a locate call draws is below N/2.
 
-    The peel runs ceil(log2 B) locate rounds with halving budgets B, B/2,
-    ..., accumulating recovered terms into w so later rounds only see the
-    shrinking residual; it stops at a round whose fold sees no heavy
-    bucket, or at an abort. Each call folds once, so it may miss a term,
-    which stays in the residual for a later round, or misread one, which
-    becomes a residual term that a later round recovers. With B >= 16 *
-    l0(x * y) no round aborts, and w equals x * y except with the
-    probability bounded in sparse_multiply; smaller budgets typically
-    return a partial (often empty) w. The caller's fingerprint rejects
-    every inexact w, so a miss costs time, never a wrong product. A
-    nonzero residual looks quiet only if all its terms share buckets
-    (see locate_with_report), which ends the peel with an incomplete w.
-    Returns (w, trace, proven): trace holds (w so far, LocateReport) per
-    locate round, empty for an exact reading; proven is True for the pair
-    reading and an exact dense one. The caller fingerprints every other
-    w that is nonzero: x and y are nonzero, so an empty w is never their
-    product.
+    The peel runs up to ceil(log2 B) locate rounds with halving budgets
+    B, B/2, ..., accumulating recovered terms into w so later rounds only
+    see the shrinking residual. After a round that did not abort, saw a
+    heavy bucket and kept every heavy reading, it fingerprints w, and
+    stops if the fingerprint accepts. Otherwise it stops at a round whose
+    fold sees no heavy bucket, at an abort, or after the last round, and
+    fingerprints the w it ends with unless that w was already rejected.
+    Each call folds once, so it may miss a term, which stays in the
+    residual for a later round, or misread one, which becomes a residual
+    term that a later round recovers. With B >= 16 * l0(x * y) no round
+    aborts, and w equals x * y except with the probability bounded in
+    sparse_multiply; smaller budgets typically end with a partial (often
+    empty) w. A nonzero residual looks quiet only if all its terms share
+    buckets (see locate_with_report), which ends the peel with an
+    incomplete w.
+
+    The j-th fingerprint (j = 0, 1, ...) draws from verify_rng with
+    false-accept budget delta / 2^(j+1); those sum to less than delta.
+    An empty w is never fingerprinted: x and y are nonzero, so it is
+    never their product. Returns (w, trace, verified): trace holds (w so
+    far, LocateReport) per locate round, empty for an exact reading;
+    verified is True for the pair reading, an exact dense one, and a w
+    the fingerprint accepted, and the caller returns w only then.
     """
     if bucket_budget < 1:
         raise ValueError("bucket budget must be positive")
+    deltas = (delta / 2 ** j for j in itertools.count(1))
+
+    def verified(w: SparseVector) -> bool:
+        return not w.is_zero and equality_test(x, y, w, next(deltas),
+                                               verify_rng)
+
     exact = exact_read_limit(bucket_budget, x.length)
     if x.l0 * y.l0 <= exact:
         return cyclic_convolve_naive(x, y), [], True
     if 4 * exact >= x.length:
         w, proven = _rounded_fft_product(x, y)
-        return w, [], proven
+        return w, [], proven or verified(w)
     w = zero_vector(x.length)
     trace: list[tuple[SparseVector, LocateReport]] = []
+    unchecked = False                   # w changed since its last fingerprint
     for r in range(max(1, (bucket_budget - 1).bit_length())):
         z, report = locate_with_report(x, y, w, bucket_budget >> r, rng)
         w = add(w, z)
         trace.append((w, report))
-        if report.aborted_rep is not None or report.heavy_counts[0] == 0:
+        heavy = report.heavy_counts[0]
+        if report.aborted_rep is not None or heavy == 0:
             # A quiet fold: later rounds are no-ops. An abort leaves more
-            # heavy buckets than the halved budgets can take: leave w to
-            # the caller's fingerprint.
+            # heavy buckets than the halved budgets can take.
             break
-    return w, trace, False
+        unchecked = unchecked or z.l0 > 0
+        if z.l0 == heavy:
+            # Every heavy bucket read as one term: w may be complete.
+            if verified(w):
+                return w, trace, True
+            unchecked = False
+    return w, trace, unchecked and verified(w)
 
 
 def _check_float_budget(u: SparseVector, v: SparseVector) -> None:
@@ -134,10 +159,19 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     An empty w (a peel whose first call aborted) is rejected with no
     fingerprint: at N = 2n the cyclic product is the polynomial product,
     and over Z the product of two nonzero polynomials is nonzero.
-    The fingerprint accepts an exact w always and an inexact one in round
-    r with probability at most c / r^2, c = OUTER_FAILURE_CONSTANT: below
-    c * pi^2 / 6 < 0.0042 over all rounds. Otherwise a call fails only if
-    no peel is exact.
+    The peel of round r gives its j-th fingerprint the false-accept budget
+    c / (r^2 2^(j+1)), c = OUTER_FAILURE_CONSTANT. A fingerprint accepts
+    an exact w always, and the checks of round r together accept an
+    inexact one with probability below sum_j c / (r^2 2^(j+1)) = c / r^2:
+    below c * pi^2 / 6 < 0.0042 over all rounds, as with one check per
+    round at c / r^2. (Halving a budget adds at most a quarter of a point
+    to eval_rounds before rounding up, since a point gives at least 4
+    bits.) A peel stops before its quiet fold or last round only on an
+    accepted w, so, outside that false accept, only on an exact w; there
+    the residual is zero, every later fold would be quiet, and the full
+    peel would have ended with the same w. So the analysis below, which
+    bounds the chance that a full peel ends inexact, holds unchanged, and
+    otherwise a call fails only if no peel is exact.
     Let k = l0(x * y) and r0 the first round with 2^r0 >= k. A rejected
     round r goes next to round max(r + 1, r'), r' the least with
     C * 2^r' >= h1, the heavy count at which the peel's first locate call
@@ -181,10 +215,10 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     try:
         while r <= max_rounds:
             budget = ISOLATION_CONSTANT << r                 # C * 2^r
-            w, trace, proven = hash_and_iterate(x, y, budget, locate_rng)
-            delta = OUTER_FAILURE_CONSTANT / (r * r)
-            if proven or (not w.is_zero
-                          and equality_test(x, y, w, delta, fingerprint_rng)):
+            w, trace, verified = hash_and_iterate(
+                x, y, budget, locate_rng, fingerprint_rng,
+                OUTER_FAILURE_CONSTANT / (r * r))
+            if verified:
                 return w
             if trace and trace[0][1].aborted_rep is not None:
                 # jump to C * 2^r >= heavy

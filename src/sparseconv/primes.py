@@ -56,14 +56,23 @@ def uniform_prime_below(limit: int, rng: np.random.Generator) -> int:
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# The least strong pseudoprime to the bases 2, 7 and 61 (Jaeschke 1993):
+# 48781 * 97561. Every prime the package draws lies below it.
+_THREE_BASE_LIMIT = 4_759_123_141
+
 
 def miller_rabin(n: int) -> bool:
     """Exact primality test for 0 <= n < 2^64; raises ValueError outside.
 
-    The strong test on the twelve bases 2..37: no odd composite below
-    psi_12 = 318665857834031151167461 (about 3.18e23) is a strong
-    pseudoprime to all of them (Sorenson & Webster, "Strong pseudoprimes
-    to twelve prime bases", Math. Comp. 2017).
+    Trial division by the primes up to 37, then the strong test on the
+    bases 2, 7 and 61 below 4,759,123,141, where no odd composite is a
+    strong pseudoprime to all three (Jaeschke, "On strong pseudoprimes to
+    several bases", Math. Comp. 1993), and on the twelve bases 2..37
+    above: no odd composite below psi_12 = 318665857834031151167461
+    (about 3.18e23) is a strong pseudoprime to all of them (Sorenson &
+    Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
+    2017). A base that n divides is skipped: after the trial division
+    that happens only for n = 61, a prime, which the other bases pass.
     """
     if not 0 <= n < 1 << 64:
         raise ValueError(f"miller_rabin is exact only on [0, 2^64), got {n}")
@@ -78,7 +87,9 @@ def miller_rabin(n: int) -> bool:
     while d % 2 == 0:       # n - 1 = d * 2**s with d odd
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in (2, 7, 61) if n < _THREE_BASE_LIMIT else _SMALL_PRIMES:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)      # builtin pow: C-level square-and-multiply
         if x == 1 or x == n - 1:
             continue

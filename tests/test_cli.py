@@ -1,12 +1,16 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sparseconv
 from sparseconv import driver
-from sparseconv.cli import ALGOS, main
+from sparseconv.cli import ALGOS, EXIT_OUT_OF_MEMORY, main
 from sparseconv.driver import MultiplicationFailed
 from sparseconv.instances import InstanceSpec, gen_instance
 from sparseconv.polyfile import parse_poly_file, write_poly_file
@@ -111,6 +115,33 @@ def test_multiply_gives_up_in_one_line(telescoping, tmp_path, capsys,
     assert main(["multiply", a, b, "--seed", "1", "--fallback-dense",
                  "-o", str(out)]) == 0
     assert parse_poly_file(out) == make_sparse_vector(8, [(0, -1), (4, 1)])
+
+
+@pytest.mark.parametrize("algo", ["dense", "sparse"])
+def test_out_of_memory_is_one_line_and_its_own_exit_code(tmp_path, algo):
+    # two 4096-term operands at n = 2^25: the dense product needs a 512 MiB
+    # float64 array and the sparse driver's pair reading a 512 MiB int64
+    # accumulator, more than a 600 MiB address space leaves beside numpy.
+    # The limit is set on the child only. Exit 3, not 1, which callers
+    # retry with another seed
+    resource = pytest.importorskip("resource")
+    a, b = str(tmp_path / "a.poly"), str(tmp_path / "b.poly")
+    assert main(["gen", "--n", str(1 << 25), "--terms", "4096", "--seed", "1",
+                 "-o", a, "-o2", b]) == 0
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sparseconv.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "sparseconv.cli", "multiply", a, b,
+         "--algo", algo, "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == EXIT_OUT_OF_MEMORY == 3
+    assert out.stdout == ""
+    assert out.stderr.startswith("multiply ran out of memory: Unable to ")
+    assert out.stderr.count("\n") == 1
 
 
 def test_gen_then_multiply_then_verify(tmp_path, capsys):

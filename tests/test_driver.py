@@ -42,15 +42,22 @@ def _telescoping_slots(seed, n=1 << 18, run=1 << 13, slots=8):
     return u, v, poly_multiply_naive(u, v)
 
 
+def _peel(x, y, budget, rng):
+    """hash_and_iterate with rng as its locate stream, a stream of its own
+    for the fingerprint, and the first outer round's false-accept budget."""
+    return hash_and_iterate(x, y, budget, rng, np.random.default_rng(0),
+                            OUTER_FAILURE_CONSTANT)
+
+
 def _record_peels(monkeypatch):
     """Patch the driver to record each peel's (budget, trace) in a list."""
     real_peel = driver.hash_and_iterate
     peels = []
 
-    def peel(x, y, budget, rng):
-        w, trace, proven = real_peel(x, y, budget, rng)
+    def peel(x, y, budget, *streams_and_delta):
+        w, trace, verified = real_peel(x, y, budget, *streams_and_delta)
         peels.append((budget, trace))
-        return w, trace, proven
+        return w, trace, verified
 
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
     return peels
@@ -209,45 +216,53 @@ def test_float_mass_guard():
 def test_hash_and_iterate_recovers_with_generous_budget():
     u, v, want = _telescoping_slots(12)
     x, y = embed_for_product(u, v)
-    w, trace, proven = hash_and_iterate(x, y, 16 * want.l0,
-                                        np.random.default_rng(7))
-    assert w == want and not proven
+    w, trace, verified = _peel(x, y, 16 * want.l0, np.random.default_rng(7))
+    assert w == want and verified
     assert trace[0][1].reps_run == len(trace[0][1].primes) == 1
 
 
 def test_hash_and_iterate_residual_contracts_per_round():
     u, v, exact = _telescoping_slots(21)      # budget 16 * 16 = 256
     x, y = embed_for_product(u, v)
-    _, trace, _ = hash_and_iterate(x, y, 16 * exact.l0,
-                                   np.random.default_rng(8))
+    _, trace, _ = _peel(x, y, 16 * exact.l0, np.random.default_rng(8))
     residuals = [subtract(exact, w).l0 for w, _ in trace]
     assert residuals[-1] == 0
     assert all(a >= b for a, b in zip(residuals, residuals[1:]))
     assert all(report.primes for _, report in trace)
 
 
-def test_hash_and_iterate_converged_exit():
-    # once the residual is empty no later round may see a heavy bucket,
-    # so the trace stops early instead of burning the remaining rounds.
+def test_hash_and_iterate_converged_exit(monkeypatch):
     # u = 1 + ... + z^16383 against z - 1: 32768 pairs outnumber L/2 =
-    # 7680 at budget 32, so the peel folds until a quiet call
+    # 7680 at budget 32, so the peel folds. Its first round keeps every
+    # heavy reading and recovers the whole product, so it fingerprints w,
+    # which verifies, and stops there with no confirming fold
     n = 1 << 14
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(n)])
     y = make_sparse_vector(2 * n, [(0, -1), (1, 1)])
-    w, trace, proven = hash_and_iterate(x, y, 32, np.random.default_rng(9))
-    assert w == cyclic_convolve_naive(x, y) and not proven
-    assert 1 < len(trace) < 5 and trace[0][1].primes
+    verdicts = _count_fingerprints(monkeypatch)
+    w, trace, verified = _peel(x, y, 32, np.random.default_rng(9))
+    assert w == cyclic_convolve_naive(x, y) and verified
+    assert len(trace) == 1 and trace[0][1].primes
+    assert trace[0][1].heavy_counts == [w.l0]
+    assert verdicts == [(w, True)]
+    # with every fingerprint rejecting, the same peel goes on until no
+    # later round sees a heavy bucket: the closing quiet call folds once,
+    # like every call, and the w it leaves, already rejected, is not
+    # fingerprinted again
+    monkeypatch.setattr(driver, "equality_test", lambda *args: False)
+    w, trace, verified = _peel(x, y, 32, np.random.default_rng(9))
+    assert w == cyclic_convolve_naive(x, y) and not verified
+    assert len(trace) == 2 and trace[0][0] == w
     last_report = trace[-1][1]
     assert last_report.heavy_counts == [0] and last_report.aborted_rep is None
-    # the closing quiet call folds once, like every call
     assert last_report.reps_run == 1
     # an exact reading from the pairs calls no locate: the trace is empty,
     # and the reading is proven
     x = make_sparse_vector(32, [(1, 2)])
     y = make_sparse_vector(32, [(3, 4)])
-    w, trace, proven = hash_and_iterate(x, y, 256, np.random.default_rng(9))
+    w, trace, verified = _peel(x, y, 256, np.random.default_rng(9))
     assert w == cyclic_convolve_naive(x, y)
-    assert trace == [] and proven
+    assert trace == [] and verified
 
 
 def _budget_overflow_operands():
@@ -265,8 +280,8 @@ def test_hash_and_iterate_budget_too_small_yields_rejectable_w():
     # and the accumulated w stays incomplete; the driver's verification
     # must then reject it (here: compare directly)
     x, y, exact = _budget_overflow_operands()
-    w, trace, proven = hash_and_iterate(x, y, 2, np.random.default_rng(10))
-    assert w != exact and not proven
+    w, trace, verified = _peel(x, y, 2, np.random.default_rng(10))
+    assert w != exact and not verified
     assert w.l0 < exact.l0
     assert trace[0][1].primes
 
@@ -275,7 +290,7 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
     # an aborted locate call returns zero and leaves more heavy buckets
     # than the budget; the halved budgets after it are not tried
     x, y, exact = _budget_overflow_operands()
-    w, trace, _ = hash_and_iterate(x, y, 32, np.random.default_rng(10))
+    w, trace, _ = _peel(x, y, 32, np.random.default_rng(10))
     assert len(trace) == 1
     assert trace[0][1].aborted_rep is not None and trace[0][1].primes
     assert w != exact
@@ -284,14 +299,14 @@ def test_hash_and_iterate_stops_at_first_aborted_call():
 @pytest.mark.parametrize("budget", [16, 1 << 16])
 def test_hash_and_iterate_folds_once_per_call(budget):
     # every locate call of a peel that folds draws one prime, whatever
-    # the budget. The telescoping operands fold at budget 16; at 2^16
-    # their pairs fit E and the peel reads the product exactly from them,
-    # with no locate call, and proven
+    # the budget. The telescoping operands fold at budget 16, and the
+    # fingerprint verifies the peel's w; at 2^16 their pairs fit E and the
+    # peel reads the product exactly from them, with no locate call, and
+    # proven
     u, v, exact = _telescoping_slots(22)
     x, y = embed_for_product(u, v)
-    w, trace, proven = hash_and_iterate(x, y, budget,
-                                        np.random.default_rng(11))
-    assert w == exact and proven == (budget != 16)
+    w, trace, verified = _peel(x, y, budget, np.random.default_rng(11))
+    assert w == exact and verified
     if budget != 16:
         assert trace == []
         return
@@ -303,19 +318,23 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
     # every locate call of the peel that would first verify drops one
     # recovered term; that peel ends inexact, the fingerprint rejects it,
     # and a later peel still returns the exact product. Both verifying
-    # peels fold at drawn primes.
+    # peels fold at drawn primes. No round of the lossy peel keeps every
+    # heavy reading, so only the w it ends with is fingerprinted
     u, v, exact = _telescoping_slots(23)
     real_peel, real_locate = driver.hash_and_iterate, driver.locate_with_report
+    verdicts = _count_fingerprints(monkeypatch)
     peels = []
     folded = []
     lossy_budget = None
 
-    def peel(x, y, budget, rng):
+    def peel(x, y, budget, *streams_and_delta):
         peels.append(budget)
-        w, trace, proven = real_peel(x, y, budget, rng)
+        before = len(verdicts)
+        w, trace, verified = real_peel(x, y, budget, *streams_and_delta)
         folded.append(bool(trace))
-        assert budget != lossy_budget or w != exact
-        return w, trace, proven
+        if budget == lossy_budget:
+            assert w != exact and verdicts[before:] == [(w, False)]
+        return w, trace, verified
 
     def lossy_locate(x, y, w, budget, rng):
         z, report = real_locate(x, y, w, budget, rng)
@@ -343,9 +362,9 @@ def test_budget_jumps_to_the_heavy_count(monkeypatch, seed):
     real_peel = driver.hash_and_iterate
     budgets = []
 
-    def peel(x, y, budget, rng):
+    def peel(x, y, budget, *streams_and_delta):
         budgets.append(budget)
-        return real_peel(x, y, budget, rng)
+        return real_peel(x, y, budget, *streams_and_delta)
 
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
     got = sparse_multiply(u, v, np.random.default_rng(seed))
@@ -416,6 +435,29 @@ def test_folded_product_is_fingerprinted(monkeypatch):
     assert verdicts[-1][0] == want and verdicts[-1][1]
 
 
+@pytest.mark.parametrize("log2_terms", range(10, 15))
+def test_telescoping_member_makes_one_fold_and_one_fingerprint(
+        monkeypatch, log2_terms):
+    # the first peel recovers the whole product in its first round and
+    # keeps every heavy reading, so it fingerprints w there and stops: no
+    # confirming fold, and no second fingerprint
+    u, v, want = blocked_telescoping_instance(log2_terms)
+    real_locate = driver.locate_with_report
+    folds = []
+
+    def locate(*args):
+        folds.append(args[3])
+        return real_locate(*args)
+
+    monkeypatch.setattr(driver, "locate_with_report", locate)
+    verdicts = _count_fingerprints(monkeypatch)
+    for seed in range(3):
+        folds.clear()
+        verdicts.clear()
+        assert sparse_multiply(u, v, np.random.default_rng(seed)) == want
+        assert folds == [32] and verdicts == [(want, True)]
+
+
 def _weighted_telescoping(log2_terms, runs, seed):
     """blocked_telescoping_instance(log2_terms, runs) with one random
     weight per block of cancellers: +-1, or +-2^20 for about one block in
@@ -449,15 +491,12 @@ def test_weighted_telescoping_ends_by_a_folded_peel(monkeypatch, log2_terms,
         assert peels[-1][1], f"seed {seed} did not end by a folded peel"
 
 
-def test_misread_term_is_recovered_by_the_next_call():
-    # x * y = 2^20 (z^a - 1) + (z^(p + a) - z^p), p the prime the first
-    # call draws: -2^20 and -1 share bucket 0, and 2^20 and 1 share
-    # bucket a mod p. w^p is within 0.01 of 1, so each shared bucket
-    # decodes, in its own bucket, to one term of magnitude 2^20 + 1: the
-    # first call misreads two terms and misses two, and the next call, at
-    # a new prime, reads the four-term residual they leave
-    n, a, budget = 1 << 21, 1 << 13, 64     # N = 2^22: E = 22528 < 4a
-    seed = 3
+def _misread_operands(budget, seed):
+    """x, y over N = 2^22 with x * y = 2^20 (z^a - 1) + (z^(p + a) - z^p),
+    a = 2^13 and p the prime that a locate call at this budget draws first
+    from default_rng(seed). The pairs outnumber E and 4E < N (E = 22528 at
+    budget 64), so the peel folds. Returns (x, y, p, a)."""
+    n, a = 1 << 21, 1 << 13
     p = uniform_prime_below(prime_range_for(budget),
                             np.random.default_rng(seed))
     x = from_arrays(2 * n, np.arange(a), np.ones(a, dtype=np.int64))
@@ -465,13 +504,84 @@ def test_misread_term_is_recovered_by_the_next_call():
                                    (p, -1), (p + 1, 1)])
     limit = exact_read_limit(budget, 2 * n)
     assert x.l0 * y.l0 > limit and 4 * limit < 2 * n
+    return x, y, p, a
+
+
+def test_misread_term_is_recovered_by_the_next_call(monkeypatch):
+    # -2^20 and -1 share bucket 0, and 2^20 and 1 share bucket a mod p.
+    # w^p is within 0.01 of 1, so each shared bucket decodes, in its own
+    # bucket, to one term of magnitude 2^20 + 1: the first call misreads
+    # two terms and misses two, and the next call, at a new prime, reads
+    # the four-term residual they leave. Each call keeps every heavy
+    # reading, so each is followed by a fingerprint: the first rejects,
+    # the second accepts, and the peel stops there, the j-th check at
+    # delta / 2^(j+1)
+    budget, seed = 64, 3
+    x, y, p, a = _misread_operands(budget, seed)
     exact = cyclic_convolve_naive(x, y)
-    w, trace, _ = hash_and_iterate(x, y, budget, np.random.default_rng(seed))
+    real_test = driver.equality_test
+    checks = []
+
+    def fingerprint(x, y, w, delta, rng):
+        checks.append((w, delta, real_test(x, y, w, delta, rng)))
+        return checks[-1][2]
+
+    monkeypatch.setattr(driver, "equality_test", fingerprint)
+    w, trace, verified = _peel(x, y, budget, np.random.default_rng(seed))
     first = trace[0][0]
     assert trace[0][1].primes == [p]
     assert first.to_pairs() == [(0, -(1 << 20) - 1), (a, (1 << 20) + 1)]
-    assert w == exact
+    assert w == exact and verified and len(trace) == 2
     assert subtract(exact, trace[1][0]).is_zero
+    delta = OUTER_FAILURE_CONSTANT
+    assert checks == [(first, delta / 2, False), (exact, delta / 4, True)]
+
+
+def test_fingerprint_budgets_of_a_round_sum_to_its_delta(monkeypatch):
+    # every fingerprint rejects, so no peel may stop early: each folding
+    # peel ends at an abort, a quiet fold or its last round, and the
+    # driver goes on to an exact reading. The j-th check of round r gets
+    # c / r^2 / 2^(j+1), so a round's checks sum to less than c / r^2
+    checks = []
+    real_peel = driver.hash_and_iterate
+
+    def reject(x, y, w, delta, rng):
+        checks[-1][1].append(delta)
+        return False
+
+    def peel(x, y, budget, rng, verify_rng, delta):
+        r = (budget // ISOLATION_CONSTANT).bit_length() - 1
+        assert delta == OUTER_FAILURE_CONSTANT / r ** 2
+        checks.append((delta, []))
+        w, trace, verified = real_peel(x, y, budget, rng, verify_rng, delta)
+        if trace:
+            last = trace[-1][1]
+            assert (last.aborted_rep is not None or last.heavy_counts == [0]
+                    or len(trace) == (budget - 1).bit_length())
+        assert verified == (not trace)      # an exact reading
+        return w, trace, verified
+
+    monkeypatch.setattr(driver, "equality_test", reject)
+    monkeypatch.setattr(driver, "hash_and_iterate", peel)
+    products = [_telescoping_slots(7)[:2], _weighted_telescoping(11, 64, 0)]
+    products += [blocked_telescoping_instance(e)[:2] for e in (10, 12)]
+    for u, v in products:
+        checks.clear()
+        assert sparse_multiply(u, v, np.random.default_rng(0)) == \
+            poly_multiply_naive(u, v)
+        assert len(checks) > 2 and sum(len(d) for _, d in checks) > 2
+    # one peel that makes two checks, the first two of the sequence, and
+    # goes on to its quiet fold
+    x, y, _, _ = _misread_operands(64, 3)
+    checks.append((0.01, []))
+    w, trace, verified = hash_and_iterate(x, y, 64, np.random.default_rng(3),
+                                          np.random.default_rng(0), 0.01)
+    assert w == cyclic_convolve_naive(x, y) and not verified
+    assert len(trace) == 3 and trace[-1][1].heavy_counts == [0]
+    assert checks[-1][1] == [0.005, 0.0025]
+    for delta, deltas in checks:
+        assert deltas == [delta / 2 ** (j + 1) for j in range(len(deltas))]
+        assert sum(deltas) < delta
 
 
 def test_dense_reading_at_n_is_fingerprinted(monkeypatch):
@@ -594,8 +704,8 @@ def test_unwrapped_product_at_a_large_prime_factor_runs_at_a_power_of_two(
                         lambda a: sizes.append(a.size) or real_rfft(a))
     want = poly_multiply_naive(u, v)
     assert poly_multiply_dense(u, v) == want
-    w, trace, proven = hash_and_iterate(x, y, 128, np.random.default_rng(0))
-    assert w == want and trace == [] and proven
+    w, trace, verified = _peel(x, y, 128, np.random.default_rng(0))
+    assert w == want and trace == [] and verified
     assert sizes == [1 << 17] * 4
 
 
@@ -621,15 +731,15 @@ def test_peel_reads_exactly_when_pairs_fit_the_limit(monkeypatch):
     monkeypatch.setattr(driver, "locate_with_report", _no_locate)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    w, trace, proven = hash_and_iterate(x, y, 1, rng)
-    assert w == cyclic_convolve_naive(x, y) and w.l0 > 1 and proven
+    w, trace, verified = _peel(x, y, 1, rng)
+    assert w == cyclic_convolve_naive(x, y) and w.l0 > 1 and verified
     assert trace == [] and rng.bit_generator.state == state
     monkeypatch.undo()
     x7 = make_sparse_vector(2 * n, [(j, j + 1) for j in range(7)])
     y23 = make_sparse_vector(2 * n, [(j, j + 2) for j in range(23)])
     assert x7.l0 * y23.l0 == 161
-    _, trace, proven = hash_and_iterate(x7, y23, 1, rng)
-    assert trace and trace[0][1].primes and not proven
+    _, trace, verified = _peel(x7, y23, 1, rng)
+    assert trace and trace[0][1].primes and not verified
 
 
 def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
@@ -646,9 +756,9 @@ def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
         assert x.l0 * x.l0 > limit and 4 * limit >= x.length
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        w, trace, proven = hash_and_iterate(x, x, budget, rng)
+        w, trace, verified = _peel(x, x, budget, rng)
         assert w == cyclic_convolve_naive(x, x) and w.l0 > budget
-        assert trace == [] and proven
+        assert trace == [] and verified
         assert rng.bit_generator.state == state
 
 
@@ -664,7 +774,7 @@ def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
             for _ in range(2))
     limit = exact_read_limit(128, 2 * n)
     assert x.l0 * y.l0 > limit and 4 * limit >= 2 * n
-    w, trace, _ = hash_and_iterate(x, y, 128, np.random.default_rng(0))
+    w, trace, _ = _peel(x, y, 128, np.random.default_rng(0))
     assert trace == []
     assert w == cyclic_convolve_naive(x, y)
 
@@ -687,7 +797,7 @@ def test_budget_after_an_abort(monkeypatch, heavy, want):
     # the least C * 2^r at or above it, and never below the doubled one
     budgets = []
 
-    def peel(x, y, budget, rng):
+    def peel(x, y, budget, rng, verify_rng, delta):
         budgets.append(budget)
         if len(budgets) > len(heavy):
             raise _Stop

@@ -98,6 +98,46 @@ def test_miller_rabin_needs_base_37():
     assert not miller_rabin(n)
 
 
+def _strong_probable_prime(n, bases):
+    """The strong test of odd n to each base, written out as the oracle."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+TWELVE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def test_miller_rabin_rejects_the_least_pseudoprime_to_2_7_61():
+    # Jaeschke's bound: below it the bases 2, 7 and 61 decide, and the
+    # bound itself is a strong pseudoprime to all three
+    n = 4_759_123_141
+    assert n == 48781 * 97561
+    assert _strong_probable_prime(n, (2, 7, 61))
+    assert not miller_rabin(n)
+
+
+def test_three_bases_agree_with_twelve_bases():
+    # the bases 2, 7 and 61 serve below 4,759,123,141 and the twelve
+    # above; both must give the twelve-base verdict across that boundary
+    rng = np.random.default_rng(2024)
+    for n in rng.integers(1 << 30, 1 << 34, size=20000).tolist():
+        want = (all(n % p for p in TWELVE_BASES)
+                and _strong_probable_prime(n, TWELVE_BASES))
+        assert miller_rabin(n) == want, n
+
+
 def test_miller_rabin_accepts_large_primes():
     assert miller_rabin((1 << 31) - 1)
     assert miller_rabin((1 << 61) - 1)
