@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass
 from . import driver
 from .fingerprint import equality_test
 from .instances import InstanceSpec, gen_instance
-from .polyfile import PolyFileError, parse_poly_file, write_poly_file
+from .polyfile import parse_poly_file, write_poly_file
 from .primes import PrimeSamplingError
 from .seeding import MULTIPLY_STREAM, VERIFY_STREAM, resolve_seed, substream
-from .vectors import (EnvelopeError, SparseVector, embed_for_product,
-                      poly_multiply_dense, poly_multiply_naive)
+from .vectors import (SparseVector, embed_for_product, poly_multiply_dense,
+                      poly_multiply_naive)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -54,22 +54,18 @@ def _run_algo(algo: str, u: SparseVector, v: SparseVector, seed: int,
         return poly_multiply_naive(u, v)
     if algo == "dense":
         return poly_multiply_dense(u, v)
-    if algo == "sparse":
-        rng = substream(seed, MULTIPLY_STREAM)
-        try:
-            return driver.sparse_multiply(u, v, rng)
-        except GAVE_UP:
-            if fallback_dense:
-                return poly_multiply_dense(u, v)
-            raise
-    raise ValueError(f"unknown algorithm {algo!r}")
+    try:                                # "sparse"
+        return driver.sparse_multiply(u, v, substream(seed, MULTIPLY_STREAM))
+    except GAVE_UP:
+        if fallback_dense:
+            return poly_multiply_dense(u, v)
+        raise
 
 
 def _cmd_multiply(args) -> int:
-    seed = resolve_seed(args.seed)
     u = parse_poly_file(args.a)
     v = parse_poly_file(args.b)
-    product = _run_algo(args.algo, u, v, seed,
+    product = _run_algo(args.algo, u, v, args.seed,
                         fallback_dense=args.fallback_dense)
     if args.output:
         write_poly_file(product, args.output)
@@ -78,9 +74,8 @@ def _cmd_multiply(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = resolve_seed(args.seed)
     spec = InstanceSpec(n=args.n, terms=args.terms, coeff_bound=args.coeff_bound,
-                        cancel_fraction=args.cancel_fraction, seed=seed)
+                        cancel_fraction=args.cancel_fraction, seed=args.seed)
     u, v = gen_instance(spec)
     write_poly_file(u, args.out_a)
     write_poly_file(v, args.out_b)
@@ -88,7 +83,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = resolve_seed(args.seed)
     u = parse_poly_file(args.a)
     v = parse_poly_file(args.b)
     claimed = parse_poly_file(args.product)
@@ -97,7 +91,7 @@ def _cmd_verify(args) -> int:
         print(f"product dimension must be {x.length}, got {claimed.length}",
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    rng = substream(seed, VERIFY_STREAM)
+    rng = substream(args.seed, VERIFY_STREAM)
     if equality_test(x, y, claimed, args.delta, rng):
         print("yes")
         return EXIT_OK
@@ -106,7 +100,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = resolve_seed(args.seed)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise ValueError("--algos names no algorithm")
@@ -116,7 +109,7 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     spec = InstanceSpec(n=args.n, terms=args.terms, coeff_bound=args.coeff_bound,
-                        cancel_fraction=args.cancel_fraction, seed=seed)
+                        cancel_fraction=args.cancel_fraction, seed=args.seed)
     u, v = gen_instance(spec)
     records = []
     for algo in algos:
@@ -124,7 +117,7 @@ def _cmd_bench(args) -> int:
             start = time.perf_counter()
             k_out: int | None
             try:
-                product = _run_algo(algo, u, v, seed)
+                product = _run_algo(algo, u, v, args.seed)
                 k_out = product.l0
                 success = True
             except GAVE_UP:
@@ -133,7 +126,7 @@ def _cmd_bench(args) -> int:
             wall = (time.perf_counter() - start) * 1000.0
             records.append(BenchRecord(algo=algo, n=spec.n,
                                        s_in=u.l0 + v.l0, k_out=k_out,
-                                       wall_millis=wall, seed=seed,
+                                       wall_millis=wall, seed=args.seed,
                                        success=success))
     lines = [r.to_json() for r in records]
     for line in lines:
@@ -195,8 +188,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = resolve_seed(args.seed)
         return args.func(args)
-    except (PolyFileError, EnvelopeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except GAVE_UP as exc:

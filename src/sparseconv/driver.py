@@ -25,8 +25,9 @@ import numpy as np
 from .fingerprint import equality_test
 from .locate import ISOLATION_CONSTANT, LocateReport, locate_with_report
 from .primes import PrimeSamplingError
-from .vectors import (SparseVector, EnvelopeError, _rounded_fft_product, add,
-                      cyclic_convolve_naive, embed_for_product, zero_vector)
+from .vectors import (SparseVector, EnvelopeError, _pair_product,
+                      _rounded_fft_product, add, embed_for_product,
+                      zero_vector)
 
 # Round r gives its fingerprint a false-accept budget c / r^2, so a wrong
 # vector passes with probability below c * pi^2 / 6 over all rounds.
@@ -90,9 +91,9 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     far, LocateReport) per locate round, empty for an exact reading;
     verified is True for the pair reading, an exact dense one, and a w
     the fingerprint accepted, and the caller returns w only then.
+    It checks nothing: its one caller, sparse_multiply, passes nonzero
+    operands that embed_for_product checked and a positive budget.
     """
-    if bucket_budget < 1:
-        raise ValueError("bucket budget must be positive")
     deltas = (delta / 2 ** j for j in itertools.count(1))
 
     def verified(w: SparseVector) -> bool:
@@ -101,7 +102,7 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
 
     exact = exact_read_limit(bucket_budget, x.length)
     if x.l0 * y.l0 <= exact:
-        return cyclic_convolve_naive(x, y), [], True
+        return _pair_product(x, y), [], True
     if 4 * exact >= x.length:
         w, proven = _rounded_fft_product(x, y)
         return w, [], proven or verified(w)

@@ -93,7 +93,7 @@ def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
 
     No route of the package builds these; only perfbench's tracer looks
     the name up. It goes together with primes.sieve_primes once perfbench
-    stops patching module attributes (ROADMAP item 2).
+    stops patching module attributes (ROADMAP item 3).
     """
     return np.add.outer(jx, jy).ravel(), np.multiply.outer(px, py).ravel()
 

@@ -110,11 +110,11 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     bucket_budget, N <= 2^26). A quiet fold on a nonzero residual costs
     time, never correctness: the call returns zero, no wrong term, and the
     caller's peel ends with an incomplete w, which its fingerprint rejects.
+
+    It checks nothing: its one caller, driver.hash_and_iterate, passes the
+    operands embed_for_product checked, a w of their length and a
+    positive budget.
     """
-    if not (x.length == y.length == w.length):
-        raise ValueError("length mismatch")
-    if bucket_budget < 1:
-        raise ValueError("bucket budget must be positive")
     n = x.length
     p = uniform_prime_below(prime_range_for(bucket_budget), rng)
     ids, vals = folding.heavy_residual_buckets(x, y, w, p, HEAVY_THRESHOLD)

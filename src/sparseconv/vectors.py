@@ -227,24 +227,32 @@ def check_operand(v: SparseVector, what: str) -> None:
         raise EnvelopeError(f"{what}: length {v.length} exceeds {MAX_DIMENSION}")
     if v.l0 > MAX_TERMS:
         raise EnvelopeError(f"{what}: {v.l0} terms exceed {MAX_TERMS}")
-    if v.l0 and int(np.abs(v.coeffs).max()) > MAX_COEFF_ABS:
+    # min and max, not np.abs, which maps -2^63 to itself
+    if v.l0 and (v.coeffs.min() < -MAX_COEFF_ABS
+                 or v.coeffs.max() > MAX_COEFF_ABS):
         raise EnvelopeError(
             f"{what}: coefficient magnitude exceeds {MAX_COEFF_ABS}")
 
 
 def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
-    """Exact cyclic convolution by enumerating all term pairs.
-
-    Cost is l0(x) * l0(y) pair operations. It is the body of
-    poly_multiply_naive, the ground-truth oracle for every other backend,
-    and it is the driver's proven pair reading in hash_and_iterate, which
-    every product with few enough term pairs takes (the crossover product
-    among them).
-    """
+    """Exact cyclic convolution by enumerating all term pairs: both
+    operands pass check_operand, then _pair_product runs."""
     if x.length != y.length:
         raise ValueError("length mismatch")
     check_operand(x, "x")
     check_operand(y, "y")
+    return _pair_product(x, y)
+
+
+def _pair_product(x: SparseVector, y: SparseVector) -> SparseVector:
+    """x * y from all l0(x) * l0(y) term pairs, for operands of equal
+    length that pass check_operand; it checks nothing itself.
+
+    It is the body of poly_multiply_naive, the ground-truth oracle for
+    every other backend, and the driver's proven pair reading in
+    hash_and_iterate, which every product with few enough term pairs
+    takes (the crossover product among them).
+    """
     n = x.length
     if x.is_zero or y.is_zero:
         return zero_vector(n)
@@ -302,13 +310,20 @@ def _fft_error_bound(x: SparseVector, y: SparseVector) -> float:
     return 8.0 * np.finfo(np.float64).eps * lg * nx * ny
 
 
-def _rounded_fft_product(x: SparseVector, y: SparseVector):
+def _rounded_fft_product(x: SparseVector, y: SparseVector,
+                         strict: bool = False):
     """(x * y rounded to integers, exact) for nonzero x and y, from one
     real FFT of length N, or of the power of two above the top product
     index if that is below N: then nothing wraps, and the length is a
     power of two, as the analysis in _fft_error_bound assumes. exact is
     True iff that bound and every rounding residue are below 0.25.
+    strict raises EnvelopeError where exact would be False, before the
+    transform if the bound fails.
     """
+    bounded = _fft_error_bound(x, y) < 0.25
+    if strict and not bounded:
+        raise EnvelopeError(
+            "coefficient mass too large for float64 FFT rounding budget")
     n = x.length
     top = int(x.indices[-1]) + int(y.indices[-1])
     size = n if top >= n else 1 << top.bit_length()
@@ -321,30 +336,31 @@ def _rounded_fft_product(x: SparseVector, y: SparseVector):
     nz = np.flatnonzero(rounded)
     product = SparseVector(n, nz.astype(np.int64), rounded[nz].astype(np.int64))
     conv[product.indices] -= product.coeffs     # the rounding residues
-    return product, (_fft_error_bound(x, y) < 0.25
-                     and np.abs(conv, out=conv).max() < 0.25)
+    exact = bounded and np.abs(conv, out=conv).max() < 0.25
+    if strict and not exact:
+        raise EnvelopeError("FFT rounding residue exceeded the error budget")
+    return product, exact
 
 
 def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
-    """Cyclic convolution through a dense real FFT (_rounded_fft_product).
-
-    Exact or EnvelopeError: the float error is bounded before the transform
-    and the rounding residue checked against that budget after it.
-    """
+    """Cyclic convolution through a dense real FFT: both operands pass
+    check_operand, then _dense_product runs."""
     if x.length != y.length:
         raise ValueError("length mismatch")
     check_operand(x, "x")
     check_operand(y, "y")
-    n = x.length
+    return _dense_product(x, y)
+
+
+def _dense_product(x: SparseVector, y: SparseVector) -> SparseVector:
+    """x * y from _rounded_fft_product, for operands of equal length that
+    pass check_operand; it checks nothing itself. Exact or EnvelopeError:
+    the float error is bounded before the transform and the rounding
+    residue checked against that budget after it.
+    """
     if x.is_zero or y.is_zero:
-        return zero_vector(n)
-    if _fft_error_bound(x, y) >= 0.25:
-        raise EnvelopeError(
-            "coefficient mass too large for float64 FFT rounding budget")
-    product, exact = _rounded_fft_product(x, y)
-    if not exact:
-        raise EnvelopeError("FFT rounding residue exceeded the error budget")
-    return product
+        return zero_vector(x.length)
+    return _rounded_fft_product(x, y, strict=True)[0]
 
 
 def embed_for_product(u: SparseVector, v: SparseVector) -> tuple[SparseVector, SparseVector]:
@@ -366,10 +382,10 @@ def embed_for_product(u: SparseVector, v: SparseVector) -> tuple[SparseVector, S
 def poly_multiply_naive(u: SparseVector, v: SparseVector) -> SparseVector:
     """Exact polynomial product over [0, 2n) via the quadratic baseline."""
     x, y = embed_for_product(u, v)
-    return cyclic_convolve_naive(x, y)
+    return _pair_product(x, y)
 
 
 def poly_multiply_dense(u: SparseVector, v: SparseVector) -> SparseVector:
     """Exact polynomial product over [0, 2n) via the dense FFT baseline."""
     x, y = embed_for_product(u, v)
-    return dense_fft_multiply(x, y)
+    return _dense_product(x, y)

@@ -243,6 +243,26 @@ def test_oversized_coefficient_is_input_error(tmp_path, capsys):
         assert "outside int64" in err
 
 
+def test_most_negative_int64_coefficient_is_input_error(tmp_path, capsys):
+    # np.abs(-2^63) is -2^63 itself, so a magnitude bound read through it
+    # passes this operand, and every backend then gives -2^63 at index 0
+    # of (-2^63 + x)(3 + x^2), whose coefficient there is -3 * 2^63
+    u = tmp_path / "u.poly"
+    u.write_text("N 3\n0 -9223372036854775808\n1 1\n")
+    v = write_poly(tmp_path, "v.poly", 3, [(0, 3), (2, 1)])
+    out = tmp_path / "p.poly"
+    for algo in ALGOS:
+        for argv in (["multiply", str(u), v], ["multiply", v, str(u)]):
+            assert main(argv + ["--algo", algo, "-o", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert captured.err.startswith("error: ")
+            assert "coefficient magnitude exceeds" in captured.err
+            assert not out.exists()
+    assert main(["verify", str(u), v, v]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_env_seed_default(telescoping, tmp_path, capsys, monkeypatch):
     a, b = telescoping
     out1 = tmp_path / "e1.poly"

@@ -381,14 +381,14 @@ def test_exact_reading_above_the_budget_is_kept(monkeypatch, seed):
     # is proven
     u, v = gen_instance(InstanceSpec(n=1 << 18, terms=256, coeff_bound=100,
                                      cancel_fraction=0.0, seed=seed))
-    real_naive = driver.cyclic_convolve_naive
+    real_naive = driver._pair_product
     naive_calls = []
 
     def naive(x, y):
         naive_calls.append(real_naive(x, y))
         return naive_calls[-1]
 
-    monkeypatch.setattr(driver, "cyclic_convolve_naive", naive)
+    monkeypatch.setattr(driver, "_pair_product", naive)
     verdicts = _count_fingerprints(monkeypatch)
     got = sparse_multiply(u, v, np.random.default_rng(seed))
     assert got == poly_multiply_naive(u, v)

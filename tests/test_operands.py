@@ -17,7 +17,8 @@ from sparseconv import (EnvelopeError, SparseVector, cyclic_convolve_naive,
                         dense_fft_multiply, equality_test, make_sparse_vector,
                         poly_multiply_dense, poly_multiply_naive,
                         sparse_multiply, zero_vector)
-from sparseconv.vectors import from_arrays
+from sparseconv import driver, fingerprint, vectors
+from sparseconv.vectors import MAX_COEFF_ABS, check_operand, from_arrays
 
 N = 1 << 12
 TERMS = 40
@@ -52,12 +53,19 @@ def _malformed(row):
         length = float(N)
     elif row == "fractional_length":
         length = N + 0.5
+    elif row == "coeff_min_int64":        # np.abs leaves it negative
+        val[5] = np.iinfo(np.int64).min
+    elif row == "coeff_above_bound":
+        val[5] = MAX_COEFF_ABS + 1
     return SparseVector(length, idx, val)
 
 
 ROWS = ["int16", "uint8", "int32", "index_at_length", "negative_index",
         "unsorted", "zero_coefficient", "float", "float_length",
-        "fractional_length"]
+        "fractional_length", "coeff_min_int64", "coeff_above_bound"]
+# Canonical, but outside the operand envelope: a claimed product may have
+# any int64 coefficient.
+ENVELOPE_ROWS = {"coeff_min_int64", "coeff_above_bound"}
 
 
 def _good():
@@ -122,7 +130,7 @@ def test_malformed_anywhere_never_returns(entry, at, kind, offset):
         ENTRY_POINTS[entry](SparseVector(N, idx, val), _good())
 
 
-@pytest.mark.parametrize("row", ROWS)
+@pytest.mark.parametrize("row", [r for r in ROWS if r not in ENVELOPE_ROWS])
 def test_malformed_claimed_product_raises(row):
     good = _good()
     with pytest.raises(ValueError):
@@ -137,3 +145,55 @@ def test_claimed_product_may_exceed_the_operand_bound():
     product = cyclic_convolve_naive(big, big)
     assert int(np.abs(product.coeffs).max()) == 1 << 41
     assert equality_test(big, big, product, 0.01, np.random.default_rng(2))
+
+
+def _count(monkeypatch, module, name, *also):
+    """Count calls to module.name, patched there and in each of also."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (module, *also):
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("entry", ["poly_multiply_naive", "poly_multiply_dense",
+                                   "sparse_multiply"])
+def test_each_operand_is_checked_once_per_product(monkeypatch, entry):
+    # embed_for_product checks u and v; the bodies behind it check nothing
+    # again. 1600 term pairs at N = 2^13 are below the first budget's
+    # exact-read limit (16 * 32 * 13), so sparse_multiply reads the pairs
+    # and runs no fingerprint.
+    u, v = _good(), make_sparse_vector(N, [(3, 1), (70, -2), (4000, 5)])
+    want = poly_multiply_naive(u, v)
+    checks = _count(monkeypatch, vectors, "check_operand", fingerprint)
+    pairs = _count(monkeypatch, vectors, "_pair_product", driver)
+    bounds = _count(monkeypatch, vectors, "_fft_error_bound")
+    assert ENTRY_POINTS[entry](u, v) == want
+    assert checks == [(u, "u"), (v, "v")]
+    dense = entry == "poly_multiply_dense"
+    assert (len(pairs), len(bounds)) == ((0, 1) if dense else (1, 0))
+
+
+# The int64 ends and both sides of the bound, inside it, and anywhere.
+COEFFS = st.one_of(
+    st.sampled_from([-(1 << 63), (1 << 63) - 1, -(1 << 20), 1 << 20,
+                     -(1 << 20) - 1, (1 << 20) + 1]),
+    st.integers(-(1 << 20), 1 << 20),
+    st.integers(-(1 << 63), (1 << 63) - 1)).filter(bool)
+
+
+@given(st.lists(COEFFS, min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_envelope_error_exactly_above_the_coefficient_bound(coeffs):
+    v = SparseVector(N, np.arange(len(coeffs), dtype=np.int64),
+                     np.array(coeffs, dtype=np.int64))
+    if any(abs(c) > MAX_COEFF_ABS for c in coeffs):
+        with pytest.raises(EnvelopeError, match="magnitude"):
+            check_operand(v, "v")
+    else:
+        check_operand(v, "v")
