@@ -73,10 +73,14 @@ def _cmd_multiply(args) -> int:
     return EXIT_OK
 
 
+def _instance(args) -> tuple[SparseVector, SparseVector]:
+    return gen_instance(InstanceSpec(
+        n=args.n, terms=args.terms, coeff_bound=args.coeff_bound,
+        cancel_fraction=args.cancel_fraction, seed=args.seed))
+
+
 def _cmd_gen(args) -> int:
-    spec = InstanceSpec(n=args.n, terms=args.terms, coeff_bound=args.coeff_bound,
-                        cancel_fraction=args.cancel_fraction, seed=args.seed)
-    u, v = gen_instance(spec)
+    u, v = _instance(args)
     write_poly_file(u, args.out_a)
     write_poly_file(v, args.out_b)
     return EXIT_OK
@@ -88,9 +92,8 @@ def _cmd_verify(args) -> int:
     claimed = parse_poly_file(args.product)
     x, y = embed_for_product(u, v)
     if claimed.length != x.length:
-        print(f"product dimension must be {x.length}, got {claimed.length}",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(
+            f"product dimension must be {x.length}, got {claimed.length}")
     rng = substream(args.seed, VERIFY_STREAM)
     if equality_test(x, y, claimed, args.delta, rng):
         print("yes")
@@ -108,9 +111,7 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"unknown algorithm {algo!r}")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    spec = InstanceSpec(n=args.n, terms=args.terms, coeff_bound=args.coeff_bound,
-                        cancel_fraction=args.cancel_fraction, seed=args.seed)
-    u, v = gen_instance(spec)
+    u, v = _instance(args)
     records = []
     for algo in algos:
         for _ in range(args.repeats):
@@ -124,7 +125,7 @@ def _cmd_bench(args) -> int:
                 k_out = None
                 success = False
             wall = (time.perf_counter() - start) * 1000.0
-            records.append(BenchRecord(algo=algo, n=spec.n,
+            records.append(BenchRecord(algo=algo, n=args.n,
                                        s_in=u.l0 + v.l0, k_out=k_out,
                                        wall_millis=wall, seed=args.seed,
                                        success=success))
@@ -142,43 +143,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sparseconv",
         description="Output-sensitive sparse polynomial multiplication")
     sub = parser.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--n", type=int, required=True)
+    instance.add_argument("--terms", type=int, required=True)
+    instance.add_argument("--coeff-bound", type=int, default=100)
+    instance.add_argument("--cancel-fraction", type=float, default=0.0)
 
-    p_mul = sub.add_parser("multiply", help="multiply two polynomial files")
+    p_mul = sub.add_parser("multiply", parents=[seeded],
+                           help="multiply two polynomial files")
     p_mul.add_argument("a")
     p_mul.add_argument("b")
     p_mul.add_argument("-o", "--output", help="write the product here")
     p_mul.add_argument("--algo", choices=ALGOS, default="sparse")
-    p_mul.add_argument("--seed", type=int, default=None)
     p_mul.add_argument("--fallback-dense", action="store_true",
                        help="fall back to the dense FFT if recovery fails")
     p_mul.set_defaults(func=_cmd_multiply)
 
-    p_gen = sub.add_parser("gen", help="generate a seeded instance")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--terms", type=int, required=True)
-    p_gen.add_argument("--coeff-bound", type=int, default=100)
-    p_gen.add_argument("--cancel-fraction", type=float, default=0.0)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen = sub.add_parser("gen", parents=[instance, seeded],
+                           help="generate a seeded instance")
     p_gen.add_argument("-o", "--out-a", required=True)
     p_gen.add_argument("-o2", "--out-b", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_ver = sub.add_parser("verify", help="check a claimed product file")
+    p_ver = sub.add_parser("verify", parents=[seeded],
+                           help="check a claimed product file")
     p_ver.add_argument("a")
     p_ver.add_argument("b")
     p_ver.add_argument("product")
     p_ver.add_argument("--delta", type=float, default=0.01)
-    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time backends on one instance")
-    p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--terms", type=int, required=True)
-    p_bench.add_argument("--coeff-bound", type=int, default=100)
-    p_bench.add_argument("--cancel-fraction", type=float, default=0.0)
+    p_bench = sub.add_parser("bench", parents=[instance, seeded],
+                             help="time backends on one instance")
     p_bench.add_argument("--algos", default="naive,dense,sparse")
     p_bench.add_argument("--repeats", type=int, default=1)
-    p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--json", help="also write the records to this file")
     p_bench.set_defaults(func=_cmd_bench)
     return parser

@@ -128,8 +128,8 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
 
 
 def _check_float_budget(u: SparseVector, v: SparseVector) -> None:
-    mass_u = float(np.sum(np.abs(u.coeffs), dtype=np.float64)) if u.l0 else 0.0
-    mass_v = float(np.sum(np.abs(v.coeffs), dtype=np.float64)) if v.l0 else 0.0
+    mass_u = float(np.sum(np.abs(u.coeffs), dtype=np.float64))
+    mass_v = float(np.sum(np.abs(v.coeffs), dtype=np.float64))
     if mass_u * mass_v > _FLOAT_MASS_LIMIT:
         raise EnvelopeError(
             "coefficient mass too large for the folded-bucket rounding budget")

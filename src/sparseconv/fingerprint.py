@@ -19,8 +19,7 @@ import math
 import numpy as np
 
 from .primes import random_prime_in_range
-from .vectors import (MAX_DIMENSION, SparseVector, check_canonical,
-                      check_operand)
+from .vectors import SparseVector, _check_operands, check_canonical
 
 _FIELD_BITS = 30        # p is drawn from [2^30, 2^31]
 
@@ -29,13 +28,13 @@ def eval_rounds(delta: float, dimension: int) -> int:
     """Number of evaluation points at dimension N. A point is a root of a
     nonzero difference with probability below q = N / 2^30, so
     log2(2^30 / N) bits per point, at least 4 at MAX_DIMENSION; all of
-    them are roots with probability at most q^rounds <= q * delta / 3."""
+    them are roots with probability at most q^rounds <= q * delta / 3.
+    The dimension must be in [1, MAX_DIMENSION]. The bits needed are
+    log2(3) - log2(delta): 3 / delta overflows below about 1.7e-308."""
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
-    if not 1 <= dimension <= MAX_DIMENSION:
-        raise ValueError(f"dimension must be in [1, {MAX_DIMENSION}]")
     per_point = _FIELD_BITS - math.log2(dimension)
-    return math.ceil(math.log2(3.0 / delta) / per_point) + 1
+    return math.ceil((math.log2(3.0) - math.log2(delta)) / per_point) + 1
 
 
 def _power_table(base: int, size: int, p: np.uint64) -> np.ndarray:
@@ -61,10 +60,8 @@ def eval_sparse_poly_mod(f: SparseVector, baby: np.ndarray,
     uint64 arithmetic is exact. An int64 coefficient c reduces to
     c - c // p * p in [0, p), equal to c mod p even at c = -2^63, where
     (c // p) * p wraps: the difference is exact modulo 2^64. f must be
-    canonical.
+    canonical and the modulus in [2, 2^32).
     """
-    if not 2 <= modulus < 1 << 32:
-        raise ValueError(f"modulus must be in [2, 2^32), got {modulus}")
     p, m = np.uint64(modulus), np.int64(modulus)
     k = len(baby).bit_length() - 1
     powers = giant[f.indices >> k]
@@ -92,10 +89,9 @@ def equality_test(x: SparseVector, y: SparseVector, w: SparseVector,
     Running out of prime draws (probability below 1e-9) raises
     PrimeSamplingError: an explicit failure, never an answer.
     """
-    if not (x.length == y.length == w.length):
+    if w.length != x.length:
         raise ValueError("length mismatch")
-    check_operand(x, "x")
-    check_operand(y, "y")
+    _check_operands(x, y)
     check_canonical(w, "w")
     rounds = eval_rounds(delta, x.length)
     top = max(int(f.indices[-1]) if f.l0 else 0 for f in (x, y, w))

@@ -49,11 +49,9 @@ class InstanceSpec:
 
 def _distinct_indices(rng: np.random.Generator, lo: int, hi: int,
                       count: int) -> np.ndarray:
-    """count distinct values from [lo, hi) without materializing the range."""
-    span = hi - lo
-    if count > span:
-        raise ValueError("range too small")
-    if count == span:
+    """count <= hi - lo distinct values from [lo, hi) without materializing
+    the range."""
+    if count == hi - lo:
         return np.arange(lo, hi, dtype=np.int64)
     picked = np.empty(0, dtype=np.int64)
     while picked.size < count:
@@ -123,12 +121,12 @@ def blocked_telescoping_instance(log2_terms: int, runs: int = 16):
         raise ValueError("need at least one run")
     a = 1 << (log2_terms - 1)
     m = (1 << (log2_terms - 2)) - 1
-    # np.delete, not np.setdiff1d: np.unique's first call imports numpy.ma
-    # (20-30 ms on a 2-core Xeon), which nothing else here needs.
-    slots = np.delete(np.arange(m), np.arange(1, runs) * m // runs)
     n = a * m + 1
     if 2 * n > MAX_DIMENSION:
         raise ValueError("instance would exceed the dimension envelope")
+    # np.delete, not np.setdiff1d: np.unique's first call imports numpy.ma
+    # (20-30 ms on a 2-core Xeon), which nothing else here needs.
+    slots = np.delete(np.arange(m), np.arange(1, runs) * m // runs)
 
     u = from_arrays(n, np.arange(a), np.ones(a, dtype=np.int64))
     v = from_arrays(n, np.concatenate([a * slots, a * slots + 1]),

@@ -234,13 +234,19 @@ def check_operand(v: SparseVector, what: str) -> None:
             f"{what}: coefficient magnitude exceeds {MAX_COEFF_ABS}")
 
 
-def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
-    """Exact cyclic convolution by enumerating all term pairs: both
-    operands pass check_operand, then _pair_product runs."""
+def _check_operands(x: SparseVector, y: SparseVector) -> None:
+    """The door of the cyclic products and the fingerprint: ValueError
+    unless x and y have one length, then check_operand on each."""
     if x.length != y.length:
         raise ValueError("length mismatch")
     check_operand(x, "x")
     check_operand(y, "y")
+
+
+def cyclic_convolve_naive(x: SparseVector, y: SparseVector) -> SparseVector:
+    """Exact cyclic convolution by enumerating all term pairs: both
+    operands pass check_operand, then _pair_product runs."""
+    _check_operands(x, y)
     return _pair_product(x, y)
 
 
@@ -345,10 +351,7 @@ def _rounded_fft_product(x: SparseVector, y: SparseVector,
 def dense_fft_multiply(x: SparseVector, y: SparseVector) -> SparseVector:
     """Cyclic convolution through a dense real FFT: both operands pass
     check_operand, then _dense_product runs."""
-    if x.length != y.length:
-        raise ValueError("length mismatch")
-    check_operand(x, "x")
-    check_operand(y, "y")
+    _check_operands(x, y)
     return _dense_product(x, y)
 
 

@@ -204,6 +204,47 @@ def test_verify_requires_embedded_dimension(telescoping, tmp_path, capsys):
     a, b = telescoping
     short = write_poly(tmp_path, "short.poly", 4, [(0, -1)])
     assert main(["verify", a, b, short, "--seed", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err == "error: product dimension must be 8, got 4\n"
+
+
+def test_verify_takes_the_smallest_positive_delta(telescoping, tmp_path,
+                                                  capsys):
+    # 3 / delta overflows at delta = 5e-324, which is in (0, 1)
+    a, b = telescoping
+    true = write_poly(tmp_path, "true.poly", 8, [(0, -1), (4, 1)])
+    wrong = write_poly(tmp_path, "wrong.poly", 8, [(0, -1), (4, 2)])
+    assert main(["verify", a, b, true, "--delta", "5e-324", "--seed", "2"]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    assert main(["verify", a, b, wrong, "--delta", "5e-324",
+                 "--seed", "2"]) == 1
+    assert capsys.readouterr().out == "no\n"
+
+
+@pytest.mark.parametrize("delta", ["0", "1", "-0.5", "nan", "inf"])
+def test_verify_refuses_a_delta_outside_the_unit_interval(
+        telescoping, tmp_path, capsys, delta):
+    a, b = telescoping
+    true = write_poly(tmp_path, "true.poly", 8, [(0, -1), (4, 1)])
+    assert main(["verify", a, b, true, "--delta", delta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "delta" in captured.err
+
+
+@pytest.mark.parametrize("cancel", ["0", "0.5", "1"])
+def test_gen_and_bench_build_the_same_instance(tmp_path, capsys, cancel):
+    flags = ["--n", "512", "--terms", "24", "--coeff-bound", "9",
+             "--cancel-fraction", cancel, "--seed", "6"]
+    a, b = str(tmp_path / "a.poly"), str(tmp_path / "b.poly")
+    assert main(["gen", *flags, "-o", a, "-o2", b]) == 0
+    u, v = parse_poly_file(a), parse_poly_file(b)
+    capsys.readouterr()
+    assert main(["bench", *flags, "--algos", "naive"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["n"], record["s_in"], record["k_out"]) == (
+        512, u.l0 + v.l0, poly_multiply_naive(u, v).l0)
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):

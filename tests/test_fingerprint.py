@@ -1,5 +1,7 @@
 """Modular-evaluation fingerprint: one-sided product verification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,9 +165,26 @@ def test_eval_rounds_formula():
     # 4.9/20 -> ceil = 1, plus 1
     assert eval_rounds(0.1, 1 << 10) == 2
     assert eval_rounds(0.0001, MAX_DIMENSION) >= 4
-    for bad in ((0.0, 8), (1.0, 8), (0.1, 0), (0.1, MAX_DIMENSION + 1)):
+    for bad in ((0.0, 8), (1.0, 8)):
         with pytest.raises(ValueError):
             eval_rounds(*bad)
+
+
+def test_eval_rounds_keeps_the_quotient_formula_and_takes_any_delta():
+    # log2(3) - log2(delta) gives the point count log2(3 / delta) gave on
+    # every budget the driver hands out, delta_r / 2^(j+1) with delta_r =
+    # (1/400) / r^2, and on common deltas, at every dimension 2^1 .. 2^26
+    deltas = [1 / 400 / (r * r) / 2 ** (j + 1)
+              for r in range(1, 41) for j in range(40)]
+    deltas += [0.5, 0.25, 0.1, 0.05, 0.01, 1 / 400, 1e-3, 1e-6, 1e-9]
+    for b in range(1, 27):
+        per_point = 30 - b
+        for delta in deltas:
+            want = math.ceil(math.log2(3.0 / delta) / per_point) + 1
+            assert eval_rounds(delta, 1 << b) == want
+    # 3 / delta overflows below about 1.7e-308. The smallest subnormal,
+    # 2^-1074, needs log2(3) + 1074 bits: ceil(1075.6 / 4) + 1 points
+    assert eval_rounds(5e-324, MAX_DIMENSION) == 270
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.1, 0.01, 1 / 400, 1e-6])
@@ -179,11 +198,6 @@ def test_eval_rounds_meets_the_failure_bound(delta):
 
 def test_rejects_bad_arguments():
     v = make_sparse_vector(4, [(0, 1)])
-    one = np.ones(1, dtype=np.uint64)
-    with pytest.raises(ValueError):
-        eval_sparse_poly_mod(v, one, one, 1)
-    with pytest.raises(ValueError, match="2\\^32"):
-        eval_sparse_poly_mod(v, one, one, 1 << 32)
     with pytest.raises(ValueError):
         equality_test(v, v, make_sparse_vector(8, [(0, 1)]), 0.1,
                       np.random.default_rng(0))

@@ -114,6 +114,9 @@ def test_blocked_telescoping_validation():
         blocked_telescoping_instance(5)
     with pytest.raises(ValueError):
         blocked_telescoping_instance(8, runs=0)
+    # refused before any array is built: slots alone would take 2 TiB
+    with pytest.raises(ValueError, match="dimension envelope"):
+        blocked_telescoping_instance(40)
 
 
 def generated_digest(vectors) -> str:
