@@ -26,16 +26,32 @@ larger: that call folds the product itself, so the count never exceeds
 the product's term count.
 
 This script replays the outer loop by hand on one instance, and then
-looks inside one peel that folds, using the per-round trace that
-hash_and_iterate returns.
+looks inside one peel that folds. hash_and_iterate returns only
+(product, floor): the verified product or None, and the heavy count at
+which its first locate call aborted (0 if it did not). So the script
+records each locate round itself, by wrapping the locate call the driver
+makes.
 """
 
 from sparseconv import (InstanceSpec, embed_for_product, gen_instance,
                         poly_multiply_naive, substream)
+from sparseconv import driver
 from sparseconv.driver import OUTER_FAILURE_CONSTANT, hash_and_iterate
 from sparseconv.instances import blocked_telescoping_instance
 from sparseconv.locate import ISOLATION_CONSTANT
-from sparseconv.vectors import subtract
+from sparseconv.vectors import add, subtract
+
+rounds = []             # (budget, w before, z, report) per locate call
+real_locate = driver.locate_with_report
+
+
+def recording_locate(x, y, w, budget, rng):
+    z, report = real_locate(x, y, w, budget, rng)
+    rounds.append((budget, w, z, report))
+    return z, report
+
+
+driver.locate_with_report = recording_locate
 
 spec = InstanceSpec(n=1 << 14, terms=192, coeff_bound=100,
                     cancel_fraction=0.0, seed=31)
@@ -63,20 +79,23 @@ print(f"\n{'budget':>7}  {'1st heavy':>9}  {'recovered':>9}  "
 r = 1
 while True:
     budget = ISOLATION_CONSTANT << r
-    w, trace, verified = hash_and_iterate(x, y, budget, rng, verify_rng,
-                                          OUTER_FAILURE_CONSTANT / r ** 2)
-    aborted = trace and trace[0][1].aborted_rep is not None
-    heavy = trace[0][1].heavy_counts[-1] if aborted else 0
-    verdict = ("read exactly" if verified and not trace
-               else f"verified after round {len(trace)}" if verified
-               else "empty, no fingerprint" if w.is_zero
+    rounds.clear()
+    w, floor = hash_and_iterate(x, y, budget, rng, verify_rng,
+                                OUTER_FAILURE_CONSTANT / r ** 2)
+    held = w
+    if w is None:                       # what the peel held when it ended
+        _, w_before, z, _ = rounds[-1]
+        held = add(w_before, z)
+    verdict = ("read exactly" if w is not None and not rounds
+               else f"verified after round {len(rounds)}" if w is not None
+               else "empty, no fingerprint" if held.is_zero
                else "rejected")
-    print(f"{budget:>7}  {heavy:>9}  {w.l0:>9}  "
-          f"{subtract(exact, w).l0:>8}  {verdict}")
-    if verified:
+    print(f"{budget:>7}  {floor:>9}  {held.l0:>9}  "
+          f"{subtract(exact, held).l0:>8}  {verdict}")
+    if w is not None:
         assert w == exact
         break
-    cells = -(-heavy // ISOLATION_CONSTANT)   # least C * 2^r >= heavy
+    cells = -(-floor // ISOLATION_CONSTANT)   # least C * 2^r >= floor
     r = max(r + 1, (cells - 1).bit_length())
 
 # Now look inside a peel that folds: a blocked-telescoping product of
@@ -89,19 +108,19 @@ while True:
 u, v, exact = blocked_telescoping_instance(12)
 x, y = embed_for_product(u, v)
 budget = ISOLATION_CONSTANT << 1
-w, trace, verified = hash_and_iterate(x, y, budget, substream(32, "multiply"),
-                                      substream(32, "verify"),
-                                      OUTER_FAILURE_CONSTANT)
-print(f"\nper-round trace at budget {budget}, l0(u) = {u.l0}, "
+rounds.clear()
+w, floor = hash_and_iterate(x, y, budget, substream(32, "multiply"),
+                            substream(32, "verify"), OUTER_FAILURE_CONSTANT)
+print(f"\nper-round record at budget {budget}, l0(u) = {u.l0}, "
       f"l0(v) = {v.l0}, product terms = {exact.l0}:")
 print(f"{'round':>5}  {'budget':>7}  {'heavy seen':>10}  "
       f"{'recovered':>9}  {'residual':>8}")
-for r, (w_after, report) in enumerate(trace):
-    round_budget = max(1, budget >> r)      # hash_and_iterate halves it
+for r, (round_budget, w_before, z, report) in enumerate(rounds):
+    w_after = add(w_before, z)
     print(f"{r:>5}  {round_budget:>7}  {report.heavy_counts[0]:>10}  "
           f"{w_after.l0:>9}  {subtract(exact, w_after).l0:>8}")
-print("verified" if verified else "not verified")
-assert w == exact and verified
+print("not verified" if w is None else "verified")
+assert w == exact and floor == 0
 
 # The abort gate is what keeps wrong budgets cheap: a locate call stops
 # as soon as it counts more heavy buckets than the budget allows, and the

@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import driver
 from .fingerprint import equality_test
@@ -30,22 +29,6 @@ ALGOS = ("naive", "dense", "sparse")
 
 # Explicit Las Vegas failures: a randomized routine gave up, never erred.
 GAVE_UP = (driver.MultiplicationFailed, PrimeSamplingError)
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """One benchmark measurement, serialized as a JSON line."""
-
-    algo: str
-    n: int
-    s_in: int
-    k_out: int | None
-    wall_millis: float
-    seed: int
-    success: bool
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _run_algo(algo: str, u: SparseVector, v: SparseVector, seed: int,
@@ -112,24 +95,19 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     u, v = _instance(args)
-    records = []
+    lines = []
     for algo in algos:
         for _ in range(args.repeats):
             start = time.perf_counter()
-            k_out: int | None
             try:
-                product = _run_algo(algo, u, v, args.seed)
-                k_out = product.l0
-                success = True
+                k_out = _run_algo(algo, u, v, args.seed).l0
             except GAVE_UP:
                 k_out = None
-                success = False
             wall = (time.perf_counter() - start) * 1000.0
-            records.append(BenchRecord(algo=algo, n=args.n,
-                                       s_in=u.l0 + v.l0, k_out=k_out,
-                                       wall_millis=wall, seed=args.seed,
-                                       success=success))
-    lines = [r.to_json() for r in records]
+            lines.append(json.dumps({
+                "algo": algo, "n": args.n, "s_in": u.l0 + v.l0,
+                "k_out": k_out, "wall_millis": wall, "seed": args.seed,
+                "success": k_out is not None}))
     for line in lines:
         print(line)
     if args.json:

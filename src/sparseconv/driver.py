@@ -10,9 +10,10 @@ one from the dense transform at N checked; either is returned as it is.
 The peel fingerprints its w against the operands after every round that
 kept all it read, and stops at the first that verifies, so a peel that
 recovers the product in one round pays for no confirming fold; whatever
-w it ends with is fingerprinted too. Nothing unproven and unverified ever
-escapes. When a peel ends unverified the budget doubles, or jumps to the
-heavy count of the peel's first locate call if larger: a lower bound on
+w it ends with is fingerprinted too. A peel returns a proven or verified
+product, or None: nothing unproven and unverified ever escapes. When a
+peel returns None the budget doubles, or jumps to the heavy count at
+which the peel's first locate call aborted if larger: a lower bound on
 the product sparsity.
 """
 
@@ -23,7 +24,7 @@ import itertools
 import numpy as np
 
 from .fingerprint import equality_test
-from .locate import ISOLATION_CONSTANT, LocateReport, locate_with_report
+from .locate import ISOLATION_CONSTANT, locate_with_report
 from .primes import PrimeSamplingError
 from .vectors import (SparseVector, EnvelopeError, _pair_product,
                       _rounded_fft_product, add, embed_for_product,
@@ -52,7 +53,8 @@ def exact_read_limit(bucket_budget: int, dimension: int) -> int:
 
 def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
                      rng: np.random.Generator,
-                     verify_rng: np.random.Generator, delta: float):
+                     verify_rng: np.random.Generator,
+                     delta: float) -> tuple[SparseVector | None, int]:
     """Peeling recovery of x * y at a fixed sparsity budget, verified as it
     goes.
 
@@ -87,10 +89,11 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     The j-th fingerprint (j = 0, 1, ...) draws from verify_rng with
     false-accept budget delta / 2^(j+1); those sum to less than delta.
     An empty w is never fingerprinted: x and y are nonzero, so it is
-    never their product. Returns (w, trace, verified): trace holds (w so
-    far, LocateReport) per locate round, empty for an exact reading;
-    verified is True for the pair reading, an exact dense one, and a w
-    the fingerprint accepted, and the caller returns w only then.
+    never their product. Returns (product, floor). product is the pair
+    reading, an exact dense one, or a w that a fingerprint accepted, and
+    None otherwise. floor is the heavy-bucket count at which the peel's
+    first locate call aborted, and 0 otherwise; that call folds x * y
+    itself, so floor <= l0(x * y) (see sparse_multiply).
     It checks nothing: its one caller, sparse_multiply, passes nonzero
     operands that embed_for_product checked and a positive budget.
     """
@@ -102,29 +105,30 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
 
     exact = exact_read_limit(bucket_budget, x.length)
     if x.l0 * y.l0 <= exact:
-        return _pair_product(x, y), [], True
+        return _pair_product(x, y), 0
     if 4 * exact >= x.length:
         w, proven = _rounded_fft_product(x, y)
-        return w, [], proven or verified(w)
+        return (w if proven or verified(w) else None), 0
     w = zero_vector(x.length)
-    trace: list[tuple[SparseVector, LocateReport]] = []
     unchecked = False                   # w changed since its last fingerprint
     for r in range(max(1, (bucket_budget - 1).bit_length())):
         z, report = locate_with_report(x, y, w, bucket_budget >> r, rng)
-        w = add(w, z)
-        trace.append((w, report))
         heavy = report.heavy_counts[0]
         if report.aborted_rep is not None or heavy == 0:
             # A quiet fold: later rounds are no-ops. An abort leaves more
-            # heavy buckets than the halved budgets can take.
+            # heavy buckets than the halved budgets can take. Either way z
+            # is zero, so after the first call w is still empty.
+            if r == 0:
+                return None, heavy
             break
+        w = add(w, z)
         unchecked = unchecked or z.l0 > 0
         if z.l0 == heavy:
             # Every heavy bucket read as one term: w may be complete.
             if verified(w):
-                return w, trace, True
+                return w, 0
             unchecked = False
-    return w, trace, unchecked and verified(w)
+    return (w if unchecked and verified(w) else None), 0
 
 
 def _check_float_budget(u: SparseVector, v: SparseVector) -> None:
@@ -215,17 +219,13 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     r = 1
     try:
         while r <= max_rounds:
-            budget = ISOLATION_CONSTANT << r                 # C * 2^r
-            w, trace, verified = hash_and_iterate(
-                x, y, budget, locate_rng, fingerprint_rng,
+            w, floor = hash_and_iterate(
+                x, y, ISOLATION_CONSTANT << r, locate_rng, fingerprint_rng,
                 OUTER_FAILURE_CONSTANT / (r * r))
-            if verified:
+            if w is not None:
                 return w
-            if trace and trace[0][1].aborted_rep is not None:
-                # jump to C * 2^r >= heavy
-                cells = -(-trace[0][1].heavy_counts[-1] // ISOLATION_CONSTANT)
-                r = max(r, (cells - 1).bit_length() - 1)
-            r += 1
+            cells = -(-floor // ISOLATION_CONSTANT)   # least C * 2^r >= floor
+            r = max(r + 1, (cells - 1).bit_length())
     except PrimeSamplingError as err:
         raise MultiplicationFailed(str(err)) from err
     raise MultiplicationFailed(

@@ -13,19 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import GENERATION_STREAM, substream
-from .vectors import (MAX_DIMENSION, MAX_TERMS, EnvelopeError, SparseVector,
-                      from_arrays)
+from .vectors import (MAX_COEFF_ABS, MAX_DIMENSION, MAX_TERMS, EnvelopeError,
+                      SparseVector, from_arrays)
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
     """Parameters of one generated multiplication instance.
 
-    terms, at most MAX_TERMS, is the sparsity of each operand (more is an
-    EnvelopeError, as check_operand raises); cancel_fraction in [0, 1]
-    moves from uniform random (0) to the pure telescoping family (1),
-    where u is an all-ones run and v = z - 1 so the product telescopes
-    to exactly two nonzeros.
+    terms, at most MAX_TERMS, is the sparsity of each operand, and
+    coeff_bound, at most MAX_COEFF_ABS, bounds its coefficient magnitudes
+    (more is an EnvelopeError, as check_operand raises); cancel_fraction
+    in [0, 1] moves from uniform random (0) to the pure telescoping family
+    (1), where u is an all-ones run and v = z - 1 so the product
+    telescopes to exactly two nonzeros.
     """
 
     n: int
@@ -43,6 +44,9 @@ class InstanceSpec:
             raise EnvelopeError(f"{self.terms} terms exceed {MAX_TERMS}")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be positive")
+        if self.coeff_bound > MAX_COEFF_ABS:
+            raise EnvelopeError(
+                f"coeff_bound {self.coeff_bound} exceeds {MAX_COEFF_ABS}")
         if not 0.0 <= self.cancel_fraction <= 1.0:
             raise ValueError("cancel_fraction must be in [0, 1]")
 

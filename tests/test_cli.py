@@ -15,8 +15,8 @@ from sparseconv.driver import MultiplicationFailed
 from sparseconv.instances import InstanceSpec, gen_instance
 from sparseconv.polyfile import parse_poly_file, write_poly_file
 from sparseconv.primes import PrimeSamplingError
-from sparseconv.vectors import (MAX_TERMS, SparseVector, make_sparse_vector,
-                                poly_multiply_naive)
+from sparseconv.vectors import (MAX_COEFF_ABS, MAX_TERMS, SparseVector,
+                                make_sparse_vector, poly_multiply_naive)
 
 
 def write_poly(tmp_path, name, length, pairs):
@@ -191,6 +191,18 @@ def test_gen_refuses_more_terms_than_the_operand_bound(tmp_path, capsys):
     assert not (tmp_path / "a.poly").exists()
 
 
+@pytest.mark.parametrize("bound", [2_000_000, 10 ** 20])
+def test_gen_refuses_coefficient_bounds_beyond_the_envelope(tmp_path, capsys,
+                                                            bound):
+    # operands `multiply` would refuse are not written: exit 2, one line
+    a, b = (str(tmp_path / name) for name in ("a.poly", "b.poly"))
+    assert main(["gen", "--n", "8", "--terms", "3", "--coeff-bound",
+                 str(bound), "-o", a, "-o2", b]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: coeff_bound {bound} exceeds {MAX_COEFF_ABS}\n"
+    assert not (tmp_path / "a.poly").exists()
+
+
 def test_verify_header_only_files(tmp_path, capsys):
     # zero operands and a zero claimed product: 0 * 0 = 0
     a, b, p = (tmp_path / "a.poly", tmp_path / "b.poly", tmp_path / "p.poly")
@@ -359,6 +371,23 @@ def test_bench_emits_ndjson_records(tmp_path, capsys):
     assert {r["algo"] for r in records} == {"naive", "sparse"}
     # identical instance means identical sparsity across algos and repeats
     assert len({r["k_out"] for r in records}) == 1
+
+
+def test_bench_records_a_run_that_gave_up(monkeypatch, capsys):
+    # a sparse run that fails explicitly is recorded, not raised: k_out
+    # null and success false, with the keys in the order of every record
+    def give_up(*args):
+        raise MultiplicationFailed("no verified product")
+
+    monkeypatch.setattr(driver, "sparse_multiply", give_up)
+    assert main(["bench", "--n", "64", "--terms", "4", "--algos",
+                 "sparse,naive", "--seed", "2"]) == 0
+    failed, passed = (json.loads(line) for line in
+                      capsys.readouterr().out.splitlines())
+    assert list(failed) == ["algo", "n", "s_in", "k_out", "wall_millis",
+                            "seed", "success"]
+    assert failed["k_out"] is None and failed["success"] is False
+    assert passed["k_out"] > 0 and passed["success"] is True
 
 
 def test_bench_rejects_unknown_algo(tmp_path, capsys):

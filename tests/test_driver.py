@@ -49,15 +49,40 @@ def _peel(x, y, budget, rng):
                             OUTER_FAILURE_CONSTANT)
 
 
+def _record_rounds(monkeypatch):
+    """Patch the driver's locate call to record (budget, w before, z,
+    report) per locate round in a list. It wraps whatever the driver calls
+    now, so a stand-in patched before it is what gets recorded."""
+    real_locate = driver.locate_with_report
+    rounds = []
+
+    def locate(x, y, w, budget, rng):
+        z, report = real_locate(x, y, w, budget, rng)
+        rounds.append((budget, w, z, report))
+        return z, report
+
+    monkeypatch.setattr(driver, "locate_with_report", locate)
+    return rounds
+
+
+def _w_after(entry):
+    """The w a peel holds after one recorded locate round."""
+    _, w, z, _ = entry
+    return add(w, z)
+
+
 def _record_peels(monkeypatch):
-    """Patch the driver to record each peel's (budget, trace) in a list."""
+    """Patch the driver to record each peel's (budget, rounds) in a list,
+    rounds as _record_rounds records them."""
+    rounds = _record_rounds(monkeypatch)
     real_peel = driver.hash_and_iterate
     peels = []
 
     def peel(x, y, budget, *streams_and_delta):
-        w, trace, verified = real_peel(x, y, budget, *streams_and_delta)
-        peels.append((budget, trace))
-        return w, trace, verified
+        start = len(rounds)
+        out = real_peel(x, y, budget, *streams_and_delta)
+        peels.append((budget, rounds[start:]))
+        return out
 
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
     return peels
@@ -77,7 +102,8 @@ def _count_fingerprints(monkeypatch):
 
 
 def _drew_primes(peels):
-    return any(report.primes for _, trace in peels for _, report in trace)
+    return any(report.primes for _, rounds in peels
+               for *_, report in rounds)
 
 
 def test_params_relations_enforced():
@@ -213,22 +239,24 @@ def test_float_mass_guard():
         sparse_multiply(u, u, np.random.default_rng(0))
 
 
-def test_hash_and_iterate_recovers_with_generous_budget():
+def test_hash_and_iterate_recovers_with_generous_budget(monkeypatch):
     u, v, want = _telescoping_slots(12)
     x, y = embed_for_product(u, v)
-    w, trace, verified = _peel(x, y, 16 * want.l0, np.random.default_rng(7))
-    assert w == want and verified
-    assert trace[0][1].reps_run == len(trace[0][1].primes) == 1
+    rounds = _record_rounds(monkeypatch)
+    w, floor = _peel(x, y, 16 * want.l0, np.random.default_rng(7))
+    assert w == want and floor == 0
+    assert rounds[0][3].reps_run == len(rounds[0][3].primes) == 1
 
 
-def test_hash_and_iterate_residual_contracts_per_round():
+def test_hash_and_iterate_residual_contracts_per_round(monkeypatch):
     u, v, exact = _telescoping_slots(21)      # budget 16 * 16 = 256
     x, y = embed_for_product(u, v)
-    _, trace, _ = _peel(x, y, 16 * exact.l0, np.random.default_rng(8))
-    residuals = [subtract(exact, w).l0 for w, _ in trace]
+    rounds = _record_rounds(monkeypatch)
+    _peel(x, y, 16 * exact.l0, np.random.default_rng(8))
+    residuals = [subtract(exact, add(w, z)).l0 for _, w, z, _ in rounds]
     assert residuals[-1] == 0
     assert all(a >= b for a, b in zip(residuals, residuals[1:]))
-    assert all(report.primes for _, report in trace)
+    assert all(report.primes for *_, report in rounds)
 
 
 def test_hash_and_iterate_converged_exit(monkeypatch):
@@ -240,29 +268,32 @@ def test_hash_and_iterate_converged_exit(monkeypatch):
     x = make_sparse_vector(2 * n, [(j, 1) for j in range(n)])
     y = make_sparse_vector(2 * n, [(0, -1), (1, 1)])
     verdicts = _count_fingerprints(monkeypatch)
-    w, trace, verified = _peel(x, y, 32, np.random.default_rng(9))
-    assert w == cyclic_convolve_naive(x, y) and verified
-    assert len(trace) == 1 and trace[0][1].primes
-    assert trace[0][1].heavy_counts == [w.l0]
+    rounds = _record_rounds(monkeypatch)
+    w, floor = _peel(x, y, 32, np.random.default_rng(9))
+    assert w == cyclic_convolve_naive(x, y) and floor == 0
+    assert len(rounds) == 1 and rounds[0][3].primes
+    assert rounds[0][3].heavy_counts == [w.l0]
     assert verdicts == [(w, True)]
     # with every fingerprint rejecting, the same peel goes on until no
     # later round sees a heavy bucket: the closing quiet call folds once,
     # like every call, and the w it leaves, already rejected, is not
-    # fingerprinted again
+    # fingerprinted again. The peel returns no product
     monkeypatch.setattr(driver, "equality_test", lambda *args: False)
-    w, trace, verified = _peel(x, y, 32, np.random.default_rng(9))
-    assert w == cyclic_convolve_naive(x, y) and not verified
-    assert len(trace) == 2 and trace[0][0] == w
-    last_report = trace[-1][1]
+    rounds.clear()
+    w, floor = _peel(x, y, 32, np.random.default_rng(9))
+    assert w is None and floor == 0
+    assert _w_after(rounds[-1]) == cyclic_convolve_naive(x, y)
+    assert len(rounds) == 2 and _w_after(rounds[0]) == _w_after(rounds[-1])
+    last_report = rounds[-1][3]
     assert last_report.heavy_counts == [0] and last_report.aborted_rep is None
     assert last_report.reps_run == 1
-    # an exact reading from the pairs calls no locate: the trace is empty,
-    # and the reading is proven
+    # an exact reading from the pairs calls no locate and is proven
     x = make_sparse_vector(32, [(1, 2)])
     y = make_sparse_vector(32, [(3, 4)])
-    w, trace, verified = _peel(x, y, 256, np.random.default_rng(9))
+    rounds.clear()
+    w, floor = _peel(x, y, 256, np.random.default_rng(9))
     assert w == cyclic_convolve_naive(x, y)
-    assert trace == [] and verified
+    assert rounds == [] and floor == 0
 
 
 def _budget_overflow_operands():
@@ -275,29 +306,64 @@ def _budget_overflow_operands():
     return x, y, cyclic_convolve_naive(x, y)
 
 
-def test_hash_and_iterate_budget_too_small_yields_rejectable_w():
+def test_hash_and_iterate_budget_too_small_yields_rejectable_w(monkeypatch):
     # with budget far below the product sparsity the locate cutoffs fire
-    # and the accumulated w stays incomplete; the driver's verification
-    # must then reject it (here: compare directly)
+    # and the accumulated w stays incomplete; the peel returns no product
     x, y, exact = _budget_overflow_operands()
-    w, trace, verified = _peel(x, y, 2, np.random.default_rng(10))
-    assert w != exact and not verified
-    assert w.l0 < exact.l0
-    assert trace[0][1].primes
+    rounds = _record_rounds(monkeypatch)
+    w, _ = _peel(x, y, 2, np.random.default_rng(10))
+    held = _w_after(rounds[-1])
+    assert w is None
+    assert held != exact and held.l0 < exact.l0
+    assert rounds[0][3].primes
 
 
-def test_hash_and_iterate_stops_at_first_aborted_call():
+def test_hash_and_iterate_stops_at_first_aborted_call(monkeypatch):
     # an aborted locate call returns zero and leaves more heavy buckets
     # than the budget; the halved budgets after it are not tried
-    x, y, exact = _budget_overflow_operands()
-    w, trace, _ = _peel(x, y, 32, np.random.default_rng(10))
-    assert len(trace) == 1
-    assert trace[0][1].aborted_rep is not None and trace[0][1].primes
-    assert w != exact
+    x, y, _ = _budget_overflow_operands()
+    rounds = _record_rounds(monkeypatch)
+    w, floor = _peel(x, y, 32, np.random.default_rng(10))
+    assert len(rounds) == 1
+    assert rounds[0][3].aborted_rep is not None and rounds[0][3].primes
+    # no product, and the abort's heavy count as the floor
+    assert w is None and floor == rounds[0][3].heavy_counts[0] > 32
+
+
+def test_floor_is_zero_when_only_a_later_call_aborts(monkeypatch):
+    # scripted locate calls: the first reads one term from two heavy
+    # buckets, so w is not fingerprinted after it; the second aborts on 99.
+    # The peel fingerprints the one-term w it ends with, which is not the
+    # product, and returns none with floor 0. The same abort in a first
+    # call is the floor, with nothing fingerprinted
+    x, y, _ = _budget_overflow_operands()
+    term = make_sparse_vector(x.length, [(5, 1)])
+    abort = (zero_vector(x.length),
+             LocateReport(aborted_rep=0, heavy_counts=[99], primes=[11]))
+    replies = [(term, LocateReport(heavy_counts=[2], primes=[7])), abort]
+    monkeypatch.setattr(driver, "locate_with_report",
+                        lambda *args: replies.pop(0))
+    verdicts = _count_fingerprints(monkeypatch)
+    assert _peel(x, y, 32, np.random.default_rng(0)) == (None, 0)
+    assert replies == [] and verdicts == [(term, False)]
+    replies.append(abort)
+    assert _peel(x, y, 32, np.random.default_rng(0)) == (None, 99)
+    assert replies == [] and len(verdicts) == 1
+
+
+def test_rejected_dense_reading_returns_no_product(monkeypatch):
+    # 128 * 128 pairs at N = 2^14 and budget 32: 4E >= N, so the peel
+    # reads the dense real product. With the error bound forced to 0.25
+    # that reading is unproven; a fingerprint that rejects it leaves the
+    # peel with no product and floor 0
+    x = make_sparse_vector(1 << 14, [(64 * j, 1 + j % 7) for j in range(128)])
+    monkeypatch.setattr(vectors, "_fft_error_bound", lambda x, y: 0.25)
+    monkeypatch.setattr(driver, "equality_test", lambda *args: False)
+    assert _peel(x, x, 32, np.random.default_rng(0)) == (None, 0)
 
 
 @pytest.mark.parametrize("budget", [16, 1 << 16])
-def test_hash_and_iterate_folds_once_per_call(budget):
+def test_hash_and_iterate_folds_once_per_call(monkeypatch, budget):
     # every locate call of a peel that folds draws one prime, whatever
     # the budget. The telescoping operands fold at budget 16, and the
     # fingerprint verifies the peel's w; at 2^16 their pairs fit E and the
@@ -305,13 +371,14 @@ def test_hash_and_iterate_folds_once_per_call(budget):
     # proven
     u, v, exact = _telescoping_slots(22)
     x, y = embed_for_product(u, v)
-    w, trace, verified = _peel(x, y, budget, np.random.default_rng(11))
-    assert w == exact and verified
+    rounds = _record_rounds(monkeypatch)
+    w, _ = _peel(x, y, budget, np.random.default_rng(11))
+    assert w == exact
     if budget != 16:
-        assert trace == []
+        assert rounds == []
         return
-    assert trace and all(len(report.primes) == report.reps_run == 1
-                         for _, report in trace)
+    assert rounds and all(len(report.primes) == report.reps_run == 1
+                          for *_, report in rounds)
 
 
 def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
@@ -330,11 +397,14 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
     def peel(x, y, budget, *streams_and_delta):
         peels.append(budget)
         before = len(verdicts)
-        w, trace, verified = real_peel(x, y, budget, *streams_and_delta)
-        folded.append(bool(trace))
+        start = len(rounds)
+        w, floor = real_peel(x, y, budget, *streams_and_delta)
+        folded.append(len(rounds) > start)
         if budget == lossy_budget:
-            assert w != exact and verdicts[before:] == [(w, False)]
-        return w, trace, verified
+            held = _w_after(rounds[-1])
+            assert w is None and held != exact
+            assert verdicts[before:] == [(held, False)]
+        return w, floor
 
     def lossy_locate(x, y, w, budget, rng):
         z, report = real_locate(x, y, w, budget, rng)
@@ -344,6 +414,7 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
 
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
     monkeypatch.setattr(driver, "locate_with_report", lossy_locate)
+    rounds = _record_rounds(monkeypatch)    # records the lossy rounds
     assert sparse_multiply(u, v, np.random.default_rng(12)) == exact
     lossy_budget = peels[-1]
     peels.clear()
@@ -406,7 +477,7 @@ def test_aborted_peel_is_never_returned(monkeypatch, seed):
     peels = _record_peels(monkeypatch)
     monkeypatch.setattr(driver, "equality_test", lambda *args: True)
     got = sparse_multiply(u, v, np.random.default_rng(seed))
-    assert peels[0][1][0][1].aborted_rep == 0
+    assert peels[0][1][0][3].aborted_rep == 0
     assert not got.is_zero
 
 
@@ -527,12 +598,13 @@ def test_misread_term_is_recovered_by_the_next_call(monkeypatch):
         return checks[-1][2]
 
     monkeypatch.setattr(driver, "equality_test", fingerprint)
-    w, trace, verified = _peel(x, y, budget, np.random.default_rng(seed))
-    first = trace[0][0]
-    assert trace[0][1].primes == [p]
+    rounds = _record_rounds(monkeypatch)
+    w, _ = _peel(x, y, budget, np.random.default_rng(seed))
+    first = _w_after(rounds[0])
+    assert rounds[0][3].primes == [p]
     assert first.to_pairs() == [(0, -(1 << 20) - 1), (a, (1 << 20) + 1)]
-    assert w == exact and verified and len(trace) == 2
-    assert subtract(exact, trace[1][0]).is_zero
+    assert w == exact and len(rounds) == 2
+    assert subtract(exact, _w_after(rounds[-1])).is_zero
     delta = OUTER_FAILURE_CONSTANT
     assert checks == [(first, delta / 2, False), (exact, delta / 4, True)]
 
@@ -544,6 +616,7 @@ def test_fingerprint_budgets_of_a_round_sum_to_its_delta(monkeypatch):
     # c / r^2 / 2^(j+1), so a round's checks sum to less than c / r^2
     checks = []
     real_peel = driver.hash_and_iterate
+    rounds = _record_rounds(monkeypatch)
 
     def reject(x, y, w, delta, rng):
         checks[-1][1].append(delta)
@@ -553,13 +626,15 @@ def test_fingerprint_budgets_of_a_round_sum_to_its_delta(monkeypatch):
         r = (budget // ISOLATION_CONSTANT).bit_length() - 1
         assert delta == OUTER_FAILURE_CONSTANT / r ** 2
         checks.append((delta, []))
-        w, trace, verified = real_peel(x, y, budget, rng, verify_rng, delta)
-        if trace:
-            last = trace[-1][1]
+        start = len(rounds)
+        w, floor = real_peel(x, y, budget, rng, verify_rng, delta)
+        mine = rounds[start:]
+        if mine:
+            last = mine[-1][3]
             assert (last.aborted_rep is not None or last.heavy_counts == [0]
-                    or len(trace) == (budget - 1).bit_length())
-        assert verified == (not trace)      # an exact reading
-        return w, trace, verified
+                    or len(mine) == (budget - 1).bit_length())
+        assert (w is not None) == (not mine)    # an exact reading
+        return w, floor
 
     monkeypatch.setattr(driver, "equality_test", reject)
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
@@ -574,10 +649,11 @@ def test_fingerprint_budgets_of_a_round_sum_to_its_delta(monkeypatch):
     # goes on to its quiet fold
     x, y, _, _ = _misread_operands(64, 3)
     checks.append((0.01, []))
-    w, trace, verified = hash_and_iterate(x, y, 64, np.random.default_rng(3),
-                                          np.random.default_rng(0), 0.01)
-    assert w == cyclic_convolve_naive(x, y) and not verified
-    assert len(trace) == 3 and trace[-1][1].heavy_counts == [0]
+    rounds.clear()
+    w, _ = hash_and_iterate(x, y, 64, np.random.default_rng(3),
+                            np.random.default_rng(0), 0.01)
+    assert w is None and _w_after(rounds[-1]) == cyclic_convolve_naive(x, y)
+    assert len(rounds) == 3 and rounds[-1][3].heavy_counts == [0]
     assert checks[-1][1] == [0.005, 0.0025]
     for delta, deltas in checks:
         assert deltas == [delta / 2 ** (j + 1) for j in range(len(deltas))]
@@ -704,8 +780,9 @@ def test_unwrapped_product_at_a_large_prime_factor_runs_at_a_power_of_two(
                         lambda a: sizes.append(a.size) or real_rfft(a))
     want = poly_multiply_naive(u, v)
     assert poly_multiply_dense(u, v) == want
-    w, trace, verified = _peel(x, y, 128, np.random.default_rng(0))
-    assert w == want and trace == [] and verified
+    rounds = _record_rounds(monkeypatch)
+    w, _ = _peel(x, y, 128, np.random.default_rng(0))
+    assert w == want and rounds == []
     assert sizes == [1 << 17] * 4
 
 
@@ -731,15 +808,16 @@ def test_peel_reads_exactly_when_pairs_fit_the_limit(monkeypatch):
     monkeypatch.setattr(driver, "locate_with_report", _no_locate)
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    w, trace, verified = _peel(x, y, 1, rng)
-    assert w == cyclic_convolve_naive(x, y) and w.l0 > 1 and verified
-    assert trace == [] and rng.bit_generator.state == state
+    w, floor = _peel(x, y, 1, rng)
+    assert w == cyclic_convolve_naive(x, y) and w.l0 > 1 and floor == 0
+    assert rng.bit_generator.state == state
     monkeypatch.undo()
     x7 = make_sparse_vector(2 * n, [(j, j + 1) for j in range(7)])
     y23 = make_sparse_vector(2 * n, [(j, j + 2) for j in range(23)])
     assert x7.l0 * y23.l0 == 161
-    _, trace, verified = _peel(x7, y23, 1, rng)
-    assert trace and trace[0][1].primes and not verified
+    rounds = _record_rounds(monkeypatch)
+    w, _ = _peel(x7, y23, 1, rng)
+    assert rounds and rounds[0][3].primes and w is None
 
 
 def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
@@ -756,13 +834,14 @@ def test_peel_reads_densely_when_4e_reaches_n(monkeypatch):
         assert x.l0 * x.l0 > limit and 4 * limit >= x.length
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
-        w, trace, verified = _peel(x, x, budget, rng)
+        w, floor = _peel(x, x, budget, rng)
         assert w == cyclic_convolve_naive(x, x) and w.l0 > budget
-        assert trace == [] and verified
+        assert floor == 0
         assert rng.bit_generator.state == state
 
 
-def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
+def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one(
+        monkeypatch):
     # N = 2^17 at budget 128: E = 34816, so 4E >= N and the 401^2 pairs
     # outnumber E. Each operand has one coefficient 2^20 among 400 of
     # +-1 (l1 mass product about 2^40, inside the envelope); the reading
@@ -774,8 +853,9 @@ def test_dense_reading_at_n_keeps_the_unit_terms_beside_a_large_one():
             for _ in range(2))
     limit = exact_read_limit(128, 2 * n)
     assert x.l0 * y.l0 > limit and 4 * limit >= 2 * n
-    w, trace, _ = _peel(x, y, 128, np.random.default_rng(0))
-    assert trace == []
+    rounds = _record_rounds(monkeypatch)
+    w, _ = _peel(x, y, 128, np.random.default_rng(0))
+    assert rounds == []
     assert w == cyclic_convolve_naive(x, y)
 
 
@@ -792,9 +872,10 @@ class _Stop(Exception):
     ([5000, None, 70000], [32, 16 * 512, 16 * 1024, 16 * 8192]),
 ])
 def test_budget_after_an_abort(monkeypatch, heavy, want):
-    # each stubbed peel returns an empty w whose first locate call aborted
-    # at the scripted heavy count (None: did not abort); the next budget is
-    # the least C * 2^r at or above it, and never below the doubled one
+    # each stubbed peel returns no product, with the scripted heavy count
+    # at which its first locate call aborted as its floor (None: did not
+    # abort, floor 0); the next budget is the least C * 2^r at or above
+    # it, and never below the doubled one
     budgets = []
 
     def peel(x, y, budget, rng, verify_rng, delta):
@@ -802,10 +883,7 @@ def test_budget_after_an_abort(monkeypatch, heavy, want):
         if len(budgets) > len(heavy):
             raise _Stop
         h = heavy[len(budgets) - 1]
-        report = LocateReport(aborted_rep=None if h is None else 0,
-                              heavy_counts=[0 if h is None else h])
-        w = zero_vector(x.length)
-        return w, [(w, report)], False
+        return None, 0 if h is None else h
 
     monkeypatch.setattr(driver, "hash_and_iterate", peel)
     u = make_sparse_vector(1 << 14, [(0, 3), (17, -5), (4000, 9)])
@@ -833,7 +911,8 @@ def test_multiply_never_sieves(monkeypatch):
     u, v, want = _telescoping_slots(7)
     peels.clear()
     assert sparse_multiply(u, v, np.random.default_rng(7)) == want
-    assert peels[-1][1] and all(report.primes for _, report in peels[-1][1])
+    assert peels[-1][1] and all(report.primes
+                                for *_, report in peels[-1][1])
 
 
 @pytest.mark.parametrize("site", ["locate.uniform_prime_below",

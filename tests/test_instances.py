@@ -9,7 +9,8 @@ from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
                                   gen_instance)
 from sparseconv.seeding import (DEFAULT_SEED, SEED_ENV_VAR, resolve_seed,
                                 substream)
-from sparseconv.vectors import make_sparse_vector, poly_multiply_naive
+from sparseconv.vectors import (MAX_COEFF_ABS, EnvelopeError,
+                                make_sparse_vector, poly_multiply_naive)
 
 
 def test_substream_independence_and_determinism():
@@ -43,6 +44,17 @@ def test_spec_validation():
         InstanceSpec(n=8, terms=4, coeff_bound=0, cancel_fraction=0, seed=0)
     with pytest.raises(ValueError):
         InstanceSpec(n=8, terms=4, coeff_bound=1, cancel_fraction=1.5, seed=0)
+
+
+@pytest.mark.parametrize("bound", [MAX_COEFF_ABS + 1, 10 ** 20])
+def test_spec_refuses_coefficient_bounds_beyond_the_envelope(bound):
+    # the bound the package accepts for an operand is the most a generated
+    # operand may carry; 2^20 itself is allowed (see the pinned digests)
+    with pytest.raises(EnvelopeError, match=f"exceeds {MAX_COEFF_ABS}"):
+        InstanceSpec(n=8, terms=3, coeff_bound=bound, cancel_fraction=0,
+                     seed=0)
+    InstanceSpec(n=8, terms=3, coeff_bound=MAX_COEFF_ABS, cancel_fraction=0,
+                 seed=0)
 
 
 def test_gen_instance_shapes_and_bounds():
