@@ -14,12 +14,12 @@ budgets, subtracting everything recovered so far. After a round that
 kept every heavy reading it fingerprints what it has, and stops if that
 verifies, so a peel that recovers the product in one round pays for no
 confirming fold. Failing that it stops at a round that sees no heavy
-bucket at all or aborts on more heavy buckets than its budget, and
-fingerprints what it ends with, unless that is empty (a product of
-nonzero polynomials is never zero) or was already rejected. A locate
-call folds once, at one random prime: a term it misses or misreads stays
-in the residual for the next round, and a peel that still ends wrong is
-rejected by the fingerprint, so one fold need not be reliable alone. A
+bucket at all or aborts on more heavy buckets than its budget, or after
+its last round, and returns nothing: what it ends with was rejected
+already, or comes from a round that dropped a heavy reading and so left
+a term in the residual. A locate call folds once, at one random prime: a
+term it misses or misreads stays in the residual for the next round, and
+only a verified peel is returned, so one fold need not be reliable alone. A
 peel that ends unverified doubles the budget, or jumps to the
 heavy-bucket count at which its first locate call aborted, when that is
 larger: that call folds the product itself, so the count never exceeds

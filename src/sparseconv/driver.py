@@ -9,12 +9,13 @@ contracts geometrically). A reading from the term pairs is integer-exact,
 one from the dense transform at N checked; either is returned as it is.
 The peel fingerprints its w against the operands after every round that
 kept all it read, and stops at the first that verifies, so a peel that
-recovers the product in one round pays for no confirming fold; whatever
-w it ends with is fingerprinted too. A peel returns a proven or verified
-product, or None: nothing unproven and unverified ever escapes. When a
-peel returns None the budget doubles, or jumps to the heavy count at
-which the peel's first locate call aborted if larger: a lower bound on
-the product sparsity.
+recovers the product in one round pays for no confirming fold. A round
+that drops a heavy reading leaves w inexact, so no other w is
+fingerprinted. A peel returns a proven or verified product, or None:
+nothing unproven and unverified ever escapes. When a peel returns None
+the budget doubles, or jumps to the heavy count at which the peel's
+first locate call aborted if larger: a lower bound on the product
+sparsity.
 """
 
 from __future__ import annotations
@@ -75,16 +76,16 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
     see the shrinking residual. After a round that did not abort, saw a
     heavy bucket and kept every heavy reading, it fingerprints w, and
     stops if the fingerprint accepts. Otherwise it stops at a round whose
-    fold sees no heavy bucket, at an abort, or after the last round, and
-    fingerprints the w it ends with unless that w was already rejected.
-    Each call folds once, so it may miss a term, which stays in the
-    residual for a later round, or misread one, which becomes a residual
-    term that a later round recovers. With B >= 16 * l0(x * y) no round
-    aborts, and w equals x * y except with the probability bounded in
-    sparse_multiply; smaller budgets typically end with a partial (often
-    empty) w. A nonzero residual looks quiet only if all its terms share
-    buckets (see locate_with_report), which ends the peel with an
-    incomplete w.
+    fold sees no heavy bucket, at an abort, or after the last round, with
+    no product: its last w was rejected, or came from a round that
+    dropped a heavy reading and so is inexact. Each call folds once, so
+    it may miss a term, which stays in the residual for a later round, or
+    misread one, which becomes a residual term that a later round
+    recovers. With B >= 16 * l0(x * y) no round aborts, and w equals
+    x * y except with the probability bounded in sparse_multiply; smaller
+    budgets typically end with a partial (often empty) w. A nonzero
+    residual looks quiet only if all its terms share buckets (see
+    locate_with_report), which ends the peel with an incomplete w.
 
     The j-th fingerprint (j = 0, 1, ...) draws from verify_rng with
     false-accept budget delta / 2^(j+1); those sum to less than delta.
@@ -110,25 +111,19 @@ def hash_and_iterate(x: SparseVector, y: SparseVector, bucket_budget: int,
         w, proven = _rounded_fft_product(x, y)
         return (w if proven or verified(w) else None), 0
     w = zero_vector(x.length)
-    unchecked = False                   # w changed since its last fingerprint
     for r in range(max(1, (bucket_budget - 1).bit_length())):
         z, report = locate_with_report(x, y, w, bucket_budget >> r, rng)
         heavy = report.heavy_counts[0]
         if report.aborted_rep is not None or heavy == 0:
             # A quiet fold: later rounds are no-ops. An abort leaves more
             # heavy buckets than the halved budgets can take. Either way z
-            # is zero, so after the first call w is still empty.
-            if r == 0:
-                return None, heavy
-            break
+            # is zero, and only a first call's heavy count is a floor.
+            return None, (heavy if r == 0 else 0)
         w = add(w, z)
-        unchecked = unchecked or z.l0 > 0
-        if z.l0 == heavy:
-            # Every heavy bucket read as one term: w may be complete.
-            if verified(w):
-                return w, 0
-            unchecked = False
-    return (w if unchecked and verified(w) else None), 0
+        # Every heavy bucket read as one term: w may be complete.
+        if z.l0 == heavy and verified(w):
+            return w, 0
+    return None, 0
 
 
 def _check_float_budget(u: SparseVector, v: SparseVector) -> None:
@@ -174,9 +169,17 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     bits.) A peel stops before its quiet fold or last round only on an
     accepted w, so, outside that false accept, only on an exact w; there
     the residual is zero, every later fold would be quiet, and the full
-    peel would have ended with the same w. So the analysis below, which
-    bounds the chance that a full peel ends inexact, holds unchanged, and
-    otherwise a call fails only if no peel is exact.
+    peel would have ended with the same w. A round that drops a heavy
+    reading leaves w inexact: fold rounding error stays far below the 0.5
+    threshold (_FLOAT_MASS_LIMIT keeps it so), so that bucket holds a
+    residual term, which the round's kept readings, all in other buckets,
+    and later rounds that read nothing leave in place. So a peel ends
+    exact only after a round that read every heavy bucket, whose
+    fingerprint accepts it, and the analysis below, which bounds the
+    chance that a full peel ends inexact, holds unchanged; otherwise a
+    call fails only if no peel is exact. Were the float premise to fail,
+    an exact w left unfingerprinted would only move the product to the
+    next budget, never return a wrong vector.
     Let k = l0(x * y) and r0 the first round with 2^r0 >= k. A rejected
     round r goes next to round max(r + 1, r'), r' the least with
     C * 2^r' >= h1, the heavy count at which the peel's first locate call

@@ -53,10 +53,17 @@ class InstanceSpec:
 
 def _distinct_indices(rng: np.random.Generator, lo: int, hi: int,
                       count: int) -> np.ndarray:
-    """count <= hi - lo distinct values from [lo, hi) without materializing
-    the range."""
-    if count == hi - lo:
+    """count <= hi - lo distinct values from [lo, hi), in random order: by
+    rejection up to 3/4 of the span, without materializing the range, and
+    above that, where rejection slows without bound, by drawing the values
+    to leave out."""
+    span = hi - lo
+    if count == span:
         return np.arange(lo, hi, dtype=np.int64)
+    if 4 * count > 3 * span:
+        keep = np.ones(span, dtype=bool)
+        keep[_distinct_indices(rng, 0, span, span - count)] = False
+        return rng.permutation(np.flatnonzero(keep) + lo)
     picked = np.empty(0, dtype=np.int64)
     while picked.size < count:
         need = count - picked.size

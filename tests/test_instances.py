@@ -1,12 +1,13 @@
 """Instance generators and the deterministic seeding layer."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
 
-from sparseconv.instances import (InstanceSpec, blocked_telescoping_instance,
-                                  gen_instance)
+from sparseconv.instances import (InstanceSpec, _distinct_indices,
+                                  blocked_telescoping_instance, gen_instance)
 from sparseconv.seeding import (DEFAULT_SEED, SEED_ENV_VAR, resolve_seed,
                                 substream)
 from sparseconv.vectors import (MAX_COEFF_ABS, EnvelopeError,
@@ -55,6 +56,21 @@ def test_spec_refuses_coefficient_bounds_beyond_the_envelope(bound):
                      seed=0)
     InstanceSpec(n=8, terms=3, coeff_bound=MAX_COEFF_ABS, cancel_fraction=0,
                  seed=0)
+
+
+def test_distinct_indices_near_full_density():
+    # n - 1 of n values: rejection alone took some 28 s here; drawing the
+    # one value to leave out takes milliseconds
+    n = 1 << 16
+    start = time.process_time()
+    drawn = _distinct_indices(np.random.default_rng(0), 3, n + 3, n - 1)
+    u, v = gen_instance(InstanceSpec(n, n - 1, 100, 0.0, 0))
+    assert time.process_time() - start < 5.0
+    assert drawn.dtype == np.int64 and drawn.size == n - 1
+    assert np.unique(drawn).size == n - 1
+    assert drawn.min() >= 3 and drawn.max() < n + 3
+    # from_arrays merges repeated indices, so n - 1 terms are n - 1 indices
+    assert u.l0 == v.l0 == n - 1
 
 
 def test_gen_instance_shapes_and_bounds():
