@@ -29,8 +29,8 @@ This script replays the outer loop by hand on one instance, and then
 looks inside one peel that folds. hash_and_iterate returns only
 (product, floor): the verified product or None, and the heavy count at
 which its first locate call aborted (0 if it did not). So the script
-records each locate round itself, by wrapping the locate call the driver
-makes.
+records each locate round and each fingerprint itself, by wrapping the
+locate and fingerprint calls the driver makes.
 """
 
 from sparseconv import (InstanceSpec, embed_for_product, gen_instance,
@@ -42,7 +42,8 @@ from sparseconv.locate import ISOLATION_CONSTANT
 from sparseconv.vectors import add, subtract
 
 rounds = []             # (budget, w before, z, report) per locate call
-real_locate = driver.locate_with_report
+fingerprints = []       # (w, verdict) per fingerprint
+real_locate, real_test = driver.locate_with_report, driver.equality_test
 
 
 def recording_locate(x, y, w, budget, rng):
@@ -51,7 +52,14 @@ def recording_locate(x, y, w, budget, rng):
     return z, report
 
 
+def recording_test(x, y, w, delta, rng):
+    verdict = real_test(x, y, w, delta, rng)
+    fingerprints.append((w, verdict))
+    return verdict
+
+
 driver.locate_with_report = recording_locate
+driver.equality_test = recording_test
 
 spec = InstanceSpec(n=1 << 14, terms=192, coeff_bound=100,
                     cancel_fraction=0.0, seed=31)
@@ -80,6 +88,7 @@ r = 1
 while True:
     budget = ISOLATION_CONSTANT << r
     rounds.clear()
+    fingerprints.clear()
     w, floor = hash_and_iterate(x, y, budget, rng, verify_rng,
                                 OUTER_FAILURE_CONSTANT / r ** 2)
     held = w
@@ -89,7 +98,8 @@ while True:
     verdict = ("read exactly" if w is not None and not rounds
                else f"verified after round {len(rounds)}" if w is not None
                else "empty, no fingerprint" if held.is_zero
-               else "rejected")
+               else "rejected" if (held, False) in fingerprints
+               else "not fingerprinted")
     print(f"{budget:>7}  {floor:>9}  {held.l0:>9}  "
           f"{subtract(exact, held).l0:>8}  {verdict}")
     if w is not None:

@@ -156,9 +156,10 @@ def sparse_multiply(u: SparseVector, v: SparseVector,
     2^20 * 2^22.5, so the bound is at most lg * 2^-6.5 < 0.25 for N <=
     2^22; at N > 2^22 it fails only within 13% of that (0.87 * 2^42.5 at
     N = 2^26). In that gap the reading is fingerprinted like a peel.
-    An empty w (a peel whose first call aborted) is rejected with no
-    fingerprint: at N = 2n the cyclic product is the polynomial product,
-    and over Z the product of two nonzero polynomials is nonzero.
+    A peel whose first call aborts or folds quietly returns no product,
+    and no fingerprint runs: its w is empty, and at N = 2n the cyclic
+    product is the polynomial product, which over Z is nonzero for two
+    nonzero polynomials.
     The peel of round r gives its j-th fingerprint the false-accept budget
     c / (r^2 2^(j+1)), c = OUTER_FAILURE_CONSTANT. A fingerprint accepts
     an exact w always, and the checks of round r together accept an

@@ -36,18 +36,13 @@ def phased_coeffs(v: SparseVector) -> np.ndarray:
 def fold(v: SparseVector, m: int) -> np.ndarray:
     """Fold v into m buckets: bucket b sums coeff_j * w^j over the stored
     terms with j = b (mod m)."""
-    out = np.empty(m, dtype=np.complex128)
-    _fold_into(out, v, m)
-    return out
-
-
-def _fold_into(out: np.ndarray, v: SparseVector, m: int) -> None:
-    """fold(v, m), written into the length-m array out."""
     # Indices are non-negative: this is indices % m, in about half the time.
     bucket = v.indices - v.indices // m * m
     phased = phased_coeffs(v)
+    out = np.empty(m, dtype=np.complex128)
     out.real = np.bincount(bucket, weights=phased.real, minlength=m)
     out.imag = np.bincount(bucket, weights=phased.imag, minlength=m)
+    return out
 
 
 def _fast_fft_length(n: int) -> int:
@@ -65,26 +60,6 @@ def _fast_fft_length(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _convolve_padded(fa: np.ndarray, fb: np.ndarray, m: int) -> np.ndarray:
-    """Cyclic length-m convolution of fa[:m] and fb[:m], in place.
-
-    fa and fb have the same length, at least 2m - 1, and hold zeros past
-    m. Returns a view of fa[:m]; fb is left holding junk. Every step
-    writes into fa or fb, for speed: the plain ifft(fft(fold(x, m), size)
-    * fft(fold(y, m), size)), which allocates its arrays on every call,
-    gives the same buckets bit for bit but is 1.11-1.18x slower at m = 65537, 131101 and 262147 (near parity
-    at 4099 and 16411; medians of 15, blocked_telescoping_instance(14,
-    1024), 2-core Xeon, numpy 2.4.6).
-    """
-    np.fft.fft(fa, out=fa)
-    np.fft.fft(fb, out=fb)
-    np.multiply(fa, fb, out=fa)
-    np.fft.ifft(fa, out=fa)
-    conv, tail = fa[:m], fa[m:2 * m - 1]
-    conv[:tail.size] += tail
-    return conv
 
 
 def combined_pair_terms(jx: np.ndarray, px: np.ndarray,
@@ -112,15 +87,19 @@ def heavy_residual_buckets(x: SparseVector, y: SparseVector,
     below threshold.
     """
     fa, fb = np.empty((2, _fast_fft_length(2 * m - 1)), dtype=np.complex128)
-    _fold_into(fa[:m], x, m)
-    _fold_into(fb[:m], y, m)
-    fa[m:] = 0
-    fb[m:] = 0
-    conv = _convolve_padded(fa, fb, m)
-    # fb is free again: it takes the fold of w, then the magnitudes.
+    fa[:m], fb[:m] = fold(x, m), fold(y, m)
+    fa[m:] = fb[m:] = 0
+    # In place: fresh arrays per transform give the same buckets bit for
+    # bit but are 1.09-1.18x slower at m = 16411 .. 262147 (about even at
+    # 4099; blocked_telescoping_instance(14, 1024), 2-core Xeon, numpy
+    # 2.4.6).
+    np.fft.fft(fa, out=fa)
+    np.fft.fft(fb, out=fb)
+    np.multiply(fa, fb, out=fa)
+    np.fft.ifft(fa, out=fa)
+    conv, tail = fa[:m], fa[m:2 * m - 1]
+    conv[:tail.size] += tail
     if not w.is_zero:
-        _fold_into(fb[:m], w, m)
-        conv -= fb[:m]
-    magnitude = np.abs(conv, out=fb.view(np.float64)[:m])
-    ids = np.flatnonzero(magnitude >= threshold)
+        conv -= fold(w, m)
+    ids = np.flatnonzero(np.abs(conv) >= threshold)
     return ids, conv[ids]

@@ -10,11 +10,13 @@ the phase decodes to the index. A bucket hit by a collision decodes to
 junk, which one rule mostly drops: an isolated index sits in bucket
 index mod p, and junk decodes into its own bucket only by chance, with
 probability about 1/p. What gets through, like a missed term, stays in
-the residual for the peel's next call, and the fingerprint rejects a
-peel that ends with it. The fold returns every heavy bucket;
-locate_with_report alone decides an abort, and returns zero when there
-are more heavy buckets than its budget (the residual is too large to
-separate) or none at all (the residual is almost surely zero).
+the residual for the peel's next call. A peel returns only a w that a
+fingerprint accepted, so one that ends with such a term returns no
+product, and no fingerprint runs on a w left by a round that dropped a
+reading. The fold returns every heavy bucket; locate_with_report alone
+decides an abort, and returns zero when there are more heavy buckets
+than its budget (the residual is too large to separate) or none at all
+(the residual is almost surely zero).
 A call always folds: the peel in driver.hash_and_iterate reads the product
 exactly instead of calling locate wherever the folds would not pay, and
 calls it only when N > 2L, so every prime drawn is below N/2.
@@ -109,7 +111,8 @@ def locate_with_report(x: SparseVector, y: SparseVector, w: SparseVector,
     10 ln N / 6144 < 0.03 when k <= bucket_budget / 16 (L = 128
     bucket_budget, N <= 2^26). A quiet fold on a nonzero residual costs
     time, never correctness: the call returns zero, no wrong term, and the
-    caller's peel ends with an incomplete w, which its fingerprint rejects.
+    caller's peel stops there with an incomplete w and returns no product;
+    the quiet fold runs no fingerprint.
 
     It checks nothing: its one caller, driver.hash_and_iterate, passes the
     operands embed_for_product checked, a w of their length and a

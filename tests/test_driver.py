@@ -23,6 +23,10 @@ from sparseconv.vectors import (EnvelopeError, add, cyclic_convolve_naive,
                                 make_sparse_vector, poly_multiply_dense,
                                 poly_multiply_naive, subtract, zero_vector)
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools"))
+from draw_digest import random_support_canceller  # noqa: E402
+
 
 def _telescoping_slots(seed, n=1 << 18, run=1 << 13, slots=8):
     """u: an all-ones run of length `run`; v: cancellers c (z^(s+1) - z^s)
@@ -425,20 +429,6 @@ def test_fingerprint_rejects_a_peel_that_lost_a_term(monkeypatch):
     assert all(folded)
 
 
-def _random_support_canceller(seed, n=1 << 22, d=1 << 12, r=512, t=8):
-    """u = f (1 + z^d + ... + z^((r-1) d)) and v = g (1 - z^d) for random
-    t-term f and g supported below d, so u * v = f g (1 - z^(r d)) keeps
-    at most 2 t^2 terms on supports that are not blocked runs."""
-    rng = np.random.default_rng(seed)
-    f, g = (rng.choice(d, size=t, replace=False) for _ in range(2))
-    cf, cg = (rng.integers(1, 50, size=t) * rng.choice([-1, 1], size=t)
-              for _ in range(2))
-    shifts = np.arange(r)[:, None] * d
-    u = from_arrays(n, (f + shifts).ravel(), np.tile(cf, r))
-    v = from_arrays(n, np.concatenate([g, g + d]), np.concatenate([cg, -cg]))
-    return u, v
-
-
 def test_a_round_that_drops_a_reading_leaves_w_inexact(monkeypatch):
     # why a peel fingerprints w only after a round that read every heavy
     # bucket: with the prime range cut to 2B, folds collide often, and a
@@ -449,7 +439,7 @@ def test_a_round_that_drops_a_reading_leaves_w_inexact(monkeypatch):
     rounds = _record_rounds(monkeypatch)
     dropped = 0
     for instance in range(10):
-        x, y = embed_for_product(*_random_support_canceller(instance))
+        x, y = embed_for_product(*random_support_canceller(instance))
         exact = cyclic_convolve_naive(x, y)
         b0 = 1 << (exact.l0 - 1).bit_length()
         for budget in (b0, 2 * b0):

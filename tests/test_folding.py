@@ -181,20 +181,47 @@ def test_heavy_buckets_match_reference(monkeypatch, m, k):
     exact = cyclic_convolve_naive(x, y)
     w = make_sparse_vector(n, exact.to_pairs()[::2])
     want_ids, want_vals = _heavy_reference(x, y, w, m, 0.5)
-    lengths = []
-    real = folding._convolve_padded
+    transforms = []
 
-    def recording(fa, fb, size):
-        lengths.append(fa.size)
-        return real(fa, fb, size)
+    def recording(name, real):
+        def transform(a, *args, **kwargs):
+            transforms.append((name, a.size))
+            return real(a, *args, **kwargs)
+        return transform
 
-    monkeypatch.setattr(folding, "_convolve_padded", recording)
+    monkeypatch.setattr(np.fft, "fft", recording("fft", np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", recording("ifft", np.fft.ifft))
     ids, vals = heavy_residual_buckets(x, y, w, m, 0.5)
     order = np.argsort(ids)
     assert ids[order].tolist() == want_ids.tolist()
     assert np.allclose(vals[order], want_vals, atol=1e-6)
-    # every modulus pads to the smooth length at or above 2m - 1
-    assert lengths == [_fast_fft_length(2 * m - 1)]
+    # two forward transforms and one inverse, each padded to the smooth
+    # length at or above 2m - 1
+    size = _fast_fft_length(2 * m - 1)
+    assert transforms == [("fft", size), ("fft", size), ("ifft", size)]
+
+
+def test_each_fold_phases_through_phased_coeffs(monkeypatch):
+    # perfbench counts the phasing by wrapping folding.phased_coeffs, so
+    # every fold calls it through the module: once each for x and y, and
+    # once more for a nonzero w
+    calls = []
+    real = folding.phased_coeffs
+
+    def counting(v):
+        calls.append(v.l0)
+        return real(v)
+
+    monkeypatch.setattr(folding, "phased_coeffs", counting)
+    n = 64
+    x = make_sparse_vector(n, [(1, 2), (5, -3)])
+    y = make_sparse_vector(n, [(2, 1), (9, 4), (20, -1)])
+    term = make_sparse_vector(n, [(3, 2)])
+    heavy_residual_buckets(x, y, zero_vector(n), 7, 0.5)
+    assert calls == [2, 3]
+    calls.clear()
+    heavy_residual_buckets(x, y, term, 7, 0.5)
+    assert calls == [2, 3, 1]
 
 
 def test_calls_in_sequence_match_the_fold():
